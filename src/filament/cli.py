@@ -123,7 +123,6 @@ def _cmd_sweep(args):
         gronwall_constants,
         write_summary_csv,
     )
-    from .evolution import write_diagnostics_csv  # noqa: F401  (re-export habit)
 
     sweep = _read_config(args.config, parse_sweep_config)
     out = Path(args.out)

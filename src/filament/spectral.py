@@ -218,7 +218,7 @@ class PeriodicCurve:
         base = cls.circle(n).samples.copy()
         s = np.arange(n) / n
         base[:, 2] += (amplitude / TWO_PI) * np.sin(TWO_PI * mode * s)
-        return reparameterize_arclength(cls(base), passes=2)
+        return _dense_passes(cls(base), 2)
 
     @classmethod
     def trefoil(cls, n):
@@ -230,7 +230,7 @@ class PeriodicCurve:
             tube * np.sin(2.0 * TWO_PI * s),
             np.sin(3.0 * TWO_PI * s),
         ])
-        return reparameterize_arclength(cls(raw), passes=3)
+        return _dense_passes(cls(raw), 3)
 
 
 def _tangential_coefficient(curve, field):
@@ -277,22 +277,109 @@ def reparameterize_arclength(curve, passes=1):
 
     The cumulative arclength sigma(s) is obtained spectrally from
     |X_s|, inverted by Newton iteration, and the curve is evaluated at
-    the preimages by exact trigonometric interpolation; the result is
-    rescaled so the total length is exactly 1.
+    the preimages of the equispaced arclengths; the result is rescaled
+    so the total length is exactly 1.  Near-arclength curves evaluate
+    sigma and X at the preimages j/n + delta_j by a Taylor shift from
+    the grid nodes, O(n log n); curves far from arclength fall back to
+    dense trigonometric interpolation, O(n^2).
     """
     for _ in range(max(1, int(passes))):
         curve = _reparameterize_once(curve)
     return curve
 
 
-def _reparameterize_once(curve):
-    n = curve.n
-    grid = curve.grid
+# Newton iterations allowed for the arclength preimages; the corpus
+# curves need at most 5.
+_NEWTON_MAXITER = 50
+
+
+def _speed_spectrum(curve):
+    """Total length and Fourier coefficients of |X_s|; rejects fold-over."""
     speed = curve.speed
     if np.min(speed) <= 0.5:
         raise ValueError("fold-over: min |X_s| <= 0.5, cannot reparameterize")
-    total = float(np.mean(speed))
-    shat = to_coeffs(speed)
+    return float(np.mean(speed)), to_coeffs(speed)
+
+
+def _newton_failure(residual):
+    return ValueError(
+        f"arclength Newton did not converge in {_NEWTON_MAXITER} iterations "
+        f"(max |f| = {residual:.3e})"
+    )
+
+
+def _reparameterize_once(curve):
+    """One resampling pass: a Taylor shift from the nodes when
+    x = pi n max|delta^0| <= 1, dense interpolation otherwise.
+
+    With g the periodic antiderivative of |X_s| - L, the preimage of
+    arclength L j/n is j/n + delta_j with L delta + g(j/n + delta) = g(0),
+    so delta^0_j = -(g(j/n) - g(0))/L is its first-order estimate.
+    """
+    n = curve.n
+    grid = curve.grid
+    total, shat = _speed_spectrum(curve)
+    ghat = np.zeros_like(shat)
+    ghat[1:] = shat[1:] / (TWO_PI * 1j * grid.k[1:])
+    g = from_coeffs(ghat, n)
+    delta = -(g - g[0]) / total
+    # x is the phase by which the shift moves the Nyquist mode; for
+    # x <= 1 the Taylor terms decay at least like x^m/m!.
+    x = np.pi * n * float(np.max(np.abs(delta)))
+    if x > 1.0:
+        return _reparameterize_dense(curve)
+    # Orders 0..M with x^M/M! < 1e-17: the shift's truncation error is
+    # below double-precision resolution.
+    order, term = 0, 1.0
+    while term >= 1e-17:
+        order += 1
+        term *= x / order
+    # d^m/ds^m of g and X at the nodes, orders on axis 1.  The Nyquist
+    # mode stays the cosine of the trigonometric interpolant: irfft
+    # keeps its real (even-order) part and drops the odd orders.
+    factor = (TWO_PI * 1j * grid.k[:, None]) ** np.arange(order + 1)
+    gd = from_coeffs(ghat[:, None] * factor, n)
+    xd = from_coeffs(curve.coeffs[:, None, :] * factor[:, :, None], n)
+    g0 = gd[0, 0]
+    tol = 1e-14 * max(total, 1.0)
+    for _ in range(_NEWTON_MAXITER):
+        f = total * delta + _taylor_shift(gd, delta) - g0
+        fp = total + _taylor_shift(gd[:, 1:], delta)
+        delta = delta - f / fp
+        if np.max(np.abs(f)) < tol:
+            break
+    else:
+        raise _newton_failure(np.max(np.abs(f)))
+    return PeriodicCurve(_taylor_shift(xd, delta) / total)
+
+
+def _taylor_shift(derivs, delta):
+    """sum_m delta^m/m! derivs[:, m], by Horner's rule."""
+    d = delta.reshape(delta.shape + (1,) * (derivs.ndim - 2))
+    acc = derivs[:, -1]
+    for m in range(derivs.shape[1] - 1, 0, -1):
+        acc = derivs[:, m - 1] + (d / m) * acc
+    return acc
+
+
+def _dense_passes(curve, passes):
+    """Dense resampling passes for the raw corpus curves.
+
+    Their later passes are near arclength and could take the Taylor
+    shift, but that moves the corpus curves by ~1e-16, enough to change
+    the CG iteration count of some tension solves on them.
+    """
+    for _ in range(passes):
+        curve = _reparameterize_dense(curve)
+    return curve
+
+
+def _reparameterize_dense(curve):
+    """One resampling pass by dense trigonometric interpolation at the
+    preimages, for curves of any distance from arclength."""
+    n = curve.n
+    grid = curve.grid
+    total, shat = _speed_spectrum(curve)
     # sigma(s) = integral of |X_s|: mean part is linear, rest spectral.
     # Modes with negligible coefficients are dropped from the Newton
     # evaluations; they contribute below double-precision resolution.
@@ -305,13 +392,15 @@ def _reparameterize_once(curve):
 
     targets = total * np.arange(n) / n
     s = np.arange(n) / n
-    for _ in range(50):
+    for _ in range(_NEWTON_MAXITER):
         phase = np.exp(TWO_PI * 1j * np.outer(s, kk))
         f = total * s + np.real(phase @ anti) - anti_sum - targets
         fp = total + np.real(phase @ wshat)
         s = s - f / fp
         if np.max(np.abs(f)) < 1e-14 * max(total, 1.0):
             break
+    else:
+        raise _newton_failure(np.max(np.abs(f)))
     # Trigonometric interpolation of X at the preimage nodes (again
     # dropping coefficients below double-precision resolution).
     wcoeffs = grid.weight[:, None] * curve.coeffs

@@ -10,8 +10,9 @@ Discretely tau lives on the dealiased band |k| <= n/3; with the lift
 tau -> (tau X_s)_s and its exact adjoint, the operator is symmetric
 positive definite on that band and is solved matrix-free by
 preconditioned conjugate gradients.  The preconditioner is the diagonal
-spectral operator (|log eps| (1 + |k|))^{-1}, the shape dictated by the
-H^{1/2} coercivity of the form.
+spectral operator (|log eps| + (2 pi k)^2 m_n(k))^{-1}, the inverse of
+the form's symbol on a tension mode k (for rft, m_n is the constant
+normal coefficient).
 """
 
 from dataclasses import dataclass, field

@@ -216,6 +216,7 @@ class TestCriterion6EnergyDissipationFenchel:
 
 
 class TestCriterion7ConvergenceToRft:
+    @pytest.mark.slow
     def test_sweep_monotone_and_banded(self, sweep_records):
         records, elapsed = sweep_records
         ok_rows = [r for r in records if r.failed is None]
@@ -243,6 +244,7 @@ class TestCriterion7ConvergenceToRft:
 
 
 class TestCriterion8GronwallShape:
+    @pytest.mark.slow
     def test_discrepancy_constants(self, sweep_records):
         records, _ = sweep_records
         ok_rows = [r for r in records if r.failed is None]

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from filament import spectral
+from filament.evolution import EvolutionState, choose_dt, initial_curve, step_leps
 from filament.multipliers import build_table, rft_constants
 from filament.spectral import (
     Grid,
@@ -275,6 +277,54 @@ class TestCurves:
         assert c.length == pytest.approx(1.0, abs=1e-8)
 
 
+def _warped_circle(n=128, amplitude=1e-5):
+    s = np.arange(n) / n
+    warp = s + amplitude * np.sin(TWO_PI * s) / TWO_PI
+    return PeriodicCurve(np.column_stack([
+        np.cos(TWO_PI * warp), np.sin(TWO_PI * warp), np.zeros(n)
+    ]) / TWO_PI)
+
+
+def _raw_perturbed_circle(n, mode=3, amplitude=0.05):
+    s = np.arange(n) / n
+    samples = PeriodicCurve.circle(n).samples.copy()
+    samples[:, 2] += (amplitude / TWO_PI) * np.sin(TWO_PI * mode * s)
+    return PeriodicCurve(samples)
+
+
+def _warped_circle_with_nyquist(n=64, amplitude=2e-2, nyquist=1e-3):
+    # Preimages x = n amplitude / 2 ~ 0.6 from the nodes, and an
+    # out-of-plane Nyquist mode that the interpolant keeps as a cosine.
+    samples = _warped_circle(n, amplitude).samples.copy()
+    samples[:, 2] += nyquist * (-1.0) ** np.arange(n)
+    return PeriodicCurve(samples)
+
+
+def _raw_trefoil(n):
+    s = np.arange(n) / n
+    tube = 2.0 + np.cos(3.0 * TWO_PI * s)
+    return PeriodicCurve(np.column_stack([
+        tube * np.cos(2.0 * TWO_PI * s),
+        tube * np.sin(2.0 * TWO_PI * s),
+        np.sin(3.0 * TWO_PI * s),
+    ]))
+
+
+def _dense_passes(curve, passes):
+    for _ in range(passes):
+        curve = spectral._reparameterize_dense(curve)
+    return curve
+
+
+def _one_step(name, n, eps=1e-3):
+    curve = initial_curve(name, n)
+    table = build_table(eps, n // 2)
+    dt = choose_dt(curve, table, rescaled=True)
+    state = step_leps(EvolutionState(curve, 0.0), dt, table,
+                      time_scale=1.0 / abs(math.log(eps)))
+    return state.curve
+
+
 class TestReparameterization:
     def test_circle_fixed_point(self):
         c = PeriodicCurve.circle(128)
@@ -283,13 +333,7 @@ class TestReparameterization:
 
     def test_sinusoidal_speed_perturbation(self):
         # |X_s| = 1 + 1e-4-ish sinusoid: residual drops below 1e-8
-        n = 128
-        s = np.arange(n) / n
-        warp = s + 1e-5 * np.sin(TWO_PI * s) / TWO_PI
-        samples = np.column_stack([
-            np.cos(TWO_PI * warp), np.sin(TWO_PI * warp), np.zeros(n)
-        ]) / TWO_PI
-        c = PeriodicCurve(samples)
+        c = _warped_circle()
         assert c.inext_residual > 1e-6
         r = reparameterize_arclength(c)
         assert r.inext_residual < 1e-8
@@ -312,8 +356,64 @@ class TestReparameterization:
         samples = np.column_stack([
             np.cos(TWO_PI * s), np.sin(TWO_PI * s), np.zeros(n)
         ]) * 0.01  # speed ~ 0.06 << 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fold-over"):
             reparameterize_arclength(PeriodicCurve(samples))
+        with pytest.raises(ValueError, match="fold-over"):
+            spectral._reparameterize_dense(PeriodicCurve(samples))
+
+    # Taylor shift (near-arclength curves) against the dense resampler.
+
+    @staticmethod
+    def _taylor_vs_dense(curve, monkeypatch):
+        dense = spectral._reparameterize_dense(curve).samples
+
+        def no_dense(curve):
+            raise AssertionError("near-arclength curve took the dense path")
+
+        monkeypatch.setattr(spectral, "_reparameterize_dense", no_dense)
+        taylor = reparameterize_arclength(curve).samples
+        return float(np.max(np.abs(taylor - dense)))
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize(
+        "name", ["perturbed-circle(2,0.04)", "perturbed-circle(3,0.05)", "trefoil"]
+    )
+    def test_matches_dense_after_one_step(self, name, n, monkeypatch):
+        assert self._taylor_vs_dense(_one_step(name, n), monkeypatch) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "make", [_warped_circle, _warped_circle_with_nyquist, lambda: _raw_perturbed_circle(128)],
+        ids=["warp1e-5", "warp2e-2-nyquist", "raw-perturbed-circle"],
+    )
+    def test_matches_dense_near_arclength(self, make, monkeypatch):
+        assert self._taylor_vs_dense(make(), monkeypatch) <= 1e-13
+
+    def test_far_from_arclength_takes_dense_path(self):
+        # The raw trefoil's preimages sit x = pi n max|delta| >> 1 from
+        # the nodes, beyond the Taylor shift's range.
+        raw = _raw_trefoil(128)
+        assert np.array_equal(
+            reparameterize_arclength(raw).samples,
+            spectral._reparameterize_dense(raw).samples,
+        )
+
+    @pytest.mark.parametrize("n", [32, 128, 1024])
+    def test_constructors_use_dense_passes(self, n):
+        assert np.array_equal(
+            PeriodicCurve.perturbed_circle(n, 3, 0.05).samples,
+            _dense_passes(_raw_perturbed_circle(n), 2).samples,
+        )
+        assert np.array_equal(
+            PeriodicCurve.trefoil(n).samples,
+            _dense_passes(_raw_trefoil(n), 3).samples,
+        )
+
+    @pytest.mark.parametrize("make", [_warped_circle, lambda: _raw_trefoil(128)],
+                             ids=["taylor", "dense"])
+    def test_newton_nonconvergence_raises(self, make, monkeypatch):
+        monkeypatch.setattr(spectral, "_NEWTON_MAXITER", 1)
+        with pytest.raises(ValueError, match="arclength Newton did not converge"):
+            reparameterize_arclength(make())
 
 
 class TestSerialization:
