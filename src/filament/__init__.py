@@ -20,6 +20,7 @@ from .multipliers import (  # noqa: F401
     rft_constants,
 )
 from .spectral import (  # noqa: F401
+    GeometryError,
     Grid,
     PeriodicCurve,
     SobolevIndex,
@@ -40,13 +41,11 @@ from .tension import (  # noqa: F401
     apply_B,
     assemble_rhs,
     solve_tension,
-    solve_tension_rft,
 )
 from .evolution import (  # noqa: F401
     DiagnosticsRecord,
     EvolutionState,
     choose_dt,
-    decompose_principal,
     dissipation,
     energy,
     initial_curve,

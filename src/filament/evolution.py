@@ -15,18 +15,18 @@ import numpy as np
 
 from .multipliers import MultiplierTable, RftConstants, build_table, rft_constants
 from .spectral import (
-    Grid,
+    GeometryError,
     PeriodicCurve,
     SobolevIndex,
     TWO_PI,
-    apply_multiplier,
     from_coeffs,
     mean_inner,
     reparameterize_arclength,
     sobolev_norm,
+    sobolev_norm_coeffs,
     to_coeffs,
 )
-from .tension import TensionField, TensionProblem, lift, solve_tension
+from .tension import SolverError, TensionField, TensionProblem, lift, solve_tension
 
 H2 = SobolevIndex(2.0)
 H_HALF_HOM = SobolevIndex(0.5, homogeneous=True)
@@ -41,6 +41,8 @@ class DiagnosticsRecord:
     inext_residual: float
     tension_h12: float
     energy_flag: bool = False
+    cg_iterations: int = 0     # of the step's tension solve
+    cg_residual: float = 0.0   # its final relative residual
 
 
 @dataclass(frozen=True)
@@ -57,27 +59,31 @@ def energy(curve):
 
 
 def force_density(curve, tension):
-    """Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
-    return curve.xssss - lift(curve, tension.values)
+    """rfft coefficients of Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
+    xssss = curve.grid.ik_pow[:, 4, None] * curve.coeffs
+    return xssss - lift(curve, tension.values)
 
 
 def dissipation(curve, tension):
     """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s."""
-    from .spectral import dealias
-
-    z = curve.xsss - dealias(curve.tangent * tension.values[:, None])
-    return sobolev_norm(z, H_HALF_HOM) ** 2
+    grid = curve.grid
+    xsss = grid.ik_pow[:, 3, None] * curve.coeffs
+    product = to_coeffs(curve.tangent * tension.values[:, None])
+    product[~grid.band] = 0.0
+    return sobolev_norm_coeffs(xsss - product, H_HALF_HOM) ** 2
 
 
 def dissipation_rate(problem, tension):
     """-dE/dt predicted by the energy identity: int Z_s . L[Z_s] ds."""
+    n = problem.curve.n
     zs = force_density(problem.curve, tension)
-    return mean_inner(zs, problem.apply_operator(zs))
+    return mean_inner(from_coeffs(zs, n), from_coeffs(problem.apply_operator(zs), n))
 
 
 def velocity(problem, tension):
-    """dX/dt = -L[Z_s]."""
-    return -problem.apply_operator(force_density(problem.curve, tension))
+    """dX/dt = -L[Z_s], as samples."""
+    zs = force_density(problem.curve, tension)
+    return -from_coeffs(problem.apply_operator(zs), problem.curve.n)
 
 
 def implicit_symbol(grid, table_or_constants):
@@ -93,21 +99,6 @@ def implicit_symbol(grid, table_or_constants):
     return lam
 
 
-def decompose_principal(curve, table):
-    """Split L_eps[X_ssss] into T_mn X_ssss plus a lower-order remainder.
-
-    Returns the Fourier-diagonal symbol lambda(k) = m_n(k) (2 pi k)^4
-    and the remainder field L_eps[X_ssss] - T_mn X_ssss.
-    """
-    from .spectral import apply_L_eps
-
-    lam = implicit_symbol(curve.grid, table)
-    remainder = apply_L_eps(curve, table, curve.xssss) - apply_multiplier(
-        curve.xssss, table.mn
-    )
-    return lam, remainder
-
-
 def _make_problem(curve, table_or_constants, cg_tol):
     if isinstance(table_or_constants, MultiplierTable):
         return TensionProblem(curve, "leps", table=table_or_constants, cg_tol=cg_tol)
@@ -117,11 +108,10 @@ def _make_problem(curve, table_or_constants, cg_tol):
 
 
 def _explicit_forcing(problem, tension, lam):
-    """G = dX/dt + (implicit part applied to X) = -L[Z_s] + T_lam X."""
-    grid = problem.curve.grid
-    v = velocity(problem, tension)
-    principal = from_coeffs(lam[:, None] * to_coeffs(problem.curve.samples), grid.n)
-    return v + principal
+    """rfft coefficients of G = dX/dt + (implicit part applied to X)
+    = -L[Z_s] + T_lam X."""
+    zs = force_density(problem.curve, tension)
+    return lam[:, None] * problem.curve.coeffs - problem.apply_operator(zs)
 
 
 def choose_dt(curve, table_or_constants, cg_tol=1e-10, target=1e-2, rescaled=False):
@@ -133,8 +123,8 @@ def choose_dt(curve, table_or_constants, cg_tol=1e-10, target=1e-2, rescaled=Fal
     problem = _make_problem(curve, table_or_constants, cg_tol)
     tension = solve_tension(problem)
     lam = implicit_symbol(curve.grid, table_or_constants)
-    g = _explicit_forcing(problem, tension, lam)
-    dt = target * sobolev_norm(curve.samples, H2) / sobolev_norm(g, H2)
+    ghat = _explicit_forcing(problem, tension, lam)
+    dt = target * sobolev_norm_coeffs(curve.coeffs, H2) / sobolev_norm_coeffs(ghat, H2)
     if rescaled:
         dt *= problem.log_eps()
     return float(dt)
@@ -152,11 +142,9 @@ def _step(state, dt, table_or_constants, *, cg_tol, inext_tol, energy_tol_abs,
     warm = state.tension.values if state.tension is not None else None
     tension = solve_tension(problem, initial=warm)
     lam = implicit_symbol(grid, table_or_constants)
-    g = _explicit_forcing(problem, tension, lam)
+    ghat = _explicit_forcing(problem, tension, lam)
     dt_native = dt * time_scale
-    new_hat = (to_coeffs(curve.samples) + dt_native * to_coeffs(g)) / (
-        1.0 + dt_native * lam[:, None]
-    )
+    new_hat = (curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[:, None])
     new_hat[-1] = 0.0
     new_curve = PeriodicCurve(from_coeffs(new_hat, grid.n))
     if new_curve.inext_residual > 0.5 * inext_tol:
@@ -172,6 +160,8 @@ def _step(state, dt, table_or_constants, *, cg_tol, inext_tol, energy_tol_abs,
         inext_residual=new_curve.inext_residual,
         tension_h12=sobolev_norm(tension.values, SobolevIndex(0.5)),
         energy_flag=flag,
+        cg_iterations=tension.iterations,
+        cg_residual=tension.residual,
     )
     return EvolutionState(new_curve, state.time + dt, tension, record)
 
@@ -229,8 +219,9 @@ def run(config, initial, *, table=None, on_step=None):
     Snapshots are stored every config.snapshot_every steps.  The step
     size follows config.dt if given, else the default policy, and is
     halved for the remainder of the run whenever a step raises the
-    energy flag.  Any step error aborts the run, keeping the partial
-    trajectory.
+    energy flag.  A tension-solver or geometry failure, or a step size
+    halved until time no longer advances, aborts the run, keeping the
+    partial trajectory; any other error propagates.
     """
     eps = config.epsilon
     log_eps = abs(np.log(eps))
@@ -254,6 +245,9 @@ def run(config, initial, *, table=None, on_step=None):
     t = 0.0
     while t < config.horizon - 1e-12 * config.horizon:
         dt_step = min(dt, config.horizon - t)
+        if t + dt_step == t:  # halved away by energy flags
+            traj.aborted = f"step size underflow: dt = {dt_step:.3e} at t = {t!r}"
+            break
         try:
             state = _step(
                 state, dt_step, operator,
@@ -262,7 +256,7 @@ def run(config, initial, *, table=None, on_step=None):
                 energy_tol_abs=config.energy_tol * e0,
                 time_scale=time_scale,
             )
-        except Exception as exc:  # persist the partial trajectory
+        except (SolverError, GeometryError) as exc:  # keep the partial trajectory
             traj.aborted = str(exc)
             break
         t = state.time
@@ -292,12 +286,13 @@ def write_diagnostics_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(
             ["step", "time", "energy", "dissipation", "inext_residual",
-             "tension_h12", "energy_flag"]
+             "tension_h12", "energy_flag", "cg_iterations", "cg_residual"]
         )
         for r in records:
             writer.writerow(
                 [r.step, _g(r.time), _g(r.energy), _g(r.dissipation),
-                 _g(r.inext_residual), _g(r.tension_h12), int(r.energy_flag)]
+                 _g(r.inext_residual), _g(r.tension_h12), int(r.energy_flag),
+                 r.cg_iterations, _g(r.cg_residual)]
             )
 
 

@@ -19,16 +19,20 @@ from .config import SweepConfig, config_as_dict
 from .evolution import EvolutionState, _step, choose_dt, energy, initial_curve
 from .multipliers import build_table, eval_mn, eval_mt, lowk_rft_difference, rft_constants
 from .spectral import (
+    GeometryError,
     PeriodicCurve,
     SobolevIndex,
     apply_L_eps,
-    apply_multiplier,
     dealias,
+    from_coeffs,
     mean_inner,
     project_tangent,
     reparameterize_arclength,
     sobolev_norm,
+    sobolev_norm_coeffs,
+    to_coeffs,
 )
+from .tension import SolverError
 
 H2 = SobolevIndex(2.0)
 H72_HOM = SobolevIndex(3.5, homogeneous=True)
@@ -68,7 +72,8 @@ def discrepancy_energy_trace(times, curves_x, curves_y, table):
     """Traces of the difference W = X - Y on matched snapshots.
 
     E_W = ||W_ss||_L2^2; D_W applies the half-power multipliers to the
-    fourth derivative of W split into tangential/normal parts along X.
+    fourth derivative of W split into tangential/normal parts along X,
+    summed by Parseval on the rfft coefficients.
     """
     times = np.asarray(times, dtype=float)
     h2 = np.empty(times.shape)
@@ -77,18 +82,19 @@ def discrepancy_energy_trace(times, curves_x, curves_y, table):
     dw = np.empty(times.shape)
     mean_sq = np.empty(times.shape)
     for i, (cx, cy) in enumerate(zip(curves_x, curves_y)):
-        w = cx.samples - cy.samples
-        h2[i] = sobolev_norm(w, H2)
-        h72[i] = sobolev_norm(w, H72_HOM)
+        grid = cx.grid
+        size = grid.k.shape[0]
+        w_hat = cx.coeffs - cy.coeffs
+        h2[i] = sobolev_norm_coeffs(w_hat, H2)
+        h72[i] = sobolev_norm_coeffs(w_hat, H72_HOM)
         wss = cx.xss - cy.xss
         ew[i] = mean_inner(wss, wss)
-        wssss = cx.xssss - cy.xssss
+        wssss = grid.ik_pow[:, 4, None] * w_hat
         pt = project_tangent(cx, wssss)
-        pn = wssss - pt
-        gt = apply_multiplier(pt, table.mt, 0.5)
-        gn = apply_multiplier(pn, table.mn, 0.5)
-        dw[i] = mean_inner(gt, gt) + mean_inner(gn, gn)
-        mean_sq[i] = float(np.sum(np.mean(w, axis=0) ** 2))
+        power = (table.mt[:size, None] * np.abs(pt) ** 2
+                 + table.mn[:size, None] * np.abs(wssss - pt) ** 2)
+        dw[i] = float(np.sum(grid.weight[:, None] * power))
+        mean_sq[i] = float(np.sum(np.mean(cx.samples - cy.samples, axis=0) ** 2))
     record = DiscrepancyRecord(eps=table.epsilon, n=curves_x[0].n)
     record.times = times
     record.h2 = h2
@@ -201,7 +207,7 @@ def _study_worker(args):
             snapshot_every=sweep.snapshot_every,
             cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
         )
-    except Exception as exc:
+    except (SolverError, GeometryError) as exc:
         return DiscrepancyRecord(eps=eps, n=n, failed=f"{type(exc).__name__}: {exc}")
 
 
@@ -350,7 +356,8 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
     for i in range(n_fields):
         f = dealias(rng.standard_normal((grid_n, 3)))
         f /= sobolev_norm(f, H_MINUS_HALF)
-        ratios[i] = mean_inner(f, apply_L_eps(curve, table, f)) / log_eps
+        lf = from_coeffs(apply_L_eps(curve, table, to_coeffs(f)), grid_n)
+        ratios[i] = mean_inner(f, lf) / log_eps
     return ratios
 
 

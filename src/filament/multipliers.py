@@ -122,12 +122,28 @@ def rft_constants(epsilon):
 
 @dataclass(frozen=True)
 class MultiplierTable:
-    """m_t(|k|), m_n(|k|) for |k| = 0..kmax at fixed eps."""
+    """m_t(|k|), m_n(|k|) for |k| = 0..kmax at fixed eps.
+
+    The entries are checked once, here: both arrays must hold kmax + 1
+    positive finite values.  The table keeps read-only copies.
+    """
 
     epsilon: float
     kmax: int
     mt: np.ndarray
     mn: np.ndarray
+
+    def __post_init__(self):
+        for name in ("mt", "mn"):
+            m = np.array(getattr(self, name), dtype=float)
+            if m.shape != (self.kmax + 1,):
+                raise ValueError(
+                    f"{name} must have shape ({self.kmax + 1},), got {m.shape}"
+                )
+            if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
+                raise ValueError(f"{name} entries must be positive and finite")
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
 
 def build_table(epsilon, kmax):
@@ -135,7 +151,4 @@ def build_table(epsilon, kmax):
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax!r}")
     k = np.arange(kmax + 1)
-    table = MultiplierTable(epsilon, int(kmax), eval_mt(epsilon, k), eval_mn(epsilon, k))
-    table.mt.setflags(write=False)
-    table.mn.setflags(write=False)
-    return table
+    return MultiplierTable(epsilon, int(kmax), eval_mt(epsilon, k), eval_mn(epsilon, k))

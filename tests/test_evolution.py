@@ -11,7 +11,6 @@ from filament.evolution import (
     EvolutionState,
     Trajectory,
     choose_dt,
-    decompose_principal,
     dissipation,
     dissipation_rate,
     energy,
@@ -80,16 +79,6 @@ class TestSymbols:
     def test_symbol_type_checked(self):
         with pytest.raises(TypeError):
             implicit_symbol(Grid.of_size(64), object())
-
-    def test_decompose_principal_sums_back(self):
-        from filament.spectral import apply_L_eps, apply_multiplier
-
-        curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
-        table = build_table(1e-3, 64)
-        lam, remainder = decompose_principal(curve, table)
-        total = apply_multiplier(curve.xssss, table.mn) + remainder
-        exact = apply_L_eps(curve, table, curve.xssss)
-        assert np.max(np.abs(total - exact)) < 1e-9 * np.max(np.abs(exact))
 
 
 class TestSingleSteps:
@@ -274,6 +263,38 @@ class TestRunDriver:
         traj = run(config, curve)
         assert traj.aborted is not None
         assert traj.states[0].curve is curve
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only solver and geometry failures abort a run
+        from filament import evolution
+
+        def broken_step(*args, **kwargs):
+            raise TypeError("broken step")
+
+        monkeypatch.setattr(evolution, "_step", broken_step)
+        config = RunConfig(model="rft", epsilon=1e-3, n=32, horizon=2e-6, dt=1e-6)
+        with pytest.raises(TypeError, match="broken step"):
+            run(config, PeriodicCurve.perturbed_circle(32, 2, 0.03))
+
+    def test_cg_telemetry_in_diagnostics(self, tmp_path):
+        config = RunConfig(model="leps", epsilon=1e-3, n=64, horizon=3e-6, dt=1e-6,
+                           snapshot_every=1, initial_curve="perturbed-circle(3,0.05)")
+        traj = run(config, initial_curve(config.initial_curve, config.n))
+        assert traj.aborted is None and len(traj.diagnostics) == 3
+        for state in traj.states[1:]:
+            assert state.diagnostics.cg_iterations == state.tension.iterations > 0
+            assert state.diagnostics.cg_residual == state.tension.residual > 0.0
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(traj.diagnostics, path)
+        import csv
+
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "time", "energy", "dissipation", "inext_residual",
+                           "tension_h12", "energy_flag", "cg_iterations", "cg_residual"]
+        for row, state in zip(rows[1:], traj.states[1:]):
+            assert int(row[7]) == state.tension.iterations
+            assert float(row[8]) == state.tension.residual
 
     def test_diagnostics_csv(self, tmp_path):
         records = [DiagnosticsRecord(1, 1e-6, 20.0, 3.0, 1e-9, 40.0, False)]

@@ -74,14 +74,13 @@ class TestCoercivity:
 
     def test_corrupted_multiplier_detected(self):
         # flipping the sign of one multiplier entry breaks positivity,
-        # which apply_multiplier refuses outright: the suite cannot
+        # which MultiplierTable refuses at construction: the suite cannot
         # silently pass on a non-positive multiplier table.
         table = build_table(1e-3, 32)
         mt = table.mt.copy()
         mt[7] *= -1.0
-        mt.setflags(write=False)
-        bad = dataclasses.replace(table, mt=mt)
         with pytest.raises(ValueError):
+            bad = dataclasses.replace(table, mt=mt)
             coercivity_ratios(1e-3, grid_n=64, n_fields=1, table=bad)
 
     def test_deflated_multiplier_lowers_constant(self):
@@ -208,6 +207,17 @@ class TestStudyDriver:
         assert len(records) == 2
         assert all(r.failed is not None for r in records)
         assert all(r.failed.strip() for r in records)  # message, not blank
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only solver and geometry failures become failed rows
+        from filament import experiments
+
+        def broken_step(*args, **kwargs):
+            raise TypeError("broken step")
+
+        monkeypatch.setattr(experiments, "_step", broken_step)
+        with pytest.raises(TypeError, match="broken step"):
+            convergence_study(self.make_sweep())
 
     def test_parallel_matches_serial(self):
         sweep = SweepConfig(epsilons=(1e-2, 1e-3, 3e-4), horizon=1e-4, n=64,

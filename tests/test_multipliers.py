@@ -180,3 +180,25 @@ class TestTable:
     def test_kmax_validated(self):
         with pytest.raises(ValueError):
             build_table(1e-3, 0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mt", "mn"])
+    def test_bad_entry_rejected_at_construction(self, field, bad):
+        t = build_table(1e-3, 16)
+        values = getattr(t, field).copy()
+        values[5] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            MultiplierTable(t.epsilon, t.kmax, **{"mt": t.mt, "mn": t.mn, field: values})
+
+    def test_length_must_be_kmax_plus_one(self):
+        t = build_table(1e-3, 16)
+        with pytest.raises(ValueError, match="shape"):
+            MultiplierTable(t.epsilon, t.kmax, t.mt[:-1], t.mn)
+
+    def test_table_keeps_read_only_copies(self):
+        t = build_table(1e-3, 16)
+        mt = t.mt.copy()
+        table = MultiplierTable(t.epsilon, t.kmax, mt, t.mn)
+        mt[3] = -1.0
+        assert table.mt[3] == t.mt[3]
+        assert not table.mt.flags.writeable and not table.mn.flags.writeable
