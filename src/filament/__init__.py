@@ -26,10 +26,8 @@ from .spectral import (  # noqa: F401
     SobolevIndex,
     apply_L_eps,
     apply_L_rft,
-    apply_multiplier,
     dealias,
     derivative,
-    project_normal,
     project_tangent,
     reparameterize_arclength,
     sobolev_norm,

@@ -8,29 +8,11 @@ variants e^x * K_j(x) are provided for the multiplier ratios, which
 stay O(1) even where the raw K values underflow.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
-# Below roughly x = 746 the raw K values are representable in double
-# precision; beyond it they underflow to exact 0 and callers must switch
-# to the scaled variants.
-UNDERFLOW_THRESHOLD = 700.0
-
 _RAW = {0: special.k0, 1: special.k1, 2: lambda x: special.kv(2, x)}
 _SCALED = {0: special.k0e, 1: special.k1e, 2: lambda x: special.kve(2, x)}
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """K0, K1, K2 at a single positive argument."""
-
-    x: float
-    k0: float
-    k1: float
-    k2: float
-    underflow: bool = False
 
 
 def _validate(order, x):
@@ -58,10 +40,3 @@ def bessel_k_scaled(order, x):
     xa = _validate(order, x)
     out = _SCALED[order](xa)
     return out if np.ndim(x) else float(out)
-
-
-def eval_triple(x):
-    """All three orders at a scalar argument, with an underflow flag."""
-    xa = float(_validate(0, x))
-    k0, k1, k2 = bessel_k(0, xa), bessel_k(1, xa), bessel_k(2, xa)
-    return BesselEval(xa, k0, k1, k2, underflow=xa > UNDERFLOW_THRESHOLD)

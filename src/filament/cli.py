@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, config_as_dict, parse_config, parse_sweep_config
+from .spectral import format_float
 
 log = logging.getLogger("filament")
 
@@ -46,10 +47,6 @@ def _setup_logging():
     )
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _versions():
     import scipy
 
@@ -63,8 +60,7 @@ def _versions():
 
 def _write_manifest(directory, payload, force):
     path = Path(directory) / "manifest.json"
-    if path.exists() and not force:
-        raise CliError(f"{path} already exists; pass --force to overwrite", 1)
+    _check_overwrite(path, force)
     path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
     return path
 
@@ -138,7 +134,7 @@ def _cmd_sweep(args):
             writer = csv.writer(fh)
             writer.writerow(["time", "h2", "EW", "DW", "mean_sq"])
             for row in zip(r.times, r.h2, r.ew, r.dw, r.mean_sq):
-                writer.writerow([_fmt(v) for v in row])
+                writer.writerow([format_float(v) for v in row])
     ok = [r for r in records if r.failed is None and r.n == sweep.n]
     fitted = {}
     if len(ok) >= 3:
@@ -178,7 +174,7 @@ def _cmd_multiplier_dump(args):
                 dn_ = lowk_rft_difference(args.epsilon, k, "normal")
             else:
                 dt_ = dn_ = float("nan")
-            writer.writerow([k] + [_fmt(v) for v in
+            writer.writerow([k] + [format_float(v) for v in
                                    (mt, mn, 1.0 / mt, 1.0 / mn, dt_, dn_)])
     sidecar = Path(args.out).with_suffix(".manifest.json")
     sidecar.write_text(json.dumps({
@@ -191,7 +187,7 @@ def _cmd_multiplier_dump(args):
 
 
 def _cmd_tension_check(args):
-    from .multipliers import build_table, rft_constants
+    from .multipliers import force_map_for
     from .spectral import read_curve_csv
     from .tension import SolverError, TensionProblem, solve_tension
 
@@ -205,10 +201,7 @@ def _cmd_tension_check(args):
         curve, _ = read_curve_csv(path)
     except ValueError as exc:
         raise CliError(f"bad curve file: {exc}", 1) from exc
-    if args.model == "leps":
-        problem = TensionProblem(curve, "leps", table=build_table(args.epsilon, curve.n // 2))
-    else:
-        problem = TensionProblem(curve, "rft", constants=rft_constants(args.epsilon))
+    problem = TensionProblem(curve, force_map_for(args.model, args.epsilon, curve.n))
     try:
         tau = solve_tension(problem)
     except SolverError as exc:
@@ -217,7 +210,7 @@ def _cmd_tension_check(args):
         writer = csv.writer(fh)
         writer.writerow(["s", "tau"])
         for i in range(curve.n):
-            writer.writerow([_fmt(i / curve.n), _fmt(tau.values[i])])
+            writer.writerow([format_float(i / curve.n), format_float(tau.values[i])])
     sidecar = Path(args.out).with_suffix(".manifest.json")
     sidecar.write_text(json.dumps({
         "command": "tension-check",

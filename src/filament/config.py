@@ -29,7 +29,6 @@ class RunConfig:
     cg_tol: float = 1e-10
     energy_tol: float = 1e-8
     snapshot_every: int = 20
-    seed: int = 0  # reserved; the pipeline is deterministic
 
 
 @dataclass
@@ -76,8 +75,11 @@ def _parse_lines(text, errors):
     return seen
 
 
-def _convert(seen, spec, errors):
-    """spec: key -> converter; returns dict of converted values."""
+def _convert(seen, cls, errors, **special):
+    """Values for the fields of config class cls, each converted by its
+    field's type (bool by _parse_bool) unless `special` names another."""
+    spec = {f.name: special.get(f.name, _parse_bool if f.type is bool else f.type)
+            for f in fields(cls)}
     out = {}
     for key, (raw, lineno) in seen.items():
         if key not in spec:
@@ -94,21 +96,7 @@ def parse_config(text):
     """Parse and validate a RunConfig; raises ConfigError listing all problems."""
     errors = []
     seen = _parse_lines(text, errors)
-    converters = {
-        "model": str,
-        "epsilon": float,
-        "n": int,
-        "horizon": float,
-        "dt": float,
-        "rescaled_time": _parse_bool,
-        "initial_curve": str,
-        "inextensibility_tol": float,
-        "cg_tol": float,
-        "energy_tol": float,
-        "snapshot_every": int,
-        "seed": int,
-    }
-    values = _convert(seen, converters, errors)
+    values = _convert(seen, RunConfig, errors)
     for key in _REQUIRED:
         if key not in seen:
             errors.append(f"missing required key {key!r}")
@@ -148,17 +136,7 @@ def parse_sweep_config(text):
     def _epsilons(raw):
         return tuple(float(p) for p in raw.split(",") if p.strip())
 
-    converters = {
-        "epsilons": _epsilons,
-        "horizon": float,
-        "n": int,
-        "initial_curve": str,
-        "snapshot_every": int,
-        "cg_tol": float,
-        "inextensibility_tol": float,
-        "confirmation": _parse_bool,
-    }
-    values = _convert(seen, converters, errors)
+    values = _convert(seen, SweepConfig, errors, epsilons=_epsilons)
     config = SweepConfig(**values)
     eps = config.epsilons
     if not eps:

@@ -7,20 +7,26 @@ principal part of L[d_s^4 X]); for RFT the larger tangential
 coefficient (|log eps|/2 pi) d_s^4 is taken.  Everything else is
 explicit, and tau is lagged (solved once per step from the
 beginning-of-step curve).
+
+A model enters only as its force map (see multipliers), and one loop,
+`lockstep`, steps a single run or the two models side by side.
 """
 
+import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .multipliers import MultiplierTable, RftConstants, build_table, rft_constants
+from .multipliers import MultiplierTable, RftConstants, force_map_for
 from .spectral import (
     GeometryError,
     PeriodicCurve,
     SobolevIndex,
     TWO_PI,
+    format_float,
     from_coeffs,
     mean_inner,
+    read_curve_csv,
     reparameterize_arclength,
     sobolev_norm,
     sobolev_norm_coeffs,
@@ -86,25 +92,11 @@ def velocity(problem, tension):
     return -from_coeffs(problem.apply_operator(zs), problem.curve.n)
 
 
-def implicit_symbol(grid, table_or_constants):
+def implicit_symbol(grid, force_map):
     """Fourier symbol of the implicit principal part, indexed by |k|."""
-    if isinstance(table_or_constants, MultiplierTable):
-        principal = table_or_constants.mn[: grid.k.shape[0]]
-    elif isinstance(table_or_constants, RftConstants):
-        principal = np.full(grid.k.shape, table_or_constants.tangential)
-    else:
-        raise TypeError("expected MultiplierTable or RftConstants")
-    lam = principal * (TWO_PI * grid.k) ** 4
+    lam = force_map.principal_symbol(grid.k.shape[0]) * (TWO_PI * grid.k) ** 4
     lam[-1] = 0.0
     return lam
-
-
-def _make_problem(curve, table_or_constants, cg_tol):
-    if isinstance(table_or_constants, MultiplierTable):
-        return TensionProblem(curve, "leps", table=table_or_constants, cg_tol=cg_tol)
-    if isinstance(table_or_constants, RftConstants):
-        return TensionProblem(curve, "rft", constants=table_or_constants, cg_tol=cg_tol)
-    raise TypeError("expected MultiplierTable or RftConstants")
 
 
 def _explicit_forcing(problem, tension, lam):
@@ -114,34 +106,34 @@ def _explicit_forcing(problem, tension, lam):
     return lam[:, None] * problem.curve.coeffs - problem.apply_operator(zs)
 
 
-def choose_dt(curve, table_or_constants, cg_tol=1e-10, target=1e-2, rescaled=False):
+def choose_dt(curve, force_map, cg_tol=1e-10, target=1e-2, rescaled=False):
     """Default step size: dt ||G||_H2 <= target ||X||_H2 at the initial state.
 
     With rescaled=True the bound is applied to the |log eps|-rescaled
     forcing, giving a step in rescaled time units.
     """
-    problem = _make_problem(curve, table_or_constants, cg_tol)
+    problem = TensionProblem(curve, force_map, cg_tol=cg_tol)
     tension = solve_tension(problem)
-    lam = implicit_symbol(curve.grid, table_or_constants)
+    lam = implicit_symbol(curve.grid, force_map)
     ghat = _explicit_forcing(problem, tension, lam)
     dt = target * sobolev_norm_coeffs(curve.coeffs, H2) / sobolev_norm_coeffs(ghat, H2)
     if rescaled:
-        dt *= problem.log_eps()
+        dt *= force_map.log_eps
     return float(dt)
 
 
-def _step(state, dt, table_or_constants, *, cg_tol, inext_tol, energy_tol_abs,
-          time_scale=1.0):
+def _step(state, dt, force_map, *, cg_tol=1e-10, inext_tol=1e-6,
+          energy_tol_abs=np.inf, time_scale=1.0):
     """One IMEX Euler step; dt is in the state's own time units and
     time_scale converts it to native model time."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     curve = state.curve
     grid = curve.grid
-    problem = _make_problem(curve, table_or_constants, cg_tol)
+    problem = TensionProblem(curve, force_map, cg_tol=cg_tol)
     warm = state.tension.values if state.tension is not None else None
     tension = solve_tension(problem, initial=warm)
-    lam = implicit_symbol(grid, table_or_constants)
+    lam = implicit_symbol(grid, force_map)
     ghat = _explicit_forcing(problem, tension, lam)
     dt_native = dt * time_scale
     new_hat = (curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[:, None])
@@ -166,20 +158,16 @@ def _step(state, dt, table_or_constants, *, cg_tol, inext_tol, energy_tol_abs,
     return EvolutionState(new_curve, state.time + dt, tension, record)
 
 
-def step_leps(state, dt, table, *, cg_tol=1e-10, inext_tol=1e-6,
-              energy_tol_abs=np.inf, time_scale=1.0):
+def step_leps(state, dt, table, **options):
     if not isinstance(table, MultiplierTable):
         raise TypeError("step_leps needs a MultiplierTable")
-    return _step(state, dt, table, cg_tol=cg_tol, inext_tol=inext_tol,
-                 energy_tol_abs=energy_tol_abs, time_scale=time_scale)
+    return _step(state, dt, table, **options)
 
 
-def step_rft(state, dt, constants, *, cg_tol=1e-10, inext_tol=1e-6,
-             energy_tol_abs=np.inf, time_scale=1.0):
+def step_rft(state, dt, constants, **options):
     if not isinstance(constants, RftConstants):
         raise TypeError("step_rft needs RftConstants")
-    return _step(state, dt, constants, cg_tol=cg_tol, inext_tol=inext_tol,
-                 energy_tol_abs=energy_tol_abs, time_scale=time_scale)
+    return _step(state, dt, constants, **options)
 
 
 def initial_curve(name, n):
@@ -196,13 +184,46 @@ def initial_curve(name, n):
             raise ValueError(f"perturbed-circle takes (mode, amplitude), got {name!r}")
         return PeriodicCurve.perturbed_circle(n, int(parts[0]), float(parts[1]))
     if name.endswith(".csv"):
-        from .spectral import read_curve_csv
-
         curve, _ = read_curve_csv(name)
         if curve.n != n:
             raise ValueError(f"curve file has n={curve.n}, config asks n={n}")
         return curve
     raise ValueError(f"unknown initial curve {name!r}")
+
+
+def lockstep(states, force_maps, dt, horizon, end, on_step, **step_kwargs):
+    """Step the states, each under its force map, with one shared dt.
+
+    Runs from t = 0 while t < end, the last step shortened to land on
+    the horizon; resamples every state at arclength every 20 steps and
+    halves dt for good when any state raises its energy flag.  After
+    each step, on_step(states, steps, dt_step, dt) returns the dt to go
+    on with.  A solver or geometry failure, or a dt halved until time
+    stands still, ends the loop early.  Returns (states, dt, steps,
+    flagged steps, reason for an early end or None).
+    """
+    t = 0.0
+    steps = flagged = 0
+    while t < end:
+        dt_step = min(dt, horizon - t)
+        if t + dt_step == t:  # halved away by energy flags
+            return states, dt, steps, flagged, (
+                f"step size underflow: dt = {dt_step:.3e} at t = {t!r}")
+        try:
+            states = [_step(state, dt_step, force_map, **step_kwargs)
+                      for state, force_map in zip(states, force_maps)]
+        except (SolverError, GeometryError) as exc:  # keep the last good states
+            return states, dt, steps, flagged, str(exc)
+        t += dt_step
+        steps += 1
+        if any(state.diagnostics.energy_flag for state in states):
+            flagged += 1
+            dt *= 0.5
+        if steps % 20 == 0:
+            states = [replace(state, curve=reparameterize_arclength(state.curve))
+                      for state in states]
+        dt = on_step(states, steps, dt_step, dt)
+    return states, dt, steps, flagged, None
 
 
 @dataclass
@@ -213,27 +234,19 @@ class Trajectory:
     aborted: str = None   # error message if the run stopped early
 
 
-def run(config, initial, *, table=None, on_step=None):
+def run(config, initial):
     """Integrate under a RunConfig; returns a Trajectory.
 
-    Snapshots are stored every config.snapshot_every steps.  The step
-    size follows config.dt if given, else the default policy, and is
-    halved for the remainder of the run whenever a step raises the
-    energy flag.  A tension-solver or geometry failure, or a step size
-    halved until time no longer advances, aborts the run, keeping the
-    partial trajectory; any other error propagates.
+    Snapshots are stored every config.snapshot_every steps.  dt is
+    config.dt, else the default policy at the initial state.  A run that
+    `lockstep` ends early keeps its partial trajectory.
     """
-    eps = config.epsilon
-    log_eps = abs(np.log(eps))
-    if config.model == "leps":
-        operator = table if table is not None else build_table(eps, initial.n // 2)
-    else:
-        operator = rft_constants(eps)
-    time_scale = 1.0 / log_eps if config.rescaled_time else 1.0
+    force_map = force_map_for(config.model, config.epsilon, initial.n)
+    time_scale = 1.0 / force_map.log_eps if config.rescaled_time else 1.0
     if config.dt is not None:
         dt = float(config.dt)
     else:
-        dt = choose_dt(initial, operator, cg_tol=config.cg_tol,
+        dt = choose_dt(initial, force_map, cg_tol=config.cg_tol,
                        rescaled=config.rescaled_time)
     e0 = energy(initial)
     state = EvolutionState(
@@ -241,47 +254,27 @@ def run(config, initial, *, table=None, on_step=None):
         DiagnosticsRecord(0, 0.0, e0, 0.0, initial.inext_residual, 0.0),
     )
     traj = Trajectory([state], [], [])
-    steps_since_reparam = 0
-    t = 0.0
-    while t < config.horizon - 1e-12 * config.horizon:
-        dt_step = min(dt, config.horizon - t)
-        if t + dt_step == t:  # halved away by energy flags
-            traj.aborted = f"step size underflow: dt = {dt_step:.3e} at t = {t!r}"
-            break
-        try:
-            state = _step(
-                state, dt_step, operator,
-                cg_tol=config.cg_tol,
-                inext_tol=config.inextensibility_tol,
-                energy_tol_abs=config.energy_tol * e0,
-                time_scale=time_scale,
-            )
-        except (SolverError, GeometryError) as exc:  # keep the partial trajectory
-            traj.aborted = str(exc)
-            break
-        t = state.time
+
+    def after_step(states, steps, dt_step, dt):
+        (state,) = states
         traj.diagnostics.append(state.diagnostics)
         traj.dt_history.append(dt_step)
-        steps_since_reparam += 1
-        if steps_since_reparam >= 20:
-            curve = reparameterize_arclength(state.curve)
-            state = replace(state, curve=curve)
-            steps_since_reparam = 0
-        if state.diagnostics.energy_flag:
-            dt *= 0.5
-        n_steps = state.diagnostics.step
-        if n_steps % config.snapshot_every == 0 or t >= config.horizon - 1e-12:
+        if steps % config.snapshot_every == 0 or state.time >= config.horizon - 1e-12:
             traj.states.append(state)
-        if on_step is not None:
-            on_step(state)
+        return dt
+
+    (state,), _, _, _, traj.aborted = lockstep(
+        [state], [force_map], dt, config.horizon,
+        config.horizon - 1e-12 * config.horizon, after_step,
+        cg_tol=config.cg_tol, inext_tol=config.inextensibility_tol,
+        energy_tol_abs=config.energy_tol * e0, time_scale=time_scale,
+    )
     if traj.states[-1] is not state:
         traj.states.append(state)
     return traj
 
 
 def write_diagnostics_csv(records, path):
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -290,11 +283,8 @@ def write_diagnostics_csv(records, path):
         )
         for r in records:
             writer.writerow(
-                [r.step, _g(r.time), _g(r.energy), _g(r.dissipation),
-                 _g(r.inext_residual), _g(r.tension_h12), int(r.energy_flag),
-                 r.cg_iterations, _g(r.cg_residual)]
+                [r.step, format_float(r.time), format_float(r.energy),
+                 format_float(r.dissipation), format_float(r.inext_residual),
+                 format_float(r.tension_h12), int(r.energy_flag),
+                 r.cg_iterations, format_float(r.cg_residual)]
             )
-
-
-def _g(x):
-    return format(float(x), ".17g")

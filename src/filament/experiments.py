@@ -8,6 +8,7 @@ dissipation traces of the difference W = X - Y.
 """
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SweepConfig, config_as_dict
-from .evolution import EvolutionState, _step, choose_dt, energy, initial_curve
+from .evolution import H2, EvolutionState, choose_dt, energy, initial_curve, lockstep
+from .evolution import _step  # noqa: F401  (perfbench/test_smoke.py looks it up here)
 from .multipliers import build_table, eval_mn, eval_mt, lowk_rft_difference, rft_constants
 from .spectral import (
     GeometryError,
@@ -27,14 +29,12 @@ from .spectral import (
     from_coeffs,
     mean_inner,
     project_tangent,
-    reparameterize_arclength,
     sobolev_norm,
     sobolev_norm_coeffs,
     to_coeffs,
 )
 from .tension import SolverError
 
-H2 = SobolevIndex(2.0)
 H72_HOM = SobolevIndex(3.5, homogeneous=True)
 H_MINUS_HALF = SobolevIndex(-0.5)
 
@@ -113,7 +113,7 @@ SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
 
 
 def run_pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
-             cg_tol=1e-10, inext_tol=1e-6, table=None, constants=None):
+             cg_tol=1e-10, inext_tol=1e-6, table=None):
     """Run both models in rescaled time, lockstep, and compare.
 
     Both runs share the grid, the initial curve, and the dt schedule
@@ -123,76 +123,55 @@ def run_pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
     taken as the minimum; a fixed dt argument disables the adaptation.
     Growth is limited to a factor 2 per re-evaluation and capped at
     horizon/SNAPSHOT_TARGET, which is safe because the semi-implicit
-    update is exactly stationary on the relaxed circle.
+    update is exactly stationary on the relaxed circle.  A pair that
+    `lockstep` ends early comes back as a failed record.
     """
     curve = initial_curve(initial_name, n)
     if table is None:
         table = build_table(eps, n // 2)
-    if constants is None:
-        constants = rft_constants(eps)
-    log_eps = abs(math.log(eps))
+    force_maps = (table, rft_constants(eps))
 
-    def policy(cx, cy):
-        return min(
-            choose_dt(cx, table, cg_tol=cg_tol, rescaled=True),
-            choose_dt(cy, constants, cg_tol=cg_tol, rescaled=True),
-        )
+    def policy(states):
+        return min(choose_dt(state.curve, force_map, cg_tol=cg_tol, rescaled=True)
+                   for state, force_map in zip(states, force_maps))
 
     adaptive = dt is None
-    cap = horizon / SNAPSHOT_TARGET
+    interval = horizon / SNAPSHOT_TARGET
+    start = [EvolutionState(curve, 0.0)] * 2
     if adaptive:
-        dt = min(policy(curve, curve), cap)
-    time_scale = 1.0 / log_eps
-    e0 = energy(curve)
-    state_x = EvolutionState(curve, 0.0)
-    state_y = EvolutionState(curve, 0.0)
-    times = [0.0]
-    curves_x = [curve]
-    curves_y = [curve]
-    kwargs = dict(cg_tol=cg_tol, inext_tol=inext_tol,
-                  energy_tol_abs=1e-8 * e0, time_scale=time_scale)
+        dt = min(policy(start), interval)
     # Snapshots are taken every `stride` steps, which concentrates them
     # in the initial transient where the policy keeps dt small and the
-    # discrepancy actually accumulates, plus at fixed time marks so the
-    # quiescent tail is covered too.
+    # discrepancy actually accumulates, plus at fixed time marks (running
+    # sums of the interval) so the quiescent tail is covered too.
     stride = 20 if snapshot_every is None else snapshot_every
-    snap_interval = horizon / SNAPSHOT_TARGET
-    next_snap = snap_interval
-    t = 0.0
-    step_count = 0
-    flags = 0
-    while t < horizon * (1.0 - 1e-12):
-        dt_step = min(dt, horizon - t)
-        state_x = _step(state_x, dt_step, table, **kwargs)
-        state_y = _step(state_y, dt_step, constants, **kwargs)
-        t += dt_step
-        step_count += 1
-        if state_x.diagnostics.energy_flag or state_y.diagnostics.energy_flag:
-            flags += 1
-            dt *= 0.5
-        if step_count % 20 == 0:
-            state_x = EvolutionState(
-                reparameterize_arclength(state_x.curve), state_x.time,
-                state_x.tension, state_x.diagnostics)
-            state_y = EvolutionState(
-                reparameterize_arclength(state_y.curve), state_y.time,
-                state_y.tension, state_y.diagnostics)
-        if adaptive and step_count % POLICY_EVERY == 0:
-            dt = min(policy(state_x.curve, state_y.curve), 2.0 * dt, cap)
-        take = (
-            t >= horizon * (1.0 - 1e-12)
-            or step_count % stride == 0
-            or t >= next_snap * (1.0 - 1e-12)
-        )
-        if take:
-            times.append(t)
-            curves_x.append(state_x.curve)
-            curves_y.append(state_y.curve)
-            while next_snap <= t * (1.0 + 1e-12):
-                next_snap += snap_interval
+    marks = itertools.accumulate(itertools.repeat(interval))
+    next_snap = next(marks)
+    snapshots = [(0.0, curve, curve)]
+
+    def after_step(states, steps, dt_step, dt):
+        nonlocal next_snap
+        if adaptive and steps % POLICY_EVERY == 0:
+            dt = min(policy(states), 2.0 * dt, interval)
+        t = states[0].time
+        if (t >= horizon * (1.0 - 1e-12) or steps % stride == 0
+                or t >= next_snap * (1.0 - 1e-12)):
+            snapshots.append((t, states[0].curve, states[1].curve))
+            if next_snap <= t * (1.0 + 1e-12):
+                next_snap = next(m for m in marks if m > t * (1.0 + 1e-12))
+        return dt
+
+    _, dt, steps, flags, aborted = lockstep(
+        start, force_maps, dt, horizon, horizon * (1.0 - 1e-12), after_step,
+        cg_tol=cg_tol, inext_tol=inext_tol, energy_tol_abs=1e-8 * energy(curve),
+        time_scale=1.0 / abs(math.log(eps)),
+    )
+    if aborted is not None:
+        return DiscrepancyRecord(eps=eps, n=n, failed=aborted)
+    times, curves_x, curves_y = zip(*snapshots)
     record = discrepancy_energy_trace(times, curves_x, curves_y, table)
     record.dt = dt
-    record.steps = step_count
+    record.steps = steps
     record.flags = flags
     return record
 

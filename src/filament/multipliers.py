@@ -13,12 +13,17 @@ scaled functions e^x K_j(x) cancels the e^{-x} decay exactly and the
 formulas remain well conditioned arbitrarily far past the underflow
 threshold of the raw Bessel values; no separate asymptotic branch is
 needed.
+
+The table and the RFT constants are the two force maps: each carries
+its operator (`apply`), the symbols of the implicit principal part and
+of the tension preconditioner, |log eps| and its model name.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .bessel import bessel_k_scaled
 
 EULER_GAMMA = 0.5772156649015329
@@ -107,11 +112,27 @@ def lowk_rft_difference(epsilon, k, direction):
 
 @dataclass(frozen=True)
 class RftConstants:
-    """Resistive-force-theory drag coefficients at fixed eps."""
+    """Resistive-force-theory drag coefficients at fixed eps; as a force
+    map, both symbols are constants (tangential, normal)."""
+
+    model = "rft"
 
     epsilon: float
     tangential: float
     normal: float
+
+    @property
+    def log_eps(self):
+        return abs(np.log(self.epsilon))
+
+    def apply(self, curve, coeffs):
+        return spectral.apply_L_rft(curve, self, coeffs)
+
+    def principal_symbol(self, size):
+        return self.tangential
+
+    def precond_symbol(self, size):
+        return self.normal
 
 
 def rft_constants(epsilon):
@@ -125,8 +146,11 @@ class MultiplierTable:
     """m_t(|k|), m_n(|k|) for |k| = 0..kmax at fixed eps.
 
     The entries are checked once, here: both arrays must hold kmax + 1
-    positive finite values.  The table keeps read-only copies.
+    positive finite values.  The table keeps read-only copies.  As a
+    force map, both symbols are m_n(|k|).
     """
+
+    model = "leps"
 
     epsilon: float
     kmax: int
@@ -145,6 +169,18 @@ class MultiplierTable:
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
+    @property
+    def log_eps(self):
+        return abs(np.log(self.epsilon))
+
+    def apply(self, curve, coeffs):
+        return spectral.apply_L_eps(curve, self, coeffs)
+
+    def principal_symbol(self, size):
+        return self.mn[:size]
+
+    precond_symbol = principal_symbol
+
 
 def build_table(epsilon, kmax):
     epsilon = _validate_epsilon(epsilon)
@@ -152,3 +188,12 @@ def build_table(epsilon, kmax):
         raise ValueError(f"kmax must be >= 1, got {kmax!r}")
     k = np.arange(kmax + 1)
     return MultiplierTable(epsilon, int(kmax), eval_mt(epsilon, k), eval_mn(epsilon, k))
+
+
+def force_map_for(model, epsilon, n):
+    """The force map of model 'leps' or 'rft' at eps on an n-point grid."""
+    if model == "leps":
+        return build_table(epsilon, n // 2)
+    if model == "rft":
+        return rft_constants(epsilon)
+    raise ValueError(f"model must be 'leps' or 'rft', got {model!r}")

@@ -25,8 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .multipliers import MultiplierTable, RftConstants
-
 TWO_PI = 2.0 * np.pi
 
 _GRID_CACHE = {}
@@ -44,7 +42,6 @@ class Grid:
         if n < 4 or n % 2:
             raise ValueError(f"grid size must be even and >= 4, got {n!r}")
         self.n = int(n)
-        self.s = np.arange(n) / n
         self.k = np.fft.rfftfreq(n, 1.0 / n)  # 0, 1, ..., n/2
         self.kcut = n // 3
         self.band = self.k <= self.kcut
@@ -102,25 +99,6 @@ def dealias(values):
     coeffs = to_coeffs(values)
     coeffs[~grid.band] = 0.0
     return from_coeffs(coeffs, n)
-
-
-def apply_multiplier(values, m, power=1.0):
-    """T_{m^power} values: multiply coefficients by m(|k|)^power.
-
-    m is indexed by |k| and must cover 0..n/2 with strictly positive
-    entries; the Nyquist mode of the result is zeroed.
-    """
-    n = values.shape[0]
-    grid = Grid.of_size(n)
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] < grid.k.shape[0]:
-        raise ValueError("multiplier array shorter than the resolved spectrum")
-    m = m[: grid.k.shape[0]]
-    if np.any(m <= 0.0) or np.any(~np.isfinite(m)):
-        raise ValueError("multiplier entries must be positive and finite")
-    factor = m ** power if power != 1.0 else m.copy()
-    factor[-1] = 0.0
-    return from_coeffs(_broadcast(factor, to_coeffs(values)), n)
 
 
 @dataclass(frozen=True)
@@ -282,16 +260,10 @@ def project_tangent(curve, coeffs):
     return p
 
 
-def project_normal(curve, coeffs):
-    return coeffs - project_tangent(curve, coeffs)
-
-
 def apply_L_eps(curve, table, coeffs):
     """Force-to-velocity map P T_mt P + (I - P) T_mn (I - P) on rfft
     coefficients, evaluated as b + P(a - b) with a = T_mt P f and
     b = T_mn (I - P) f: two projections."""
-    if not isinstance(table, MultiplierTable):
-        raise TypeError("apply_L_eps needs a MultiplierTable")
     size = curve.grid.k.shape[0]
     if table.kmax + 1 < size:
         raise ValueError("multiplier table shorter than the resolved spectrum")
@@ -305,8 +277,6 @@ def apply_L_eps(curve, table, coeffs):
 def apply_L_rft(curve, constants, coeffs):
     """Local RFT operator (|log eps|/4 pi)(I + X_s tensor X_s) on rfft
     coefficients."""
-    if not isinstance(constants, RftConstants):
-        raise TypeError("apply_L_rft needs RftConstants")
     return constants.normal * (coeffs + project_tangent(curve, coeffs))
 
 
@@ -449,6 +419,11 @@ def _reparameterize_dense(curve):
     return PeriodicCurve(new)
 
 
+def format_float(x):
+    """x with 17 significant digits, which reads back as the same double."""
+    return format(float(x), ".17g")
+
+
 def write_curve_csv(curve, path, *, epsilon=None, time=0.0, model=None):
     """CSV columns s, x, y, z plus a JSON sidecar with run metadata."""
     path = Path(path)
@@ -457,7 +432,7 @@ def write_curve_csv(curve, path, *, epsilon=None, time=0.0, model=None):
         writer.writerow(["s", "x", "y", "z"])
         for i in range(curve.n):
             writer.writerow(
-                [_fmt(i / curve.n)] + [_fmt(v) for v in curve.samples[i]]
+                [format_float(i / curve.n)] + [format_float(v) for v in curve.samples[i]]
             )
     sidecar = {"n": curve.n, "epsilon": epsilon, "time": time, "model": model}
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -481,6 +456,3 @@ def read_curve_csv(path):
         meta = json.loads(sidecar.read_text())
     return PeriodicCurve(np.array(rows)), meta
 
-
-def _fmt(x):
-    return format(float(x), ".17g")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .multipliers import MultiplierTable, RftConstants
-from .spectral import apply_L_eps, apply_L_rft, dealias, from_coeffs, to_coeffs
+from .spectral import dealias, from_coeffs, to_coeffs
 
 
 class SolverError(RuntimeError):
@@ -53,34 +53,34 @@ class TensionField:
 
 @dataclass
 class TensionProblem:
+    """`model` is a force map, or 'leps' / 'rft' with the map given as
+    `table` / `constants`; either way the map is resolved once, into
+    `force_map`."""
+
     curve: spectral.PeriodicCurve
-    model: str  # 'leps' | 'rft'
+    model: object
     table: MultiplierTable = None
     constants: RftConstants = None
     cg_tol: float = 1e-10
     max_iter: int = field(default=None)
+    force_map: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.model == "leps":
-            if self.table is None:
-                raise ValueError("leps tension problem needs a MultiplierTable")
-        elif self.model == "rft":
-            if self.constants is None:
-                raise ValueError("rft tension problem needs RftConstants")
-        else:
-            raise ValueError(f"model must be 'leps' or 'rft', got {self.model!r}")
+        self.force_map = self.model
+        if isinstance(self.model, str):
+            given = {"leps": (self.table, "a MultiplierTable"),
+                     "rft": (self.constants, "RftConstants")}
+            if self.model not in given:
+                raise ValueError(f"model must be 'leps' or 'rft', got {self.model!r}")
+            self.force_map, needs = given[self.model]
+            if getattr(self.force_map, "model", None) != self.model:
+                raise ValueError(f"{self.model} tension problem needs {needs}")
         if self.max_iter is None:
             self.max_iter = 10 * self.curve.n
 
     def apply_operator(self, coeffs):
         """The force-to-velocity map on rfft coefficients."""
-        if self.model == "leps":
-            return apply_L_eps(self.curve, self.table, coeffs)
-        return apply_L_rft(self.curve, self.constants, coeffs)
-
-    def log_eps(self):
-        eps = self.table.epsilon if self.model == "leps" else self.constants.epsilon
-        return abs(np.log(eps))
+        return self.force_map.apply(self.curve, coeffs)
 
 
 def lift(curve, tau):
@@ -118,11 +118,9 @@ def _preconditioner(problem):
     the 1/(eps k) flattening of the multiplier at high wavenumbers.
     """
     grid = problem.curve.grid
-    if problem.model == "leps":
-        mn = problem.table.mn[: grid.k.shape[0]]
-    else:
-        mn = problem.constants.normal
-    diag = 1.0 / (problem.log_eps() + (2.0 * np.pi * grid.k) ** 2 * mn)
+    force_map = problem.force_map
+    mn = force_map.precond_symbol(grid.k.shape[0])
+    diag = 1.0 / (force_map.log_eps + (2.0 * np.pi * grid.k) ** 2 * mn)
     diag[~grid.band] = 0.0
 
     def apply(r):

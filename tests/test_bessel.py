@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from filament.bessel import (
-    UNDERFLOW_THRESHOLD,
-    BesselEval,
-    bessel_k,
-    bessel_k_scaled,
-    eval_triple,
-)
+from filament.bessel import bessel_k, bessel_k_scaled
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -102,11 +96,3 @@ class TestDomainAndTypes:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             bessel_k(3, 1.0)
-
-    def test_eval_triple(self):
-        t = eval_triple(1.0)
-        assert isinstance(t, BesselEval)
-        assert t.k0 > 0 and t.k1 > 0 and t.k2 > 0
-        assert not t.underflow
-        assert t.k2 == pytest.approx(t.k0 + 2.0 * t.k1, rel=1e-10)
-        assert eval_triple(UNDERFLOW_THRESHOLD + 1.0).underflow

@@ -19,7 +19,6 @@ from filament.spectral import (
     PeriodicCurve,
     apply_L_eps,
     apply_L_rft,
-    apply_multiplier,
     dealias,
     derivative,
     from_coeffs,
@@ -45,10 +44,18 @@ def ref_project_tangent(curve, field):
     return dealias(t * coeff[:, None])
 
 
+def ref_multiplier(values, m):
+    """T_m on samples, Nyquist mode zeroed: one rfft/irfft round trip."""
+    n = values.shape[0]
+    factor = np.array(m[: n // 2 + 1])
+    factor[-1] = 0.0
+    return from_coeffs(factor[:, None] * to_coeffs(values), n)
+
+
 def ref_apply_L_eps(curve, table, field):
     pt = ref_project_tangent(curve, field)
-    tangential = apply_multiplier(pt, table.mt)
-    normal = apply_multiplier(field - pt, table.mn)
+    tangential = ref_multiplier(pt, table.mt)
+    normal = ref_multiplier(field - pt, table.mn)
     return ref_project_tangent(curve, tangential) + (
         normal - ref_project_tangent(curve, normal)
     )

@@ -53,6 +53,12 @@ class TestRunConfig:
             parse_config(MINIMAL + "viscosity = 2\n")
         assert "line 5" in str(err.value) and "viscosity" in str(err.value)
 
+    def test_seed_is_not_a_key(self):
+        # the run is deterministic; there is no seed to set
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "seed = 0\n")
+        assert "line 5: unknown key 'seed'" in str(err.value)
+
     def test_type_error_with_line_number(self):
         with pytest.raises(ConfigError) as err:
             parse_config("model = leps\nepsilon = tiny\nn = 64\nhorizon = 0.1\n")

@@ -76,10 +76,6 @@ class TestSymbols:
         lam = implicit_symbol(grid, c)
         assert lam[3] == pytest.approx(c.tangential * (6 * np.pi) ** 4, rel=1e-14)
 
-    def test_symbol_type_checked(self):
-        with pytest.raises(TypeError):
-            implicit_symbol(Grid.of_size(64), object())
-
 
 class TestSingleSteps:
     @pytest.mark.parametrize("model", ["leps", "rft"])

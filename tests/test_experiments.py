@@ -210,14 +210,34 @@ class TestStudyDriver:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only solver and geometry failures become failed rows
-        from filament import experiments
+        from filament import evolution
 
         def broken_step(*args, **kwargs):
             raise TypeError("broken step")
 
-        monkeypatch.setattr(experiments, "_step", broken_step)
+        monkeypatch.setattr(evolution, "_step", broken_step)
         with pytest.raises(TypeError, match="broken step"):
             convergence_study(self.make_sweep())
+
+    def test_step_size_underflow_fails_the_row(self, monkeypatch):
+        # a row whose steps all raise the energy flag halves dt until
+        # time stops advancing; that row fails and the next one runs
+        from filament import evolution
+
+        real_step = evolution._step
+
+        def flagging_step(state, dt, force_map, **kwargs):
+            state = real_step(state, dt, force_map, **kwargs)
+            if force_map.epsilon == 1e-2:
+                flagged = dataclasses.replace(state.diagnostics, energy_flag=True)
+                state = dataclasses.replace(state, diagnostics=flagged)
+            return state
+
+        monkeypatch.setattr(evolution, "_step", flagging_step)
+        first, second = convergence_study(dataclasses.replace(
+            self.make_sweep(), epsilons=(1e-2, 1e-3)))
+        assert first.failed is not None and "step size underflow" in first.failed
+        assert second.failed is None and second.steps > 0
 
     def test_parallel_matches_serial(self):
         sweep = SweepConfig(epsilons=(1e-2, 1e-3, 3e-4), horizon=1e-4, n=64,
