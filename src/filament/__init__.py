@@ -27,7 +27,6 @@ from .spectral import (  # noqa: F401
     apply_L_eps,
     apply_L_rft,
     dealias,
-    derivative,
     project_tangent,
     reparameterize_arclength,
     sobolev_norm,

@@ -10,8 +10,6 @@ Logging level comes from the FILAMENT_LOG environment variable
 """
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
@@ -22,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, config_as_dict, parse_config, parse_sweep_config
-from .spectral import format_float
+from .spectral import write_csv, write_json
+from .tension import SolverError
 
 log = logging.getLogger("filament")
 
@@ -61,8 +60,7 @@ def _versions():
 def _write_manifest(directory, payload, force):
     path = Path(directory) / "manifest.json"
     _check_overwrite(path, force)
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    return path
+    write_json(path, payload)
 
 
 def _check_overwrite(path, force):
@@ -118,6 +116,7 @@ def _cmd_sweep(args):
         convergence_study,
         gronwall_constants,
         write_summary_csv,
+        write_traces_csv,
     )
 
     sweep = _read_config(args.config, parse_sweep_config)
@@ -130,11 +129,7 @@ def _cmd_sweep(args):
         if r.failed is not None:
             log.error("sweep row eps=%g failed: %s", r.eps, r.failed)
             continue
-        with open(out / f"traces_eps{r.eps:.0e}_n{r.n}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "h2", "EW", "DW", "mean_sq"])
-            for row in zip(r.times, r.h2, r.ew, r.dw, r.mean_sq):
-                writer.writerow([format_float(v) for v in row])
+        write_traces_csv(r, out / f"traces_eps{r.eps:.0e}_n{r.n}.csv")
     ok = [r for r in records if r.failed is None and r.n == sweep.n]
     fitted = {}
     if len(ok) >= 3:
@@ -161,35 +156,28 @@ def _cmd_multiplier_dump(args):
     if args.kmax < 1:
         raise CliError(f"kmax must be >= 1, got {args.kmax}", 1)
     _check_overwrite(args.out, args.force)
-    crossover = 1.0 / (2.0 * np.pi * args.epsilon)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mt", "mn", "inv_mt", "inv_mn",
-                         "lowk_diff_t", "lowk_diff_n"])
-        for k in range(args.kmax + 1):
-            mt = eval_mt(args.epsilon, k)
-            mn = eval_mn(args.epsilon, k)
-            if k < crossover:
-                dt_ = lowk_rft_difference(args.epsilon, k, "tangential")
-                dn_ = lowk_rft_difference(args.epsilon, k, "normal")
-            else:
-                dt_ = dn_ = float("nan")
-            writer.writerow([k] + [format_float(v) for v in
-                                   (mt, mn, 1.0 / mt, 1.0 / mn, dt_, dn_)])
-    sidecar = Path(args.out).with_suffix(".manifest.json")
-    sidecar.write_text(json.dumps({
+    k = np.arange(args.kmax + 1)
+    mt, mn = eval_mt(args.epsilon, k), eval_mn(args.epsilon, k)
+    # the low-k differences are defined below the crossover 1/(2 pi eps)
+    low = k < 1.0 / (2.0 * np.pi * args.epsilon)
+    diffs = np.full((2, k.size), np.nan)
+    for diff, direction in zip(diffs, ("tangential", "normal")):
+        diff[low] = lowk_rft_difference(args.epsilon, k[low], direction)
+    write_csv(args.out, ["k", "mt", "mn", "inv_mt", "inv_mn", "lowk_diff_t", "lowk_diff_n"],
+              zip(k, mt, mn, 1.0 / mt, 1.0 / mn, *diffs))
+    write_json(Path(args.out).with_suffix(".manifest.json"), {
         "command": "multiplier-dump",
         "epsilon": args.epsilon,
         "kmax": args.kmax,
         "versions": _versions(),
-    }, indent=2) + "\n")
+    })
     return 0
 
 
 def _cmd_tension_check(args):
     from .multipliers import force_map_for
     from .spectral import read_curve_csv
-    from .tension import SolverError, TensionProblem, solve_tension
+    from .tension import TensionProblem, solve_tension
 
     if not (0.0 < args.epsilon < 1.0):
         raise CliError(f"epsilon must lie in (0, 1), got {args.epsilon}", 1)
@@ -206,13 +194,8 @@ def _cmd_tension_check(args):
         tau = solve_tension(problem)
     except SolverError as exc:
         raise CliError(f"tension solve failed: {exc}", 2) from exc
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "tau"])
-        for i in range(curve.n):
-            writer.writerow([format_float(i / curve.n), format_float(tau.values[i])])
-    sidecar = Path(args.out).with_suffix(".manifest.json")
-    sidecar.write_text(json.dumps({
+    write_csv(args.out, ["s", "tau"], zip(np.arange(curve.n) / curve.n, tau.values))
+    write_json(Path(args.out).with_suffix(".manifest.json"), {
         "command": "tension-check",
         "epsilon": args.epsilon,
         "model": args.model,
@@ -220,12 +203,12 @@ def _cmd_tension_check(args):
         "mean_tau": tau.mean,
         "cg_iterations": tau.iterations,
         "versions": _versions(),
-    }, indent=2) + "\n")
+    })
     return 0
 
 
 def _cmd_lemma_suite(args):
-    from .experiments import lemma_suite, write_report_json
+    from .experiments import lemma_suite
 
     epsilons = tuple(float(p) for p in args.epsilons.split(",") if p.strip())
     if not epsilons or any(a <= b for a, b in zip(epsilons, epsilons[1:])):
@@ -236,7 +219,7 @@ def _cmd_lemma_suite(args):
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     report = lemma_suite(epsilons, args.kmax)
-    write_report_json(report, out / "lemma_report.json")
+    write_json(out / "lemma_report.json", report)
     manifest = {
         "command": "lemma-suite",
         "epsilons": list(epsilons),
@@ -304,7 +287,7 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except Exception as exc:  # solver / runtime failures
+    except (SolverError, ValueError, OSError) as exc:  # solver, input and file failures
         log.debug("unhandled error", exc_info=True)
         print(f"filament: error: {exc}", file=sys.stderr)
         return 2

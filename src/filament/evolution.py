@@ -12,8 +12,7 @@ A model enters only as its force map (see multipliers), and one loop,
 `lockstep`, steps a single run or the two models side by side.
 """
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .spectral import (
     PeriodicCurve,
     SobolevIndex,
     TWO_PI,
-    format_float,
     from_coeffs,
     mean_inner,
     read_curve_csv,
@@ -31,6 +29,7 @@ from .spectral import (
     sobolev_norm,
     sobolev_norm_coeffs,
     to_coeffs,
+    write_csv,
 )
 from .tension import SolverError, TensionField, TensionProblem, lift, solve_tension
 
@@ -86,12 +85,6 @@ def dissipation_rate(problem, tension):
     return mean_inner(from_coeffs(zs, n), from_coeffs(problem.apply_operator(zs), n))
 
 
-def velocity(problem, tension):
-    """dX/dt = -L[Z_s], as samples."""
-    zs = force_density(problem.curve, tension)
-    return -from_coeffs(problem.apply_operator(zs), problem.curve.n)
-
-
 def implicit_symbol(grid, force_map):
     """Fourier symbol of the implicit principal part, indexed by |k|."""
     lam = force_map.principal_symbol(grid.k.shape[0]) * (TWO_PI * grid.k) ** 4
@@ -106,17 +99,23 @@ def _explicit_forcing(problem, tension, lam):
     return lam[:, None] * problem.curve.coeffs - problem.apply_operator(zs)
 
 
-def choose_dt(curve, force_map, cg_tol=1e-10, target=1e-2, rescaled=False):
-    """Default step size: dt ||G||_H2 <= target ||X||_H2 at the initial state.
+def _forcing(curve, force_map, cg_tol, warm):
+    """The tension on the curve (CG started from warm, or cold when warm
+    is None), the implicit symbol lam, and the explicit forcing G."""
+    problem = TensionProblem(curve, force_map, cg_tol=cg_tol)
+    tension = solve_tension(problem, initial=warm)
+    lam = implicit_symbol(curve.grid, force_map)
+    return tension, lam, _explicit_forcing(problem, tension, lam)
+
+
+def choose_dt(curve, force_map, cg_tol=1e-10, rescaled=False):
+    """Default step size: dt ||G||_H2 <= 1e-2 ||X||_H2 at the initial state.
 
     With rescaled=True the bound is applied to the |log eps|-rescaled
     forcing, giving a step in rescaled time units.
     """
-    problem = TensionProblem(curve, force_map, cg_tol=cg_tol)
-    tension = solve_tension(problem)
-    lam = implicit_symbol(curve.grid, force_map)
-    ghat = _explicit_forcing(problem, tension, lam)
-    dt = target * sobolev_norm_coeffs(curve.coeffs, H2) / sobolev_norm_coeffs(ghat, H2)
+    _, _, ghat = _forcing(curve, force_map, cg_tol, None)
+    dt = 1e-2 * sobolev_norm_coeffs(curve.coeffs, H2) / sobolev_norm_coeffs(ghat, H2)
     if rescaled:
         dt *= force_map.log_eps
     return float(dt)
@@ -129,16 +128,12 @@ def _step(state, dt, force_map, *, cg_tol=1e-10, inext_tol=1e-6,
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     curve = state.curve
-    grid = curve.grid
-    problem = TensionProblem(curve, force_map, cg_tol=cg_tol)
     warm = state.tension.values if state.tension is not None else None
-    tension = solve_tension(problem, initial=warm)
-    lam = implicit_symbol(grid, force_map)
-    ghat = _explicit_forcing(problem, tension, lam)
+    tension, lam, ghat = _forcing(curve, force_map, cg_tol, warm)
     dt_native = dt * time_scale
     new_hat = (curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[:, None])
     new_hat[-1] = 0.0
-    new_curve = PeriodicCurve(from_coeffs(new_hat, grid.n))
+    new_curve = PeriodicCurve(from_coeffs(new_hat, curve.n))
     if new_curve.inext_residual > 0.5 * inext_tol:
         new_curve = reparameterize_arclength(new_curve)
     e_old = state.diagnostics.energy if state.diagnostics else energy(curve)
@@ -275,16 +270,6 @@ def run(config, initial):
 
 
 def write_diagnostics_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "time", "energy", "dissipation", "inext_residual",
-             "tension_h12", "energy_flag", "cg_iterations", "cg_residual"]
-        )
-        for r in records:
-            writer.writerow(
-                [r.step, format_float(r.time), format_float(r.energy),
-                 format_float(r.dissipation), format_float(r.inext_residual),
-                 format_float(r.tension_h12), int(r.energy_flag),
-                 r.cg_iterations, format_float(r.cg_residual)]
-            )
+    """One row per DiagnosticsRecord, one column per field."""
+    columns = [f.name for f in fields(DiagnosticsRecord)]
+    write_csv(path, columns, ([getattr(r, c) for c in columns] for r in records))

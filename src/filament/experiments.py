@@ -7,12 +7,10 @@ dynamics to RFT under rescaled time, and the discrepancy energy and
 dissipation traces of the difference W = X - Y.
 """
 
-import csv
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .spectral import (
     sobolev_norm,
     sobolev_norm_coeffs,
     to_coeffs,
+    write_csv,
 )
 from .tension import SolverError
 
@@ -41,7 +40,7 @@ H_MINUS_HALF = SobolevIndex(-0.5)
 SLACK = 1.1  # fitted-constant protocol: 10% slack on non-fitted rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscrepancyRecord:
     eps: float
     n: int
@@ -95,17 +94,12 @@ def discrepancy_energy_trace(times, curves_x, curves_y, table):
                  + table.mn[:size, None] * np.abs(wssss - pt) ** 2)
         dw[i] = float(np.sum(grid.weight[:, None] * power))
         mean_sq[i] = float(np.sum(np.mean(cx.samples - cy.samples, axis=0) ** 2))
-    record = DiscrepancyRecord(eps=table.epsilon, n=curves_x[0].n)
-    record.times = times
-    record.h2 = h2
-    record.ew = ew
-    record.dw = dw
-    record.mean_sq = mean_sq
-    record.sup_h2 = float(np.max(h2))
-    record.l2t_h72 = float(np.sqrt(np.trapezoid(h72 ** 2, times)))
-    record.max_ew = float(np.max(ew))
-    record.int_dw = float(np.trapezoid(dw, times))
-    return record
+    return DiscrepancyRecord(
+        eps=table.epsilon, n=curves_x[0].n, times=times, h2=h2, ew=ew, dw=dw,
+        mean_sq=mean_sq, sup_h2=float(np.max(h2)),
+        l2t_h72=float(np.sqrt(np.trapezoid(h72 ** 2, times))),
+        max_ew=float(np.max(ew)), int_dw=float(np.trapezoid(dw, times)),
+    )
 
 
 POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
@@ -170,10 +164,7 @@ def run_pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
         return DiscrepancyRecord(eps=eps, n=n, failed=aborted)
     times, curves_x, curves_y = zip(*snapshots)
     record = discrepancy_energy_trace(times, curves_x, curves_y, table)
-    record.dt = dt
-    record.steps = steps
-    record.flags = flags
-    return record
+    return replace(record, dt=dt, steps=steps, flags=flags)
 
 
 def _study_worker(args):
@@ -249,38 +240,37 @@ def gronwall_constants(records):
     return {"C_EW": c_ew, "C_DW": c_dw, "pass_EW": pass_ew, "pass_DW": pass_dw}
 
 
-SUMMARY_COLUMNS = ("eps", "log_eps", "sup_h2_err", "compensated_err",
-                   "l2t_h72_err", "max_EW", "int_DW")
-
-
-def summary_rows(records):
-    rows = []
-    for r in records:
-        if r.failed is not None:
-            continue
-        rows.append({
-            "eps": r.eps,
-            "log_eps": r.log_eps,
-            "sup_h2_err": r.sup_h2,
-            "compensated_err": r.compensated,
-            "l2t_h72_err": r.l2t_h72,
-            "max_EW": r.max_ew,
-            "int_DW": r.int_dw,
-        })
-    return rows
+# (column, DiscrepancyRecord attribute): summary.csv has one row per
+# successful record, a row's traces CSV one row per snapshot.
+SUMMARY_COLUMNS = (("eps", "eps"), ("log_eps", "log_eps"), ("sup_h2_err", "sup_h2"),
+                   ("compensated_err", "compensated"), ("l2t_h72_err", "l2t_h72"),
+                   ("max_EW", "max_ew"), ("int_DW", "int_dw"))
+TRACE_COLUMNS = (("time", "times"), ("h2", "h2"), ("EW", "ew"), ("DW", "dw"),
+                 ("mean_sq", "mean_sq"))
 
 
 def write_summary_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows(records):
-            writer.writerow([format(row[c], ".17g") for c in SUMMARY_COLUMNS])
+    write_csv(path, [c for c, _ in SUMMARY_COLUMNS],
+              ([getattr(r, a) for _, a in SUMMARY_COLUMNS]
+               for r in records if r.failed is None))
+
+
+def write_traces_csv(record, path):
+    write_csv(path, [c for c, _ in TRACE_COLUMNS],
+              zip(*(getattr(record, a) for _, a in TRACE_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------
 # Multiplier bound suites (fitted-constant protocol)
 # ---------------------------------------------------------------------------
+
+MULTIPLIERS = {"mt": eval_mt, "mn": eval_mn}
+# The upper-bound families of each multiplier, in report order.  Each is
+# the maximum of a positive ratio over the wavenumbers, 0 where its range
+# is empty (the high wavenumbers at fine eps, when the crossover lies
+# past kmax).
+UPPER_FAMILIES = ("low_over_log", "inv_low_norm", "high_times_epsk", "inv_high_over_epsk")
+
 
 def _bound_suite_one_eps(eps, kmax):
     """Raw extremal ratios for the bound families at one eps."""
@@ -293,18 +283,17 @@ def _bound_suite_one_eps(eps, kmax):
     # eps|k| alone, so its extremal ratio is flat across the sweep,
     # unlike |log eps| which degenerates near the crossover where the
     # multiplier is O(1).
-    lowk_scale = 1.0 + np.abs(np.log(eps * k[low])) if low.any() else None
+    lowk_scale = 1.0 + np.abs(np.log(eps * k[low]))
     out = {}
-    for name, m in (("mt", eval_mt(eps, k)), ("mn", eval_mn(eps, k))):
-        # zero mode included: it attains the sharp low-k constant
-        m0 = eval_mt(eps, 0) if name == "mt" else eval_mn(eps, 0)
-        ratios = np.concatenate(([m0], m[low])) / log_eps
-        out[f"{name}_low_over_log"] = float(np.max(ratios))
-        out[f"{name}_inv_low_norm"] = (
-            float(np.max(lowk_scale / m[low])) if low.any() else 0.0
-        )
-        out[f"{name}_high_times_epsk"] = float(np.max(m[high] * eps * k[high])) if high.any() else 0.0
-        out[f"{name}_inv_high_over_epsk"] = float(np.max(1.0 / (m[high] * eps * k[high]))) if high.any() else 0.0
+    for name, evaluate in MULTIPLIERS.items():
+        m = evaluate(eps, k)
+        epsk_m = m[high] * eps * k[high]
+        # In UPPER_FAMILIES order.  The first includes the zero mode: it
+        # attains the sharp low-k constant.
+        ratios = (np.concatenate(([evaluate(eps, 0)], m[low])) / log_eps,
+                  lowk_scale / m[low], epsk_m, 1.0 / epsk_m)
+        out.update((f"{name}_{family}", float(np.max(r, initial=0.0)))
+                   for family, r in zip(UPPER_FAMILIES, ratios))
         # Linear-growth sandwich c eps|k| <= 1/m <= c (eps|k| + 1):
         # feasible interval for the single constant c.
         inv = 1.0 / m
@@ -340,8 +329,7 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
     return ratios
 
 
-def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096, *,
-                grid_n=256, n_fields=50, seed=0):
+def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096):
     """All multiplier bound suites plus the coercivity random-field test.
 
     Constants are fitted on the coarsest eps (first entry) and the same
@@ -362,18 +350,15 @@ def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096, *,
 
     upper = lambda c, v: v <= SLACK * c
     all_pass = True
-    for key in ("mt_low_over_log", "mn_low_over_log",
-                "mt_inv_low_norm", "mn_inv_low_norm",
-                "mt_high_times_epsk", "mn_high_times_epsk",
-                "mt_inv_high_over_epsk", "mn_inv_high_over_epsk",
-                "lowk_diff_ratio"):
+    keys = [f"{name}_{family}" for family in UPPER_FAMILIES for name in MULTIPLIERS]
+    for key in keys + ["lowk_diff_ratio"]:
         fitted = coarse[key]
         fine = [per_eps[e][key] for e in epsilons[1:]]
         # High-k families may be empty (crossover beyond kmax) at fine eps.
         fine = [v for v in fine if v > 0.0]
         all_pass &= gate(key, fitted, fine, upper)
 
-    for name in ("mt", "mn"):
+    for name in MULTIPLIERS:
         lo, hi = coarse[f"{name}_sandwich_lo"], coarse[f"{name}_sandwich_hi"]
         feasible = lo <= hi
         c = math.sqrt(lo * hi) if feasible else float("nan")
@@ -385,8 +370,7 @@ def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096, *,
         report["suites"][f"{name}_sandwich"] = {"constant": c, "pass": bool(ok)}
         all_pass &= ok
 
-    coercivity = {eps: coercivity_ratios(eps, grid_n, n_fields, seed)
-                  for eps in epsilons}
+    coercivity = {eps: coercivity_ratios(eps) for eps in epsilons}
     c_fit = float(np.min(coercivity[epsilons[0]]))
     ok = c_fit > 0.0 and all(
         float(np.min(coercivity[e])) >= c_fit / SLACK for e in epsilons[1:]
@@ -397,9 +381,3 @@ def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096, *,
     report["per_eps"] = {format(e, ".3g"): per_eps[e] for e in epsilons}
     report["passed"] = bool(all_pass)
     return report
-
-
-def write_report_json(report, path):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

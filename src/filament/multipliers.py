@@ -26,8 +26,6 @@ import numpy as np
 from . import spectral
 from .bessel import bessel_k_scaled
 
-EULER_GAMMA = 0.5772156649015329
-
 
 def _validate_epsilon(epsilon):
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
@@ -69,25 +67,6 @@ def eval_mt(epsilon, k):
 def eval_mn(epsilon, k):
     """Normal multiplier m_n(k); depends on |k| only."""
     return _eval(epsilon, k, _mn_nonzero, 1.0 / (4.0 * np.pi))
-
-
-def lowk_reference_mt(epsilon, k):
-    """Leading low-wavenumber expansion of m_t.
-
-    (-1 - 2*gamma - 2*log(pi) - 2*log(eps*|k|)) / (4*pi), accurate to
-    O((eps k log(eps k))^2) for 2*pi*eps*|k| << 1.
-    """
-    x = epsilon * np.abs(np.asarray(k, dtype=float))
-    return (-1.0 - 2.0 * EULER_GAMMA - 2.0 * np.log(np.pi) - 2.0 * np.log(x)) / (4.0 * np.pi)
-
-
-def lowk_reference_mn(epsilon, k):
-    """Leading low-wavenumber expansion of m_n.
-
-    (1 - 2*gamma - 2*log(pi) - 2*log(eps*|k|)) / (8*pi).
-    """
-    x = epsilon * np.abs(np.asarray(k, dtype=float))
-    return (1.0 - 2.0 * EULER_GAMMA - 2.0 * np.log(np.pi) - 2.0 * np.log(x)) / (8.0 * np.pi)
 
 
 def lowk_rft_difference(epsilon, k, direction):

@@ -77,21 +77,6 @@ def from_coeffs(coeffs, n):
     return np.fft.irfft(coeffs * n, n=n, axis=0)
 
 
-def _broadcast(spectral_factor, coeffs):
-    if coeffs.ndim == 2:
-        return spectral_factor[:, None] * coeffs
-    return spectral_factor * coeffs
-
-
-def derivative(values, order=1):
-    """order-th spectral derivative in s; Nyquist mode zeroed."""
-    if order < 1 or order != int(order):
-        raise ValueError(f"derivative order must be a positive integer, got {order!r}")
-    n = values.shape[0]
-    factor = Grid.of_size(n).ik ** int(order)
-    return from_coeffs(_broadcast(factor, to_coeffs(values)), n)
-
-
 def dealias(values):
     """Zero all modes above the 2/3-rule cutoff |k| > n/3."""
     n = values.shape[0]
@@ -419,23 +404,35 @@ def _reparameterize_dense(curve):
     return PeriodicCurve(new)
 
 
-def format_float(x):
-    """x with 17 significant digits, which reads back as the same double."""
-    return format(float(x), ".17g")
+def _cell_format(value):
+    """%d for an int cell (bools as 0/1), otherwise 17 significant digits,
+    which read back as the same double (and write numpy's integers below
+    2**53 as their digits)."""
+    return "%d" if isinstance(value, int) else "%.17g"
+
+
+def write_csv(path, header, rows):
+    """Every CSV file of the package, lines ending in CRLF as csv.writer
+    ends them.  The cells are numbers and never need quoting, so a row is
+    written by one %-format."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for row in rows:
+            fh.write(",".join(map(_cell_format, row)) % tuple(row) + "\r\n")
+
+
+def write_json(path, payload):
+    """Every JSON file of the package: indented, with a final newline;
+    values JSON cannot hold are written as their str."""
+    Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def write_curve_csv(curve, path, *, epsilon=None, time=0.0, model=None):
     """CSV columns s, x, y, z plus a JSON sidecar with run metadata."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x", "y", "z"])
-        for i in range(curve.n):
-            writer.writerow(
-                [format_float(i / curve.n)] + [format_float(v) for v in curve.samples[i]]
-            )
-    sidecar = {"n": curve.n, "epsilon": epsilon, "time": time, "model": model}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_csv(path, ["s", "x", "y", "z"], zip(np.arange(curve.n) / curve.n, *curve.samples.T))
+    write_json(path.with_suffix(".json"),
+               {"n": curve.n, "epsilon": epsilon, "time": time, "model": model})
     return path
 
 

@@ -62,7 +62,6 @@ class TensionProblem:
     table: MultiplierTable = None
     constants: RftConstants = None
     cg_tol: float = 1e-10
-    max_iter: int = field(default=None)
     force_map: object = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class TensionProblem:
             self.force_map, needs = given[self.model]
             if getattr(self.force_map, "model", None) != self.model:
                 raise ValueError(f"{self.model} tension problem needs {needs}")
-        if self.max_iter is None:
-            self.max_iter = 10 * self.curve.n
 
     def apply_operator(self, coeffs):
         """The force-to-velocity map on rfft coefficients."""
@@ -133,9 +130,9 @@ def solve_tension(problem, initial=None):
     """Preconditioned CG for B tau = rhs; returns a TensionField.
 
     Raises SolverError (with the residual history) if the relative
-    residual does not reach problem.cg_tol within problem.max_iter
-    iterations, or if CG breaks down before: a residual left with only
-    out-of-band roundoff has r.z = 0 and cannot be reduced further.
+    residual does not reach problem.cg_tol within 10 n iterations, or if
+    CG breaks down before: a residual left with only out-of-band
+    roundoff has r.z = 0 and cannot be reduced further.
     """
     curve = problem.curve
     rhs = assemble_rhs(problem)
@@ -155,7 +152,7 @@ def solve_tension(problem, initial=None):
     while history[-1] > problem.cg_tol:
         z = precond(r)
         rz_new = float(np.dot(r, z))
-        if iterations >= problem.max_iter or not rz_new > 0.0:
+        if iterations >= 10 * curve.n or not rz_new > 0.0:
             raise SolverError(
                 f"tension CG stalled at relative residual {history[-1]:.3e} "
                 f"after {iterations} iterations",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from filament.cli import main
+from filament.multipliers import eval_mn, eval_mt, lowk_rft_difference
 
 
 def read_csv(path):
@@ -43,13 +44,23 @@ class TestMultiplierDump:
         assert rows[0] == ["k", "mt", "mn", "inv_mt", "inv_mn",
                            "lowk_diff_t", "lowk_diff_n"]
         assert len(rows) == 34  # header + k = 0..32
+        # k verbatim, every other column read back as the same double
+        # as the scalar evaluation at that k
+        for k, row in enumerate(rows[1:]):
+            mt, mn = eval_mt(1e-2, k), eval_mn(1e-2, k)
+            diffs = ([lowk_rft_difference(1e-2, k, d) for d in ("tangential", "normal")]
+                     if k < 1 / (2 * math.pi * 1e-2) else [math.nan] * 2)
+            assert row[0] == str(k)
+            np.testing.assert_array_equal([float(v) for v in row[1:]],
+                                          [mt, mn, 1 / mt, 1 / mn, *diffs])
         # beyond the crossover 1/(2 pi eps) ~ 15.9 the difference
         # columns are undefined and print NaN
         assert math.isnan(float(rows[17][5]))
         assert not math.isnan(float(rows[15][5]))
-        sidecar = json.loads(out.with_suffix(".manifest.json").read_text())
-        assert sidecar["epsilon"] == 1e-2
-        assert sidecar["kmax"] == 32
+        sidecar = out.with_suffix(".manifest.json").read_text()
+        assert sidecar.endswith("}\n")
+        assert json.loads(sidecar)["epsilon"] == 1e-2
+        assert json.loads(sidecar)["kmax"] == 32
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "mult.csv"
@@ -178,6 +189,20 @@ snapshot_every = 5
         assert manifest["failed_rows"] == []
         traces = sorted(out.glob("traces_*.csv"))
         assert len(traces) == 3
+
+
+class TestProgrammingErrors:
+    def test_type_error_propagates(self, tmp_path, monkeypatch):
+        # only solver, input and file failures become exit codes
+        from filament import evolution
+
+        def broken_run(config, initial):
+            raise TypeError("broken run")
+
+        monkeypatch.setattr(evolution, "run", broken_run)
+        config = write_config(tmp_path, GOOD_CONFIG)
+        with pytest.raises(TypeError, match="broken run"):
+            main(["simulate", "--config", config, "--out", str(tmp_path / "run")])
 
 
 class TestArgumentErrors:

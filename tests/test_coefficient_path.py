@@ -16,11 +16,11 @@ from filament import spectral, tension
 from filament.evolution import _explicit_forcing, implicit_symbol
 from filament.multipliers import build_table, rft_constants
 from filament.spectral import (
+    Grid,
     PeriodicCurve,
     apply_L_eps,
     apply_L_rft,
     dealias,
-    derivative,
     from_coeffs,
     project_tangent,
     to_coeffs,
@@ -32,6 +32,19 @@ RTOL = 1e-12
 
 
 # ------------------------------------------------------------- reference
+
+
+def _broadcast(spectral_factor, coeffs):
+    if coeffs.ndim == 2:
+        return spectral_factor[:, None] * coeffs
+    return spectral_factor * coeffs
+
+
+def derivative(values, order=1):
+    """order-th spectral derivative in s; Nyquist mode zeroed."""
+    n = values.shape[0]
+    factor = Grid.of_size(n).ik ** int(order)
+    return from_coeffs(_broadcast(factor, to_coeffs(values)), n)
 
 
 def ref_tangent(curve):

@@ -20,12 +20,12 @@ from filament.evolution import (
     run,
     step_leps,
     step_rft,
-    velocity,
     write_diagnostics_csv,
 )
 from filament.multipliers import build_table, rft_constants
 from filament.spectral import Grid, PeriodicCurve, SobolevIndex, sobolev_norm
 from filament.tension import TensionProblem, solve_tension
+from test_tension import velocity
 
 
 def fresh_state(curve):
@@ -293,9 +293,12 @@ class TestRunDriver:
             assert float(row[8]) == state.tension.residual
 
     def test_diagnostics_csv(self, tmp_path):
-        records = [DiagnosticsRecord(1, 1e-6, 20.0, 3.0, 1e-9, 40.0, False)]
+        records = [DiagnosticsRecord(1, 1e-6, 20.0, 3.0, 1e-9, 40.0, False),
+                   DiagnosticsRecord(2, 2e-6, 21.0, 0.1, 1e-9, 40.0, True, 12, 3e-11)]
         path = tmp_path / "diag.csv"
         write_diagnostics_csv(records, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("step,time,energy")
-        assert len(lines) == 2
+        assert lines[1:] == ["1,9.9999999999999995e-07,20,3,1.0000000000000001e-09,40,0,0,0",
+                             "2,1.9999999999999999e-06,21,0.10000000000000001,"
+                             "1.0000000000000001e-09,40,1,12,3e-11"]

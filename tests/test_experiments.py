@@ -10,7 +10,6 @@ import pytest
 from filament.config import SweepConfig
 from filament.experiments import (
     DiscrepancyRecord,
-    SUMMARY_COLUMNS,
     coercivity_ratios,
     compensated_band,
     convergence_study,
@@ -18,17 +17,16 @@ from filament.experiments import (
     gronwall_constants,
     lemma_suite,
     run_pair,
-    summary_rows,
-    write_report_json,
     write_summary_csv,
+    write_traces_csv,
 )
 from filament.multipliers import MultiplierTable, build_table
-from filament.spectral import PeriodicCurve
+from filament.spectral import PeriodicCurve, write_json
 
 
 class TestLemmaSuite:
     def test_small_suite_passes(self):
-        report = lemma_suite((1e-2, 1e-3, 1e-4), kmax=512, grid_n=64, n_fields=10)
+        report = lemma_suite((1e-2, 1e-3, 1e-4), kmax=512)
         assert report["passed"]
         assert all(s["pass"] for s in report["suites"].values())
         # sandwich constants near the asymptotic slopes 8 pi^2 and 6 pi^2
@@ -52,9 +50,9 @@ class TestLemmaSuite:
             lemma_suite((1e-3, 1e-2), kmax=64)
 
     def test_report_serializes(self, tmp_path):
-        report = lemma_suite((1e-2, 1e-3), kmax=64, grid_n=64, n_fields=5)
+        report = lemma_suite((1e-2, 1e-3), kmax=64)
         path = tmp_path / "report.json"
-        write_report_json(report, path)
+        write_json(path, report)
         import json
 
         loaded = json.loads(path.read_text())
@@ -113,6 +111,8 @@ class TestDiscrepancyTrace:
         assert record.compensated == pytest.approx(
             math.sqrt(abs(math.log(1e-4))) * 2.0
         )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.steps = 3
 
     def test_trace_shapes_and_positivity(self):
         a = PeriodicCurve.perturbed_circle(64, 2, 0.03)
@@ -190,14 +190,23 @@ class TestStudyDriver:
         assert all(r.failed is None for r in records)
         sups = [r.sup_h2 for r in records]
         assert all(s > 0 for s in sups)
-        rows = summary_rows(records)
-        assert len(rows) == 3
-        assert set(rows[0]) == set(SUMMARY_COLUMNS)
         path = tmp_path / "summary.csv"
         write_summary_csv(records, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(SUMMARY_COLUMNS)
+        assert lines[0] == "eps,log_eps,sup_h2_err,compensated_err,l2t_h72_err,max_EW,int_DW"
         assert len(lines) == 4
+        first = [float(v) for v in lines[1].split(",")]
+        assert first == [records[0].eps, records[0].log_eps, records[0].sup_h2,
+                         records[0].compensated, records[0].l2t_h72,
+                         records[0].max_ew, records[0].int_dw]
+        path = tmp_path / "traces.csv"
+        write_traces_csv(records[0], path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "time,h2,EW,DW,mean_sq"
+        assert len(lines) == 1 + len(records[0].times)
+        assert [float(v) for v in lines[-1].split(",")] == [
+            records[0].times[-1], records[0].h2[-1], records[0].ew[-1],
+            records[0].dw[-1], records[0].mean_sq[-1]]
 
     def test_failed_row_reported_not_raised(self):
         sweep = SweepConfig(epsilons=(1e-2, 1e-3), horizon=1e-4, n=64,

@@ -7,18 +7,35 @@ import numpy as np
 import pytest
 
 from filament.multipliers import (
-    EULER_GAMMA,
     MultiplierTable,
     build_table,
     eval_mn,
     eval_mt,
-    lowk_reference_mn,
-    lowk_reference_mt,
     lowk_rft_difference,
     rft_constants,
 )
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5)
+EULER_GAMMA = 0.5772156649015329
+
+
+def lowk_reference_mt(epsilon, k):
+    """Leading low-wavenumber expansion of m_t.
+
+    (-1 - 2*gamma - 2*log(pi) - 2*log(eps*|k|)) / (4*pi), accurate to
+    O((eps k log(eps k))^2) for 2*pi*eps*|k| << 1.
+    """
+    x = epsilon * np.abs(np.asarray(k, dtype=float))
+    return (-1.0 - 2.0 * EULER_GAMMA - 2.0 * np.log(np.pi) - 2.0 * np.log(x)) / (4.0 * np.pi)
+
+
+def lowk_reference_mn(epsilon, k):
+    """Leading low-wavenumber expansion of m_n.
+
+    (1 - 2*gamma - 2*log(pi) - 2*log(eps*|k|)) / (8*pi).
+    """
+    x = epsilon * np.abs(np.asarray(k, dtype=float))
+    return (1.0 - 2.0 * EULER_GAMMA - 2.0 * np.log(np.pi) - 2.0 * np.log(x)) / (8.0 * np.pi)
 
 
 def mpmath_mt(eps, k, dps=50):

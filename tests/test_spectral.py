@@ -16,7 +16,6 @@ from filament.spectral import (
     apply_L_eps,
     apply_L_rft,
     dealias,
-    derivative,
     from_coeffs,
     mean_inner,
     project_tangent,
@@ -24,7 +23,9 @@ from filament.spectral import (
     reparameterize_arclength,
     sobolev_norm,
     to_coeffs,
+    write_csv,
     write_curve_csv,
+    write_json,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -42,23 +43,20 @@ class TestTransforms:
         assert np.max(np.abs(from_coeffs(to_coeffs(f), 128) - f)) < 1e-12
 
     def test_derivative_of_constant(self):
-        f = np.ones((64, 3))
-        assert np.max(np.abs(derivative(f))) < 1e-12
+        curve = PeriodicCurve(np.ones((64, 3)))
+        for values in (curve.xs, curve.xss, curve.xsss, curve.xssss, curve.tangent):
+            assert np.max(np.abs(values)) < 1e-12
 
     def test_second_derivative_eigenfunction(self):
         s = np.arange(128) / 128
         f = np.cos(TWO_PI * s)
-        d2 = derivative(f, 2)
-        assert np.max(np.abs(d2 + TWO_PI**2 * f)) < 1e-10
+        curve = PeriodicCurve(np.column_stack([f, np.sin(3 * TWO_PI * s), np.zeros(128)]))
+        assert np.max(np.abs(curve.xss[:, 0] + TWO_PI**2 * f)) < 1e-10
 
     def test_fourth_derivative_of_circle(self):
         curve = PeriodicCurve.circle(128)
-        d4 = derivative(curve.samples, 4)
+        d4 = curve.xssss
         assert np.max(np.abs(d4 - TWO_PI**4 * curve.samples)) < 1e-8 * TWO_PI**4
-
-    def test_derivative_order_validated(self):
-        with pytest.raises(ValueError):
-            derivative(np.ones(64), 0)
 
 
 class TestDealiasing:
@@ -396,6 +394,25 @@ class TestSerialization:
         assert meta == {"n": 64, "epsilon": 1e-3, "time": 0.25, "model": "leps"}
         sidecar = json.loads((tmp_path / "curve.json").read_text())
         assert sidecar["n"] == 64
+
+    def test_csv_cells(self, tmp_path):
+        # ints (numpy's too) as they are, bools as 0/1, every other cell
+        # with 17 significant digits, so that it reads back as the same double
+        floats = [0.1, 1.0 / 3.0, -2.5e-300, np.float64(np.pi), float("nan"), float("inf")]
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["a", "b"], [[7, np.int64(-3)], [True, False], floats])
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["a,b", "7,-3", "1,0"]
+        back = [float(v) for v in lines[3].split(",")]
+        assert back[:4] == floats[:4] and math.isnan(back[4]) and back[5] == math.inf
+        assert lines[3].split(",")[1] == "0.33333333333333331"
+
+    def test_json_format(self, tmp_path):
+        path = tmp_path / "payload.json"
+        write_json(path, {"x": 0.1, "nested": [1, None], "path": tmp_path})
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 8
+        assert json.loads(text) == {"x": 0.1, "nested": [1, None], "path": str(tmp_path)}
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -10,7 +10,7 @@ with the matrix-free FFT implementation beyond the conventions.
 import numpy as np
 import pytest
 
-from filament.evolution import velocity
+from filament.evolution import force_density
 from filament.multipliers import build_table, rft_constants
 from filament.spectral import (
     Grid,
@@ -116,6 +116,12 @@ def make_problem(curve, model, epsilon, **kwargs):
     return TensionProblem(curve, "rft", constants=rft_constants(epsilon), **kwargs)
 
 
+def velocity(problem, tension):
+    """dX/dt = -L[Z_s], as samples."""
+    zs = force_density(problem.curve, tension)
+    return -from_coeffs(problem.apply_operator(zs), problem.curve.n)
+
+
 # ----------------------------------------------------------------- tests
 
 
@@ -201,9 +207,8 @@ class TestConstraintEnforcement:
         problem = make_problem(curve, model, 1e-3)
         tau = solve_tension(problem)
         v = velocity(problem, tau)
-        from filament.spectral import derivative
-
-        constraint = np.einsum("ij,ij->i", curve.tangent, dealias(derivative(v)))
+        vs = from_coeffs(curve.grid.band_ik[:, None] * to_coeffs(v), curve.n)
+        constraint = np.einsum("ij,ij->i", curve.tangent, vs)
         vnorm = sobolev_norm(v, SobolevIndex(1.0))
         assert np.max(np.abs(constraint)) < 1e-6 * max(vnorm, 1.0)
 
@@ -219,7 +224,7 @@ class TestConstraintEnforcement:
 class TestSolverInterface:
     def test_solver_error_carries_history(self):
         curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
-        problem = make_problem(curve, "leps", 1e-3, max_iter=1)
+        problem = make_problem(curve, "leps", 1e-3, cg_tol=1e-30)
         with pytest.raises(SolverError) as err:
             solve_tension(problem)
         assert len(err.value.residuals) >= 2
