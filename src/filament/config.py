@@ -1,11 +1,18 @@
 """Plain key=value run configuration with exhaustive validation.
 
 Config files are UTF-8 text, one `key = value` per line, `#` comments.
-Parsing reports every problem at once (unknown keys, type errors,
-range violations, duplicates), each tagged with its line number.
+Parsing reports every problem at once (unknown keys, bad or out-of-range
+values, duplicates), each tagged with its line number.
+
+Each input rule is one converter that takes the raw text and returns the
+value or raises ValueError.  A config field's annotation is its
+converter, so `simulate` and `sweep` keys of the same name follow the
+same rule, and the command line uses the same converters for its
+options.
 """
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -16,37 +23,53 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
 
 
-@dataclass
-class RunConfig:
-    model: str = None
-    epsilon: float = None
-    n: int = None
-    horizon: float = None
-    dt: float = None
-    rescaled_time: bool = False
-    initial_curve: str = "circle"
-    inextensibility_tol: float = 1e-6
-    cg_tol: float = 1e-10
-    energy_tol: float = 1e-8
-    snapshot_every: int = 20
+def positive(raw):
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return value
 
 
-@dataclass
-class SweepConfig:
-    epsilons: tuple = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    horizon: float = 0.5
-    n: int = 256
-    initial_curve: str = "perturbed-circle(3,0.05)"
-    snapshot_every: int = field(default=None)
-    cg_tol: float = 1e-10
-    inextensibility_tol: float = 1e-6
-    confirmation: bool = False  # extra n=1024 run at eps=1e-4
+def count(raw):
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value!r}")
+    return value
 
 
-_REQUIRED = ("model", "epsilon", "n", "horizon")
+def power_of_two(raw):
+    value = int(raw)
+    if value < 32 or value & (value - 1):
+        raise ValueError(f"must be a power of two >= 32, got {value!r}")
+    return value
 
 
-def _parse_bool(raw):
+def aspect_ratio(raw):
+    value = float(raw)
+    if not 0.0 < value <= 0.1:
+        raise ValueError(f"must lie in (0, 0.1], got {value!r}")
+    return value
+
+
+def aspect_ratios(raw):
+    """A strictly decreasing comma-separated list in (0, 0.1)."""
+    values = tuple(float(p) for p in raw.split(",") if p.strip())
+    if not values:
+        raise ValueError("must be a nonempty comma-separated list")
+    if not all(0.0 < e < 0.1 for e in values):
+        raise ValueError(f"each must lie in (0, 0.1), got {values}")
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"must be strictly decreasing, got {values}")
+    return values
+
+
+def model_name(raw):
+    if raw not in ("leps", "rft"):
+        raise ValueError(f"must be 'leps' or 'rft', got {raw!r}")
+    return raw
+
+
+def boolean(raw):
     low = raw.lower()
     if low in ("true", "on", "yes", "1"):
         return True
@@ -55,9 +78,38 @@ def _parse_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_lines(text, errors):
-    """key -> (value string, line number); duplicate keys are errors."""
-    seen = {}
+@dataclass
+class RunConfig:
+    model: model_name = None
+    epsilon: aspect_ratio = None
+    n: power_of_two = None
+    horizon: positive = None
+    dt: positive = None
+    rescaled_time: boolean = False
+    initial_curve: str = "circle"
+    inextensibility_tol: positive = 1e-6
+    cg_tol: positive = 1e-10
+    energy_tol: positive = 1e-8
+    snapshot_every: count = 20
+
+
+@dataclass
+class SweepConfig:
+    epsilons: aspect_ratios = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    horizon: positive = 0.5
+    n: power_of_two = 256
+    initial_curve: str = "perturbed-circle(3,0.05)"
+    snapshot_every: count = None
+    cg_tol: positive = 1e-10
+    inextensibility_tol: positive = 1e-6
+    confirmation: boolean = False  # extra n=1024 run at eps=1e-4
+
+
+def _parse(text, cls, required):
+    """A cls from key=value text, each value converted by its field's
+    annotation; raises ConfigError listing every problem."""
+    rules = {f.name: f.type for f in fields(cls)}
+    errors, values, first_line = [], {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -66,93 +118,33 @@ def _parse_lines(text, errors):
             errors.append(f"line {lineno}: expected 'key = value', got {body!r}")
             continue
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key in seen:
+        if key in first_line:
             errors.append(
-                f"line {lineno}: duplicate key {key!r} (first set on line {seen[key][1]})"
+                f"line {lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
             )
             continue
-        seen[key] = (raw, lineno)
-    return seen
-
-
-def _convert(seen, cls, errors, **special):
-    """Values for the fields of config class cls, each converted by its
-    field's type (bool by _parse_bool) unless `special` names another."""
-    spec = {f.name: special.get(f.name, _parse_bool if f.type is bool else f.type)
-            for f in fields(cls)}
-    out = {}
-    for key, (raw, lineno) in seen.items():
-        if key not in spec:
+        first_line[key] = lineno
+        if key not in rules:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            out[key] = spec[key](raw)
-        except (ValueError, TypeError) as exc:
+            values[key] = rules[key](raw)
+        except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
-    return out
+    errors += [f"missing required key {key!r}" for key in required if key not in first_line]
+    if errors:
+        raise ConfigError(errors)
+    return cls(**values)
 
 
 def parse_config(text):
     """Parse and validate a RunConfig; raises ConfigError listing all problems."""
-    errors = []
-    seen = _parse_lines(text, errors)
-    values = _convert(seen, RunConfig, errors)
-    for key in _REQUIRED:
-        if key not in seen:
-            errors.append(f"missing required key {key!r}")
-    config = RunConfig(**values)
-    _line = {k: v[1] for k, v in seen.items()}
-
-    def complain(key, message):
-        prefix = f"line {_line[key]}: " if key in _line else ""
-        errors.append(f"{prefix}{message}")
-
-    if config.model is not None and config.model not in ("leps", "rft"):
-        complain("model", f"model must be 'leps' or 'rft', got {config.model!r}")
-    if config.epsilon is not None and not (0.0 < config.epsilon <= 0.1):
-        complain("epsilon", f"epsilon must lie in (0, 0.1], got {config.epsilon!r}")
-    if config.n is not None and (config.n < 32 or config.n & (config.n - 1)):
-        complain("n", f"n must be a power of two >= 32, got {config.n!r}")
-    if config.horizon is not None and config.horizon <= 0:
-        complain("horizon", f"horizon must be positive, got {config.horizon!r}")
-    if config.dt is not None and config.dt <= 0:
-        complain("dt", f"dt must be positive, got {config.dt!r}")
-    for key in ("inextensibility_tol", "cg_tol", "energy_tol"):
-        val = getattr(config, key)
-        if not val > 0:
-            complain(key, f"{key} must be positive, got {val!r}")
-    if config.snapshot_every < 1:
-        complain("snapshot_every", f"snapshot_every must be >= 1, got {config.snapshot_every!r}")
-    if errors:
-        raise ConfigError(errors)
-    return config
+    return _parse(text, RunConfig, ("model", "epsilon", "n", "horizon"))
 
 
 def parse_sweep_config(text):
     """Parse and validate a SweepConfig from key=value text."""
-    errors = []
-    seen = _parse_lines(text, errors)
-
-    def _epsilons(raw):
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-
-    values = _convert(seen, SweepConfig, errors, epsilons=_epsilons)
-    config = SweepConfig(**values)
-    eps = config.epsilons
-    if not eps:
-        errors.append("epsilons must be a nonempty comma-separated list")
-    else:
-        if any(not (0.0 < e < 0.1) for e in eps):
-            errors.append(f"all epsilons must lie in (0, 0.1), got {eps}")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            errors.append(f"epsilons must be strictly decreasing, got {eps}")
-    if config.n < 32 or config.n & (config.n - 1):
-        errors.append(f"n must be a power of two >= 32, got {config.n!r}")
-    if config.horizon <= 0:
-        errors.append(f"horizon must be positive, got {config.horizon!r}")
-    if errors:
-        raise ConfigError(errors)
-    return config
+    return _parse(text, SweepConfig, ())
 
 
 def config_as_dict(config):

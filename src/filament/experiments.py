@@ -191,7 +191,7 @@ def convergence_study(sweep, jobs=1):
     if sweep.confirmation:
         tasks.append((1e-4, config_as_dict(sweep), 1024))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             records = list(pool.map(_study_worker, tasks))
     else:
         records = [_study_worker(t) for t in tasks]

@@ -442,7 +442,7 @@ def read_curve_csv(path):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header
         if [h.strip() for h in header] != ["s", "x", "y", "z"]:
             raise ValueError(f"unexpected curve CSV header: {header}")
         for row in reader:

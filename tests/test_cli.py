@@ -2,6 +2,7 @@
 manifests, and overwrite protection."""
 
 import csv
+import importlib
 import json
 import math
 
@@ -32,6 +33,33 @@ dt = 1e-6
 initial_curve = perturbed-circle(2,0.03)
 snapshot_every = 1
 """
+
+TINY_SWEEP = """\
+epsilons = 1e-2
+horizon = 1e-5
+n = 32
+initial_curve = perturbed-circle(2,0.03)
+"""
+
+
+def tiny_call(tmp_path, command):
+    """argv of a tiny run of command, and the path of its manifest."""
+    from filament.spectral import PeriodicCurve, write_curve_csv
+
+    curve = tmp_path / "circle.csv"
+    write_curve_csv(PeriodicCurve.circle(32), curve, epsilon=1e-2, time=0.0, model="leps")
+    args = {
+        "simulate": ["--config", write_config(tmp_path, GOOD_CONFIG)],
+        "sweep": ["--config", write_config(tmp_path, TINY_SWEEP, name="sweep.cfg")],
+        "multiplier-dump": ["--epsilon", "1e-2", "--kmax", "8"],
+        "tension-check": ["--curve", str(curve), "--epsilon", "1e-2"],
+        "lemma-suite": ["--epsilons", "1e-2,1e-3", "--kmax", "128"],
+    }[command]
+    if command in ("multiplier-dump", "tension-check"):
+        out = tmp_path / "out.csv"
+        return [command, *args, "--out", str(out)], tmp_path / "out.manifest.json"
+    out = tmp_path / "out"
+    return [command, *args, "--out", str(out)], out / "manifest.json"
 
 
 class TestMultiplierDump:
@@ -121,6 +149,11 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 1
         assert "viscosity" in capsys.readouterr().err
 
+    def test_nan_horizon_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, GOOD_CONFIG.replace("horizon = 2e-6", "horizon = nan"))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
+        assert "horizon" in capsys.readouterr().err
+
     def test_aborted_run_exit_2(self, tmp_path):
         config = write_config(tmp_path, GOOD_CONFIG + "cg_tol = 1e-30\n")
         out = tmp_path / "run"
@@ -151,6 +184,14 @@ class TestTensionCheck:
         assert main(["tension-check", "--curve", str(tmp_path / "no.csv"),
                      "--epsilon", "1e-2",
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("text", ["", "a,b,c,d\n0,1,2,3\n"], ids=["empty", "bad-header"])
+    def test_bad_curve_file_exit_1(self, tmp_path, capsys, text):
+        curve_path = tmp_path / "bad.csv"
+        curve_path.write_text(text)
+        assert main(["tension-check", "--curve", str(curve_path), "--epsilon", "1e-2",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "bad curve file" in capsys.readouterr().err
 
 
 class TestLemmaSuiteCommand:
@@ -190,6 +231,48 @@ snapshot_every = 5
         traces = sorted(out.glob("traces_*.csv"))
         assert len(traces) == 3
 
+    @pytest.mark.parametrize("line", ["snapshot_every = 0", "cg_tol = -1", "horizon = nan"])
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, line):
+        # sweep keys follow the simulate rules
+        config = write_config(tmp_path, TINY_SWEEP.replace("horizon = 1e-5\n", "") + line + "\n",
+                              name="sweep.cfg")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep")]) == 1
+        assert line.split()[0] in capsys.readouterr().err
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command,module,name", [
+        ("simulate", "evolution", "run"),
+        ("sweep", "experiments", "convergence_study"),
+        ("lemma-suite", "experiments", "lemma_suite"),
+    ])
+    def test_rerun_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                           command, module, name):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(importlib.import_module(f"filament.{module}"), name, must_not_run)
+        argv, manifest = tiny_call(tmp_path, command)
+        manifest.parent.mkdir()
+        manifest.write_text("{}\n")
+        assert main(argv) == 1
+        assert "--force" in capsys.readouterr().err
+        assert manifest.read_text() == "{}\n"
+
+    @pytest.mark.parametrize("command,keys", [
+        ("simulate", ["config", "versions", "wall_time_s", "steps", "aborted"]),
+        ("sweep", ["config", "versions", "wall_time_s", "fitted_constants", "failed_rows"]),
+        ("multiplier-dump", ["epsilon", "kmax", "versions"]),
+        ("tension-check", ["epsilon", "model", "n", "mean_tau", "cg_iterations", "versions"]),
+        ("lemma-suite", ["epsilons", "kmax", "versions", "wall_time_s", "fitted_constants",
+                         "passed"]),
+    ])
+    def test_manifest_key_order(self, tmp_path, command, keys):
+        # command, echo, versions, wall time (directory outputs only), results
+        argv, manifest = tiny_call(tmp_path, command)
+        assert main(argv) == 0
+        assert list(json.loads(manifest.read_text())) == ["command", *keys]
+
 
 class TestProgrammingErrors:
     def test_type_error_propagates(self, tmp_path, monkeypatch):
@@ -209,6 +292,18 @@ class TestArgumentErrors:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["orbit"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("lemma-suite", "--epsilons", "1e-2,abc"),
+        ("sweep", "--jobs", "0"),
+        ("multiplier-dump", "--kmax", "0"),
+    ])
+    def test_bad_option_value_exit_1(self, tmp_path, capsys, command, flag, value):
+        # argparse converts every occurrence of a flag, so the appended value
+        # is checked even where argv already sets that flag
+        argv, _ = tiny_call(tmp_path, command)
+        assert main([*argv, flag, value]) == 1
+        assert flag in capsys.readouterr().err
 
     def test_missing_required_arg_exit_1(self, capsys):
         assert main(["multiplier-dump", "--epsilon", "1e-2"]) == 1

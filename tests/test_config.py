@@ -70,6 +70,7 @@ class TestRunConfig:
         ("n = 48", "power of two"),
         ("n = 16", "power of two"),
         ("horizon = -1", "horizon"),
+        ("horizon = nan", "horizon"),
         ("dt = 0", "dt"),
         ("cg_tol = -1e-10", "cg_tol"),
         ("snapshot_every = 0", "snapshot_every"),
@@ -108,6 +109,15 @@ class TestSweepConfig:
         with pytest.raises(ConfigError) as err:
             parse_sweep_config("epsilons = 1e-3, 1e-2\n")
         assert "decreasing" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "snapshot_every = 0", "cg_tol = -1", "inextensibility_tol = 0", "horizon = nan",
+        "n = 48", "epsilons = ",
+    ])
+    def test_keys_follow_the_simulate_rules(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_sweep_config(line + "\n")
+        assert f"line 1: bad value for '{line.split()[0]}'" in str(err.value)
 
     def test_epsilons_range(self):
         with pytest.raises(ConfigError):

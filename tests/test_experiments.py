@@ -257,6 +257,30 @@ class TestStudyDriver:
             assert a.sup_h2 == b.sup_h2
             assert a.steps == b.steps
 
+    def test_pool_no_larger_than_the_sweep(self, monkeypatch):
+        # fork starts every worker at the first submit, so an uncapped
+        # jobs=64 on three rows would fork 64 processes
+        from filament import experiments
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [task[0] for task in tasks]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        assert convergence_study(self.make_sweep(), jobs=64) == [1e-2, 3e-3, 1e-3]
+        assert sizes == [3]
+
     def test_confirmation_adds_fine_grid_row(self):
         sweep = SweepConfig(epsilons=(1e-2, 1e-3, 3e-4), horizon=1e-4, n=64,
                             initial_curve="perturbed-circle(2,0.03)")

@@ -10,12 +10,11 @@ its plan.json through filament.cli.main, so the outputs land in out/
 next to the inputs.  It then runs `lemma-suite` at its defaults into
 OUT/lemma-suite/ and `multiplier-dump --epsilon 1e-3 --kmax 4096` into
 OUT/multiplier-dump/.  Each replay runs in a fresh interpreter with
-BLAS and OpenMP pinned to one thread, as in the benchmark.  Compare two
-replays with
+BLAS and OpenMP pinned to one thread, as in the benchmark.  The
+wall_time_s of each directory manifest (manifest.json) is dropped, so
+two replays compare whole, manifests included, with
 
-    diff -r --exclude=manifest.json OUT_A OUT_B
-
-The manifests differ in their wall_time_s and nothing else.
+    diff -r OUT_A OUT_B
 """
 
 import json
@@ -58,6 +57,10 @@ def replay(root, directory, args):
                PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'perfbench'}")
     proc = subprocess.run([sys.executable, "-c", CHILD, *args], cwd=directory, env=env)
     print(f"{directory.name}: exit code {proc.returncode}")
+    for path in directory.rglob("manifest.json"):
+        manifest = json.loads(path.read_text())
+        manifest.pop("wall_time_s", None)
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
     return proc.returncode
 
 
