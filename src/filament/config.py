@@ -13,6 +13,7 @@ options.
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -69,6 +70,34 @@ def model_name(raw):
     return raw
 
 
+def curve_spec(raw):
+    """The initial curve a name asks for: ("circle",), ("trefoil",),
+    ("perturbed-circle", mode, amplitude) or ("csv", path)."""
+    name = raw.strip()
+    if name in ("circle", "trefoil"):
+        return (name,)
+    if name.startswith("perturbed-circle(") and name.endswith(")"):
+        parts = [p.strip() for p in name[len("perturbed-circle("):-1].split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"perturbed-circle takes (mode, amplitude), got {name!r}")
+        mode, amplitude = int(parts[0]), float(parts[1])
+        if mode < 1 or not math.isfinite(amplitude):
+            raise ValueError(f"perturbed-circle needs a mode >= 1 and a finite amplitude, "
+                             f"got {name!r}")
+        return ("perturbed-circle", mode, amplitude)
+    if name.endswith(".csv"):
+        return ("csv", name)
+    raise ValueError(f"unknown initial curve {name!r}")
+
+
+def curve_name(raw):
+    """A corpus curve name with valid arguments, or an existing .csv file."""
+    kind, *args = curve_spec(raw)
+    if kind == "csv" and not Path(args[0]).is_file():
+        raise ValueError(f"curve file not found: {args[0]}")
+    return raw.strip()
+
+
 def boolean(raw):
     low = raw.lower()
     if low in ("true", "on", "yes", "1"):
@@ -86,7 +115,7 @@ class RunConfig:
     horizon: positive = None
     dt: positive = None
     rescaled_time: boolean = False
-    initial_curve: str = "circle"
+    initial_curve: curve_name = "circle"
     inextensibility_tol: positive = 1e-6
     cg_tol: positive = 1e-10
     energy_tol: positive = 1e-8
@@ -98,7 +127,7 @@ class SweepConfig:
     epsilons: aspect_ratios = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     horizon: positive = 0.5
     n: power_of_two = 256
-    initial_curve: str = "perturbed-circle(3,0.05)"
+    initial_curve: curve_name = "perturbed-circle(3,0.05)"
     snapshot_every: count = None
     cg_tol: positive = 1e-10
     inextensibility_tol: positive = 1e-6

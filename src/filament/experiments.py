@@ -5,9 +5,16 @@ protocol: constants are fitted on the coarsest eps and must bound the
 finer runs with 10% slack), the eps-sweep convergence of the nonlocal
 dynamics to RFT under rescaled time, and the discrepancy energy and
 dissipation traces of the difference W = X - Y.
+
+The sweep steps its rows together: every row of one grid size is a
+lockstep group of its two models, and all groups advance as one batch
+with a member axis first (see evolution.lockstep).  With jobs > 1 the
+rows are split into contiguous chunks, one per worker process, and each
+chunk is such a batch.
 """
 
 import itertools
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -15,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SweepConfig, config_as_dict
-from .evolution import H2, EvolutionState, choose_dt, energy, initial_curve, lockstep
+from .evolution import H2, EvolutionState, Group, StepOptions, energy, initial_curve, lockstep
 from .evolution import _step  # noqa: F401  (perfbench/test_smoke.py looks it up here)
 from .multipliers import build_table, eval_mn, eval_mt, lowk_rft_difference, rft_constants
 from .spectral import (
@@ -32,7 +39,8 @@ from .spectral import (
     to_coeffs,
     write_csv,
 )
-from .tension import SolverError
+
+log = logging.getLogger(__name__)
 
 H72_HOM = SobolevIndex(3.5, homogeneous=True)
 H_MINUS_HALF = SobolevIndex(-0.5)
@@ -74,28 +82,32 @@ def discrepancy_energy_trace(times, curves_x, curves_y, table):
     fourth derivative of W split into tangential/normal parts along X,
     summed by Parseval on the rfft coefficients.
     """
+    return _discrepancy_record(table, curves_x[0].n, times,
+                               [_discrepancy_row(cx, cy, table)
+                                for cx, cy in zip(curves_x, curves_y)])
+
+
+def _discrepancy_row(cx, cy, table):
+    """||W||_H2, ||W||_H72, E_W, D_W and |mean-mode W_0|^2 at one snapshot."""
+    grid = cx.grid
+    size = grid.k.shape[0]
+    w_hat = cx.coeffs - cy.coeffs
+    wss = cx.xss - cy.xss
+    wssss = grid.ik_pow[:, 4, None] * w_hat
+    pt = project_tangent(cx, wssss)
+    power = (table.mt[:size, None] * np.abs(pt) ** 2
+             + table.mn[:size, None] * np.abs(wssss - pt) ** 2)
+    return (sobolev_norm_coeffs(w_hat, H2), sobolev_norm_coeffs(w_hat, H72_HOM),
+            mean_inner(wss, wss), float(np.sum(grid.weight[:, None] * power)),
+            float(np.sum(np.mean(cx.samples - cy.samples, axis=0) ** 2)))
+
+
+def _discrepancy_record(table, n, times, rows):
+    """The DiscrepancyRecord of the snapshot rows of _discrepancy_row."""
     times = np.asarray(times, dtype=float)
-    h2 = np.empty(times.shape)
-    h72 = np.empty(times.shape)
-    ew = np.empty(times.shape)
-    dw = np.empty(times.shape)
-    mean_sq = np.empty(times.shape)
-    for i, (cx, cy) in enumerate(zip(curves_x, curves_y)):
-        grid = cx.grid
-        size = grid.k.shape[0]
-        w_hat = cx.coeffs - cy.coeffs
-        h2[i] = sobolev_norm_coeffs(w_hat, H2)
-        h72[i] = sobolev_norm_coeffs(w_hat, H72_HOM)
-        wss = cx.xss - cy.xss
-        ew[i] = mean_inner(wss, wss)
-        wssss = grid.ik_pow[:, 4, None] * w_hat
-        pt = project_tangent(cx, wssss)
-        power = (table.mt[:size, None] * np.abs(pt) ** 2
-                 + table.mn[:size, None] * np.abs(wssss - pt) ** 2)
-        dw[i] = float(np.sum(grid.weight[:, None] * power))
-        mean_sq[i] = float(np.sum(np.mean(cx.samples - cy.samples, axis=0) ** 2))
+    h2, h72, ew, dw, mean_sq = (np.array(column, dtype=float) for column in zip(*rows))
     return DiscrepancyRecord(
-        eps=table.epsilon, n=curves_x[0].n, times=times, h2=h2, ew=ew, dw=dw,
+        eps=table.epsilon, n=n, times=times, h2=h2, ew=ew, dw=dw,
         mean_sq=mean_sq, sup_h2=float(np.max(h2)),
         l2t_h72=float(np.sqrt(np.trapezoid(h72 ** 2, times))),
         max_ew=float(np.max(ew)), int_dw=float(np.trapezoid(dw, times)),
@@ -106,8 +118,7 @@ POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
 SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
 
 
-def run_pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
-             cg_tol=1e-10, inext_tol=1e-6, table=None):
+def run_pair(eps, n, horizon, initial_name, **options):
     """Run both models in rescaled time, lockstep, and compare.
 
     Both runs share the grid, the initial curve, and the dt schedule
@@ -118,22 +129,22 @@ def run_pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
     Growth is limited to a factor 2 per re-evaluation and capped at
     horizon/SNAPSHOT_TARGET, which is safe because the semi-implicit
     update is exactly stationary on the relaxed circle.  A pair that
-    `lockstep` ends early comes back as a failed record.
+    `lockstep` ends early comes back as a failed record.  The options
+    are those of `_pair`.
     """
+    group, finish = _pair(eps, n, horizon, initial_name, **options)
+    lockstep([group])
+    return finish(group)
+
+
+def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
+          cg_tol=1e-10, inext_tol=1e-6, table=None):
+    """The lockstep group of one eps row, and the function that makes
+    the stepped group its DiscrepancyRecord."""
     curve = initial_curve(initial_name, n)
     if table is None:
         table = build_table(eps, n // 2)
-    force_maps = (table, rft_constants(eps))
-
-    def policy(states):
-        return min(choose_dt(state.curve, force_map, cg_tol=cg_tol, rescaled=True)
-                   for state, force_map in zip(states, force_maps))
-
-    adaptive = dt is None
     interval = horizon / SNAPSHOT_TARGET
-    start = [EvolutionState(curve, 0.0)] * 2
-    if adaptive:
-        dt = min(policy(start), interval)
     # Snapshots are taken every `stride` steps, which concentrates them
     # in the initial transient where the policy keeps dt small and the
     # discrepancy actually accumulates, plus at fixed time marks (running
@@ -141,61 +152,79 @@ def run_pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
     stride = 20 if snapshot_every is None else snapshot_every
     marks = itertools.accumulate(itertools.repeat(interval))
     next_snap = next(marks)
-    snapshots = [(0.0, curve, curve)]
+    # (time, _discrepancy_row) per snapshot: a row is a few numbers, so
+    # the rows of a batch keep no curves alive
+    snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
 
-    def after_step(states, steps, dt_step, dt):
+    def after_step(states, steps, dt_step):
         nonlocal next_snap
-        if adaptive and steps % POLICY_EVERY == 0:
-            dt = min(policy(states), 2.0 * dt, interval)
         t = states[0].time
         if (t >= horizon * (1.0 - 1e-12) or steps % stride == 0
                 or t >= next_snap * (1.0 - 1e-12)):
-            snapshots.append((t, states[0].curve, states[1].curve))
+            snapshots.append((t, _discrepancy_row(states[0].curve, states[1].curve, table)))
             if next_snap <= t * (1.0 + 1e-12):
                 next_snap = next(m for m in marks if m > t * (1.0 + 1e-12))
-        return dt
 
-    _, dt, steps, flags, aborted = lockstep(
-        start, force_maps, dt, horizon, horizon * (1.0 - 1e-12), after_step,
-        cg_tol=cg_tol, inext_tol=inext_tol, energy_tol_abs=1e-8 * energy(curve),
-        time_scale=1.0 / abs(math.log(eps)),
-    )
-    if aborted is not None:
-        return DiscrepancyRecord(eps=eps, n=n, failed=aborted)
-    times, curves_x, curves_y = zip(*snapshots)
-    record = discrepancy_energy_trace(times, curves_x, curves_y, table)
-    return replace(record, dt=dt, steps=steps, flags=flags)
+    def finish(group):
+        progress = dict(dt=group.dt, steps=group.steps, flags=group.flagged)
+        if group.failure is not None:
+            return DiscrepancyRecord(eps=eps, n=n, failed=group.failure, **progress)
+        times, rows = zip(*snapshots)
+        return replace(_discrepancy_record(table, n, times, rows), **progress)
+
+    options = StepOptions(cg_tol=cg_tol, inext_tol=inext_tol,
+                          energy_tol_abs=1e-8 * energy(curve),
+                          time_scale=1.0 / abs(math.log(eps)))
+    group = Group([EvolutionState(curve, 0.0)] * 2, (table, rft_constants(eps)), dt,
+                  horizon, horizon * (1.0 - 1e-12), after_step, options,
+                  policy_every=POLICY_EVERY if dt is None else 0, dt_cap=interval,
+                  rescaled=True)
+    return group, finish
 
 
-def _study_worker(args):
-    eps, sweep_dict, n_override = args
-    sweep = SweepConfig(**sweep_dict)
-    n = n_override if n_override else sweep.n
-    try:
-        return run_pair(
-            eps, n, sweep.horizon, sweep.initial_curve,
-            snapshot_every=sweep.snapshot_every,
-            cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
-        )
-    except (SolverError, GeometryError) as exc:
-        return DiscrepancyRecord(eps=eps, n=n, failed=f"{type(exc).__name__}: {exc}")
+def _study_worker(tasks):
+    """The records of a chunk of sweep rows; the rows of one grid size
+    step as one batch."""
+    rows = []
+    for eps, sweep_dict, n_override in tasks:
+        sweep = SweepConfig(**sweep_dict)
+        n = n_override if n_override else sweep.n
+        try:
+            rows.append((n, *_pair(
+                eps, n, sweep.horizon, sweep.initial_curve,
+                snapshot_every=sweep.snapshot_every,
+                cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
+            )))
+        except GeometryError as exc:
+            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n,
+                                                    failed=f"{type(exc).__name__}: {exc}")))
+    for size in dict.fromkeys(n for n, *_ in rows):
+        lockstep([group for n, group, _ in rows if n == size and group is not None])
+    records = [finish if group is None else finish(group) for _, group, finish in rows]
+    for r in records:
+        log.info("sweep row eps=%g n=%d: steps=%d dt=%s flags=%d failure=%s",
+                 r.eps, r.n, r.steps, r.dt, r.flags, r.failed)
+    return records
 
 
 def convergence_study(sweep, jobs=1):
     """DiscrepancyRecords for every eps in the sweep (plus confirmation).
 
     A failed eps row is reported with its error message; the study
-    continues with the remaining rows.
+    continues with the remaining rows.  jobs > 1 splits the rows into
+    that many contiguous chunks (at most one per row), each run as one
+    batch in its own worker process.
     """
     tasks = [(eps, config_as_dict(sweep), None) for eps in sweep.epsilons]
     if sweep.confirmation:
         tasks.append((1e-4, config_as_dict(sweep), 1024))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            records = list(pool.map(_study_worker, tasks))
-    else:
-        records = [_study_worker(t) for t in tasks]
-    return records
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return _study_worker(tasks)
+    bounds = [i * len(tasks) // workers for i in range(workers + 1)]
+    chunks = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [record for records in pool.map(_study_worker, chunks) for record in records]
 
 
 def compensated_band(records):

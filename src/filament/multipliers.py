@@ -16,9 +16,12 @@ needed.
 
 The table and the RFT constants are the two force maps: each carries
 its operator (`apply`), the symbols of the implicit principal part and
-of the tension preconditioner, |log eps| and its model name.
+of the tension preconditioner, |log eps| and its model name.  A
+ForceMapStack is the force map of a batch of curves (see
+spectral.CurveBatch): the same interface with a member axis first.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +170,63 @@ def build_table(epsilon, kmax):
         raise ValueError(f"kmax must be >= 1, got {kmax!r}")
     k = np.arange(kmax + 1)
     return MultiplierTable(epsilon, int(kmax), eval_mt(epsilon, k), eval_mn(epsilon, k))
+
+
+class ForceMapStack:
+    """The force maps of a batch's members as one force map with a member
+    axis: m_t, m_n rows for the leps members, which come first, and
+    normal constants for the rft members.  `apply` makes the first
+    tangent projection once for all members and L_eps's second one for
+    the leps members only.  Symbols have shape (m, size) and log_eps
+    (m, 1); indexing gives the stack of the selected members."""
+
+    def __init__(self, maps, size):
+        self.maps = tuple(maps)
+        self.split = sum(m.model == "leps" for m in self.maps)
+        tables, rfts = self.maps[:self.split], self.maps[self.split:]
+        if any(m.model == "leps" for m in rfts):
+            raise ValueError("the leps members of a force-map stack come first")
+        if any(t.kmax + 1 < size for t in tables):
+            raise ValueError("multiplier table shorter than the resolved spectrum")
+        self.kmax = size - 1
+        self.mt = np.array([t.mt[:size] for t in tables]).reshape(-1, size)
+        self.mn = np.array([t.mn[:size] for t in tables]).reshape(-1, size)
+        self.normal = np.array([c.normal for c in rfts])[:, None, None]
+        self.log_eps = np.array([m.log_eps for m in self.maps])[:, None]
+        self._principal = np.empty((len(self.maps), size))
+        self._precond = np.empty((len(self.maps), size))
+        for row, m in enumerate(self.maps):
+            self._principal[row] = m.principal_symbol(size)
+            self._precond[row] = m.precond_symbol(size)
+
+    def __getitem__(self, index):
+        index = np.arange(len(self.maps))[index]  # ascending, so leps members stay first
+        stack = copy.copy(self)
+        stack.maps = tuple(self.maps[i] for i in index)
+        stack.split = int(np.count_nonzero(index < self.split))
+        stack.mt, stack.mn = self.mt[index[:stack.split]], self.mn[index[:stack.split]]
+        stack.normal = self.normal[index[stack.split:] - self.split]
+        stack.log_eps, stack._principal, stack._precond = (
+            a[index] for a in (self.log_eps, self._principal, self._precond))
+        return stack
+
+    def apply(self, curve, coeffs):
+        pt = spectral.project_tangent(curve, coeffs)
+        split = self.split
+        if split == len(self.maps):
+            return spectral.apply_L_eps(curve, self, coeffs, pt)
+        if split == 0:
+            return spectral.apply_L_rft(curve, self, coeffs, pt)
+        out = np.empty_like(coeffs)
+        out[:split] = spectral.apply_L_eps(curve[:split], self, coeffs[:split], pt[:split])
+        out[split:] = spectral.apply_L_rft(curve[split:], self, coeffs[split:], pt[split:])
+        return out
+
+    def principal_symbol(self, size):
+        return self._principal
+
+    def precond_symbol(self, size):
+        return self._precond
 
 
 def force_map_for(model, epsilon, n):

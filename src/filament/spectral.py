@@ -13,9 +13,15 @@ and the multipliers are diagonal there, so each pointwise product with
 the tangent costs one irfft/rfft pair and nothing else.  L_eps costs 8
 FFT calls, L_rft 4, and a curve's derivatives X_s..X_ssss and its
 dealiased tangent come from one batched irfft.  Callers holding samples
-convert at their own boundary with to_coeffs/from_coeffs.  A model step
-of the eps-sweep at n = 256 makes about 74 FFT calls this way, against
-173 when every operator did its own round trips.
+convert at their own boundary with to_coeffs/from_coeffs.
+
+Member axis: several curves on one grid step as one array program.  A
+CurveBatch holds their coefficients (m, n/2+1, 3) and tangents (m, n, 3),
+member axis first, and the projection and force maps take a batch
+wherever they take a curve: the grid is axis -2 of a vector field and
+axis -1 of a scalar one, so every FFT call transforms all members at
+once.  Each member's columns go through the same arithmetic as alone,
+so a batch gives every member the bits of its solo computation.
 """
 
 import csv
@@ -45,6 +51,7 @@ class Grid:
         self.k = np.fft.rfftfreq(n, 1.0 / n)  # 0, 1, ..., n/2
         self.kcut = n // 3
         self.band = self.k <= self.kcut
+        self.above_band = slice(self.kcut + 1, None)  # the modes ~band zeroes
         # rfft mode multiplicities for Parseval sums: every interior
         # mode stands for a Hermitian pair.
         self.weight = np.full(self.k.shape, 2.0)
@@ -67,23 +74,23 @@ class Grid:
         return grid
 
 
-def to_coeffs(values):
-    """Fourier coefficients (rfft layout) of real samples, any trailing shape."""
-    return np.fft.rfft(values, axis=0) / values.shape[0]
+def to_coeffs(values, axis=0):
+    """Fourier coefficients (rfft layout) of real samples on the given grid axis."""
+    return np.fft.rfft(values, axis=axis) / values.shape[axis]
 
 
-def from_coeffs(coeffs, n):
-    """Real samples from rfft-layout coefficients."""
-    return np.fft.irfft(coeffs * n, n=n, axis=0)
+def from_coeffs(coeffs, n, axis=0):
+    """Real samples from rfft-layout coefficients on the given grid axis."""
+    return np.fft.irfft(coeffs * n, n=n, axis=axis)
 
 
-def dealias(values):
+def dealias(values, axis=0):
     """Zero all modes above the 2/3-rule cutoff |k| > n/3."""
-    n = values.shape[0]
+    n = values.shape[axis]
     grid = Grid.of_size(n)
-    coeffs = to_coeffs(values)
-    coeffs[~grid.band] = 0.0
-    return from_coeffs(coeffs, n)
+    coeffs = to_coeffs(values, axis)
+    coeffs[(slice(None),) * (axis % coeffs.ndim) + (grid.above_band,)] = 0.0
+    return from_coeffs(coeffs, n, axis)
 
 
 @dataclass(frozen=True)
@@ -154,11 +161,7 @@ class PeriodicCurve:
     def _derived(self, key):
         """X_s..X_ssss and the tangent, all from one batched irfft."""
         if key not in self._cache:
-            factor = self.grid.stack_factor[:, :, None]
-            stack = from_coeffs(factor * self.coeffs[:, None, :], self.n)
-            stack = np.ascontiguousarray(np.moveaxis(stack, 1, 0))
-            stack.setflags(write=False)
-            for name, values in zip(self._DERIVED, stack):
+            for name, values in zip(self._DERIVED, _derivative_stack(self.grid, self.coeffs)):
                 self._cache.setdefault(name, values)
         return self._cache[key]
 
@@ -228,6 +231,74 @@ class PeriodicCurve:
         return _dense_passes(cls(raw), 3)
 
 
+def _derivative_stack(grid, coeffs, fields=slice(None)):
+    """X_s..X_ssss and the dealiased tangent (or the selected fields of
+    the five) of the curves with rfft coefficients (..., n/2+1, 3), from
+    one batched irfft: read-only, shape (..., fields, n, 3)."""
+    factor = grid.stack_factor[:, fields, None]
+    stack = from_coeffs(factor * coeffs[..., :, None, :], grid.n, axis=-3)
+    stack = np.ascontiguousarray(stack.swapaxes(-2, -3))
+    stack.setflags(write=False)
+    return stack
+
+
+# The derived fields a step reads, and their rows in the derivative stack.
+_STEPPED = ("xs", "xss", "tangent")
+_STEPPED_ROWS = [PeriodicCurve._DERIVED.index(name) for name in _STEPPED]
+
+
+def fill_derived(curves):
+    """Cache the coefficients, X_s, X_ss and tangents of the curves on one
+    grid that lack them, from one rfft and one irfft call for all of
+    them.  X_sss and X_ssss stay lazy: a step does not read them."""
+    curves = [c for c in curves if "tangent" not in c._cache]
+    if not curves:
+        return
+    coeffs = to_coeffs(np.array([c.samples for c in curves]), axis=-2)
+    stacks = _derivative_stack(curves[0].grid, coeffs, _STEPPED_ROWS)
+    for curve, member_coeffs, stack in zip(curves, coeffs, stacks):
+        curve._cache.setdefault("coeffs", member_coeffs)
+        curve._cache.update(zip(_STEPPED, stack))
+
+
+def curves_from_samples(samples):
+    """A PeriodicCurve for each member of samples (m, n, 3), or the
+    GeometryError that rejects it, with its derived fields filled."""
+    curves = []
+    for member in samples:
+        try:
+            curves.append(PeriodicCurve(member))
+        except GeometryError as exc:
+            curves.append(exc)
+    fill_derived([c for c in curves if isinstance(c, PeriodicCurve)])
+    return curves
+
+
+class CurveBatch:
+    """Curves on one grid with a member axis first: coefficients
+    (m, n/2+1, 3) and dealiased tangents (m, n, 3).  project_tangent, the
+    force maps and the tension operator take a batch wherever they take a
+    PeriodicCurve; indexing gives the batch of the selected members."""
+
+    def __init__(self, grid, coeffs, tangent):
+        self.grid = grid
+        self.n = grid.n
+        self.coeffs = coeffs
+        self.tangent = tangent
+
+    @classmethod
+    def of(cls, curves):
+        fill_derived(curves)
+        return cls(curves[0].grid, np.array([c.coeffs for c in curves]),
+                   np.array([c.tangent for c in curves]))
+
+    def __len__(self):
+        return len(self.coeffs)
+
+    def __getitem__(self, index):
+        return CurveBatch(self.grid, self.coeffs[index], self.tangent[index])
+
+
 def project_tangent(curve, coeffs):
     """P f = (X_s . f) X_s on rfft coefficients, 2/3-rule dealiased.
 
@@ -237,32 +308,36 @@ def project_tangent(curve, coeffs):
     n = curve.n
     band = curve.grid.band
     tangent = curve.tangent
-    f = from_coeffs(band[:, None] * coeffs, n)
-    q = to_coeffs(np.einsum("ij,ij->i", tangent, f))
-    q[~band] = 0.0
-    p = to_coeffs(tangent * from_coeffs(q, n)[:, None])
-    p[~band] = 0.0
+    f = from_coeffs(band[:, None] * coeffs, n, axis=-2)
+    q = to_coeffs(np.einsum("...ij,...ij->...i", tangent, f), axis=-1)
+    q[..., curve.grid.above_band] = 0.0
+    p = to_coeffs(tangent * from_coeffs(q, n, axis=-1)[..., None], axis=-2)
+    p[..., curve.grid.above_band, :] = 0.0
     return p
 
 
-def apply_L_eps(curve, table, coeffs):
+def apply_L_eps(curve, table, coeffs, pt=None):
     """Force-to-velocity map P T_mt P + (I - P) T_mn (I - P) on rfft
     coefficients, evaluated as b + P(a - b) with a = T_mt P f and
-    b = T_mn (I - P) f: two projections."""
+    b = T_mn (I - P) f: two projections, the first skipped when pt holds
+    P f already."""
     size = curve.grid.k.shape[0]
     if table.kmax + 1 < size:
         raise ValueError("multiplier table shorter than the resolved spectrum")
-    pt = project_tangent(curve, coeffs)
-    a = table.mt[:size, None] * pt
-    b = table.mn[:size, None] * (coeffs - pt)
-    b[-1] = 0.0
+    if pt is None:
+        pt = project_tangent(curve, coeffs)
+    a = table.mt[..., :size, None] * pt
+    b = table.mn[..., :size, None] * (coeffs - pt)
+    b[..., -1, :] = 0.0
     return b + project_tangent(curve, a - b)
 
 
-def apply_L_rft(curve, constants, coeffs):
+def apply_L_rft(curve, constants, coeffs, pt=None):
     """Local RFT operator (|log eps|/4 pi)(I + X_s tensor X_s) on rfft
-    coefficients."""
-    return constants.normal * (coeffs + project_tangent(curve, coeffs))
+    coefficients; pt, when given, is P f."""
+    if pt is None:
+        pt = project_tangent(curve, coeffs)
+    return constants.normal * (coeffs + pt)
 
 
 def reparameterize_arclength(curve, passes=1):
@@ -277,7 +352,9 @@ def reparameterize_arclength(curve, passes=1):
     dense trigonometric interpolation, O(n^2).
     """
     for _ in range(max(1, int(passes))):
-        curve = _reparameterize_once(curve)
+        (curve,) = reparameterize_each([curve])
+        if isinstance(curve, GeometryError):
+            raise curve
     return curve
 
 
@@ -286,11 +363,18 @@ def reparameterize_arclength(curve, passes=1):
 _NEWTON_MAXITER = 50
 
 
+def _fold_over(speed):
+    if np.min(speed) <= 0.5:
+        return GeometryError("fold-over: min |X_s| <= 0.5, cannot reparameterize")
+    return None
+
+
 def _speed_spectrum(curve):
     """Total length and Fourier coefficients of |X_s|; rejects fold-over."""
     speed = curve.speed
-    if np.min(speed) <= 0.5:
-        raise GeometryError("fold-over: min |X_s| <= 0.5, cannot reparameterize")
+    failure = _fold_over(speed)
+    if failure is not None:
+        raise failure
     return float(np.mean(speed)), to_coeffs(speed)
 
 
@@ -301,57 +385,84 @@ def _newton_failure(residual):
     )
 
 
-def _reparameterize_once(curve):
-    """One resampling pass: a Taylor shift from the nodes when
-    x = pi n max|delta^0| <= 1, dense interpolation otherwise.
+def reparameterize_each(curves):
+    """One resampling pass of each curve (all on one grid): a list with
+    each resampled curve, or the GeometryError that rejects it.
 
-    With g the periodic antiderivative of |X_s| - L, the preimage of
-    arclength L j/n is j/n + delta_j with L delta + g(j/n + delta) = g(0),
-    so delta^0_j = -(g(j/n) - g(0))/L is its first-order estimate.
+    A Taylor shift from the nodes when x = pi n max|delta^0| <= 1, dense
+    interpolation otherwise.  With g the periodic antiderivative of
+    |X_s| - L, the preimage of arclength L j/n is j/n + delta_j with
+    L delta + g(j/n + delta) = g(0), so delta^0_j = -(g(j/n) - g(0))/L is
+    its first-order estimate.  The curves are one batch: those with the
+    same Taylor order share their FFT calls and Newton iterations, and a
+    member that converges keeps its preimages while the others iterate.
     """
-    n = curve.n
-    grid = curve.grid
-    total, shat = _speed_spectrum(curve)
+    out = [_fold_over(c.speed) for c in curves]
+    live = [i for i, failure in enumerate(out) if failure is None]
+    if not live:
+        return out
+    grid = curves[live[0]].grid
+    n = grid.n
+    speed = np.array([curves[i].speed for i in live])
+    total = np.array([float(np.mean(member)) for member in speed])
+    shat = to_coeffs(speed, axis=-1)
     ghat = np.zeros_like(shat)
-    ghat[1:] = shat[1:] / (TWO_PI * 1j * grid.k[1:])
-    g = from_coeffs(ghat, n)
-    delta = -(g - g[0]) / total
+    ghat[:, 1:] = shat[:, 1:] / (TWO_PI * 1j * grid.k[1:])
+    g = from_coeffs(ghat, n, axis=-1)
+    delta = -(g - g[:, :1]) / total[:, None]
     # x is the phase by which the shift moves the Nyquist mode; for
     # x <= 1 the Taylor terms decay at least like x^m/m!.
-    x = np.pi * n * float(np.max(np.abs(delta)))
-    if x > 1.0:
-        return _reparameterize_dense(curve)
-    # Orders 0..M with x^M/M! < 1e-17: the shift's truncation error is
-    # below double-precision resolution.
-    order, term = 0, 1.0
-    while term >= 1e-17:
-        order += 1
-        term *= x / order
-    # d^m/ds^m of g and X at the nodes, orders on axis 1.  The Nyquist
-    # mode stays the cosine of the trigonometric interpolant: irfft
-    # keeps its real (even-order) part and drops the odd orders.
-    factor = (TWO_PI * 1j * grid.k[:, None]) ** np.arange(order + 1)
-    gd = from_coeffs(ghat[:, None] * factor, n)
-    xd = from_coeffs(curve.coeffs[:, None, :] * factor[:, :, None], n)
-    g0 = gd[0, 0]
-    tol = 1e-14 * max(total, 1.0)
-    for _ in range(_NEWTON_MAXITER):
-        f = total * delta + _taylor_shift(gd, delta) - g0
-        fp = total + _taylor_shift(gd[:, 1:], delta)
-        delta = delta - f / fp
-        if np.max(np.abs(f)) < tol:
-            break
-    else:
-        raise _newton_failure(np.max(np.abs(f)))
-    return PeriodicCurve(_taylor_shift(xd, delta) / total)
+    orders = {}
+    for j, x in enumerate((np.pi * n * np.max(np.abs(delta), axis=-1)).tolist()):
+        if x > 1.0:
+            try:
+                out[live[j]] = _reparameterize_dense(curves[live[j]])
+            except GeometryError as exc:
+                out[live[j]] = exc
+            continue
+        # Orders 0..M with x^M/M! < 1e-17: the shift's truncation error
+        # is below double-precision resolution.
+        order, term = 0, 1.0
+        while term >= 1e-17:
+            order += 1
+            term *= x / order
+        orders.setdefault(order, []).append(j)
+    for order, rows in orders.items():
+        # d^m/ds^m of g and X at the nodes, orders on the axis after the
+        # grid's.  The Nyquist mode stays the cosine of the trigonometric
+        # interpolant: irfft keeps its real (even-order) part and drops
+        # the odd orders.
+        factor = (TWO_PI * 1j * grid.k[:, None]) ** np.arange(order + 1)
+        gd = from_coeffs(ghat[rows][:, :, None] * factor, n, axis=-2)
+        coeffs = np.array([curves[live[j]].coeffs for j in rows])
+        xd = from_coeffs(coeffs[:, :, None, :] * factor[:, :, None], n, axis=-3)
+        length = total[rows][:, None]
+        d = delta[rows]
+        g0 = gd[:, :1, 0]
+        tol = 1e-14 * np.maximum(total[rows], 1.0)
+        going = np.ones(len(rows), dtype=bool)
+        for _ in range(_NEWTON_MAXITER):
+            f = length * d + _taylor_shift(gd, d) - g0
+            fp = length + _taylor_shift(gd[..., 1:], d)
+            d = np.where(going[:, None], d - f / fp, d)
+            residual = np.max(np.abs(f), axis=-1)
+            going &= ~(residual < tol)
+            if not going.any():
+                break
+        resampled = curves_from_samples(_taylor_shift(xd, d) / length[:, :, None])
+        for j, curve, fails, res in zip(rows, resampled, going, residual):
+            out[live[j]] = _newton_failure(res) if fails else curve
+    return out
 
 
 def _taylor_shift(derivs, delta):
-    """sum_m delta^m/m! derivs[:, m], by Horner's rule."""
-    d = delta.reshape(delta.shape + (1,) * (derivs.ndim - 2))
-    acc = derivs[:, -1]
-    for m in range(derivs.shape[1] - 1, 0, -1):
-        acc = derivs[:, m - 1] + (d / m) * acc
+    """sum_m delta^m/m! times the m-th derivative by Horner's rule; the
+    orders are on the axis of derivs after those of delta."""
+    head = (slice(None),) * delta.ndim
+    d = delta.reshape(delta.shape + (1,) * (derivs.ndim - 1 - delta.ndim))
+    acc = derivs[head + (-1,)]
+    for m in range(derivs.shape[delta.ndim] - 1, 0, -1):
+        acc = derivs[head + (m - 1,)] + (d / m) * acc
     return acc
 
 

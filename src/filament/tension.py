@@ -16,6 +16,14 @@ application of the form costs 12 FFT calls for leps and 8 for rft.  The
 preconditioner is the diagonal spectral operator
 (|log eps| + (2 pi k)^2 m_n(k))^{-1}, the inverse of the form's symbol
 on a tension mode k (for rft, m_n is the constant normal coefficient).
+
+A problem whose curve is a spectral.CurveBatch and whose force map is a
+multipliers.ForceMapStack holds one problem per member, tau then having
+shape (m, n).  solve_tensions runs CG on all members at once, with
+per-member step lengths and inner products (np.vecdot on contiguous
+member rows, which reproduces np.dot bitwise).  A member that converges
+or stalls leaves the batch with its iterate, so it takes exactly the
+iterations it would take alone.  solve_tension is the batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .multipliers import MultiplierTable, RftConstants
-from .spectral import dealias, from_coeffs, to_coeffs
+from .multipliers import ForceMapStack, MultiplierTable, RftConstants
+from .spectral import CurveBatch, dealias, from_coeffs, to_coeffs
 
 
 class SolverError(RuntimeError):
@@ -37,7 +45,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TensionField:
-    """Scalar Lagrange multiplier samples on the curve's grid."""
+    """Scalar Lagrange multiplier samples on the curve's grid (with a
+    member axis first for a batch, see `stack`)."""
 
     values: np.ndarray
     mean: float
@@ -50,12 +59,19 @@ class TensionField:
         values.setflags(write=False)
         return cls(values, float(np.mean(values)), iterations, residual)
 
+    @classmethod
+    def stack(cls, tensions):
+        """The tensions of a batch's members as one field, member axis first."""
+        return cls(*(np.array([getattr(t, f) for t in tensions])
+                     for f in ("values", "mean", "iterations", "residual")))
+
 
 @dataclass
 class TensionProblem:
     """`model` is a force map, or 'leps' / 'rft' with the map given as
     `table` / `constants`; either way the map is resolved once, into
-    `force_map`."""
+    `force_map`.  A batched problem has a CurveBatch for `curve`, a
+    ForceMapStack for `model` and a cg_tol per member or one for all."""
 
     curve: spectral.PeriodicCurve
     model: object
@@ -79,18 +95,23 @@ class TensionProblem:
         """The force-to-velocity map on rfft coefficients."""
         return self.force_map.apply(self.curve, coeffs)
 
+    def members(self, index):
+        """The batched problem of the selected members."""
+        return TensionProblem(self.curve[index], self.force_map[index],
+                              cg_tol=np.broadcast_to(self.cg_tol, (len(self.curve),))[index])
+
 
 def lift(curve, tau):
     """rfft coefficients of (tau X_s)_s, with the product dealiased."""
-    product = to_coeffs(curve.tangent * np.asarray(tau)[:, None])
+    product = to_coeffs(curve.tangent * np.asarray(tau)[..., None], axis=-2)
     return curve.grid.band_ik[:, None] * product
 
 
 def lift_adjoint(curve, coeffs):
     """Exact adjoint of lift on the dealiased band, -band(X_s . band(v_s)),
     from the coefficients of v to samples."""
-    vs = from_coeffs(curve.grid.band_ik[:, None] * coeffs, curve.n)
-    return -dealias(np.einsum("ij,ij->i", curve.tangent, vs))
+    vs = from_coeffs(curve.grid.band_ik[:, None] * coeffs, curve.n, axis=-2)
+    return -dealias(np.einsum("...ij,...ij->...i", curve.tangent, vs), axis=-1)
 
 
 def apply_B(problem, tau):
@@ -118,10 +139,10 @@ def _preconditioner(problem):
     force_map = problem.force_map
     mn = force_map.precond_symbol(grid.k.shape[0])
     diag = 1.0 / (force_map.log_eps + (2.0 * np.pi * grid.k) ** 2 * mn)
-    diag[~grid.band] = 0.0
+    diag[..., grid.above_band] = 0.0
 
     def apply(r):
-        return from_coeffs(to_coeffs(r) * diag, grid.n)
+        return from_coeffs(to_coeffs(r, axis=-1) * diag, grid.n, axis=-1)
 
     return apply
 
@@ -135,35 +156,96 @@ def solve_tension(problem, initial=None):
     roundoff has r.z = 0 and cannot be reduced further.
     """
     curve = problem.curve
+    batch = TensionProblem(CurveBatch.of([curve]),
+                           ForceMapStack([problem.force_map], curve.grid.k.shape[0]),
+                           cg_tol=problem.cg_tol)
+    (outcome,) = solve_tensions(batch, None if initial is None else [initial])
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
+
+
+def solve_tensions(problem, initial=None):
+    """solve_tension for every member of a batched problem: a list with
+    each member's TensionField or the SolverError that stopped it.
+    initial is None, or holds a warm start per member (None for a cold
+    one)."""
+    n, m = problem.curve.n, len(problem.curve)
     rhs = assemble_rhs(problem)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return TensionField.from_values(np.zeros(curve.n))
-    precond = _preconditioner(problem)
-    if initial is not None:
-        x = dealias(np.asarray(initial, dtype=float))
+    rhs_norm = np.sqrt(np.vecdot(rhs, rhs))
+    x = np.zeros((m, n))
+    r = rhs
+    if initial is not None and any(v is not None for v in initial):
+        cold = np.array([v is None for v in initial])
+        x = dealias(np.array([np.zeros(n) if v is None else v for v in initial], dtype=float),
+                    axis=-1)
+        x[cold] = 0.0
         r = rhs - apply_B(problem, x)
-    else:
-        x = np.zeros(curve.n)
-        r = rhs
-    history = [float(np.linalg.norm(r)) / rhs_norm]
+        r[cold] = rhs[cold]
+    outcomes = [None] * m
+    members = []  # member number of each row of the batch
+    for i, norm in enumerate(rhs_norm.tolist()):
+        if norm == 0.0:
+            outcomes[i] = TensionField.from_values(np.zeros(n))
+        else:
+            members.append(i)
+    tols = np.broadcast_to(problem.cg_tol, (m,))[members].tolist()
+    if len(members) < m:
+        problem, rhs_norm, x, r = problem.members(members), rhs_norm[members], x[members], r[members]
+    precond = _preconditioner(problem)
+    residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
+    history = {i: [v] for i, v in zip(members, residual.tolist())}
     iterations = 0
-    p = None
-    while history[-1] > problem.cg_tol:
+    p = rz = None
+    broken = set()  # rows whose step length broke down: they stall
+    while members:
+        # members leave the batch when they converge or stall
+        leaving = {j for j, (i, t) in enumerate(zip(members, tols))
+                   if j not in broken and not history[i][-1] > t}
+        for j in leaving:
+            outcomes[members[j]] = TensionField.from_values(
+                x[j].copy(), iterations, history[members[j]][-1])
+        leaving |= broken
+        if len(leaving) == len(members):
+            break
         z = precond(r)
-        rz_new = float(np.dot(r, z))
-        if iterations >= 10 * curve.n or not rz_new > 0.0:
-            raise SolverError(
-                f"tension CG stalled at relative residual {history[-1]:.3e} "
-                f"after {iterations} iterations",
-                history,
-            )
-        p = z if p is None else z + (rz_new / rz) * p
+        rz_new = np.vecdot(r, z)
+        for j, rz_j in enumerate(rz_new.tolist()):
+            if j not in leaving and (iterations >= 10 * n or not rz_j > 0.0):
+                leaving.add(j)
+                outcomes[members[j]] = _stalled(history[members[j]], iterations)
+        if leaving:  # compact the batch to the members still iterating
+            keep = [j for j in range(len(members)) if j not in leaving]
+            if not keep:
+                break
+            members, tols = [members[j] for j in keep], [tols[j] for j in keep]
+            rhs_norm, x, r, z, rz_new = (a[keep] for a in (rhs_norm, x, r, z, rz_new))
+            if p is not None:
+                p, rz = p[keep], rz[keep]
+            problem = problem.members(keep)
+            precond = _preconditioner(problem)
+        p = z if p is None else z + (rz_new / rz)[:, None] * p
         rz = rz_new
         bp = apply_B(problem, p)
-        alpha = rz / float(np.dot(p, bp))
+        pbp = np.vecdot(p, bp)
+        broken = {j for j, v in enumerate(pbp.tolist()) if not v > 0.0}
+        if broken:  # p.Bp underflowed: keep the iterate, report a stall
+            for j in broken:
+                outcomes[members[j]] = _stalled(history[members[j]], iterations)
+            pbp = np.where(pbp > 0.0, pbp, np.inf)
+        alpha = (rz / pbp)[:, None]
         x = x + alpha * p
         r = r - alpha * bp
-        history.append(float(np.linalg.norm(r)) / rhs_norm)
+        residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
+        for i, v in zip(members, residual.tolist()):
+            history[i].append(v)
         iterations += 1
-    return TensionField.from_values(x, iterations, history[-1])
+    return outcomes
+
+
+def _stalled(history, iterations):
+    return SolverError(
+        f"tension CG stalled at relative residual {history[-1]:.3e} "
+        f"after {iterations} iterations",
+        history,
+    )

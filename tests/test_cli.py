@@ -4,7 +4,9 @@ manifests, and overwrite protection."""
 import csv
 import importlib
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +233,42 @@ snapshot_every = 5
         traces = sorted(out.glob("traces_*.csv"))
         assert len(traces) == 3
 
+    def test_jobs_leave_the_output_unchanged(self, tmp_path):
+        # --jobs 2 steps the rows in two chunks, each one batch; every CSV
+        # must be byte for byte that of the single batch of --jobs 1
+        config = write_config(tmp_path, """\
+epsilons = 1e-2, 3e-3, 1e-3
+horizon = 1e-4
+n = 32
+initial_curve = perturbed-circle(2,0.03)
+snapshot_every = 5
+""", name="sweep.cfg")
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+            written[jobs] = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        assert sorted(written["1"]) == ["summary.csv", "traces_eps1e-02_n32.csv",
+                                        "traces_eps1e-03_n32.csv", "traces_eps3e-03_n32.csv"]
+        assert written["1"] == written["2"]
+
+    def test_one_info_line_per_row(self, tmp_path, caplog):
+        ok = write_config(tmp_path, TINY_SWEEP.replace("1e-2", "1e-2, 1e-3"), name="ok.cfg")
+        failing = write_config(tmp_path, TINY_SWEEP + "cg_tol = 1e-30\n", name="failing.cfg")
+        with caplog.at_level(logging.INFO, logger="filament"):
+            assert main(["sweep", "--config", ok, "--out", str(tmp_path / "ok")]) == 0
+            assert main(["sweep", "--config", failing, "--out", str(tmp_path / "failing")]) == 2
+        rows = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(rows) == 3
+        for row, eps in zip(rows, ("0.01", "0.001")):
+            assert re.fullmatch(rf"sweep row eps={eps} n=32: steps=\d+ dt=\S+ flags=0 "
+                                r"failure=None", row)
+        assert rows[2].startswith("sweep row eps=0.01 n=32: steps=0 dt=None flags=0 "
+                                  "failure=SolverError: tension CG stalled")
+        caplog.clear()  # nothing at the default level
+        assert main(["sweep", "--config", ok, "--out", str(tmp_path / "again")]) == 0
+        assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+
     @pytest.mark.parametrize("line", ["snapshot_every = 0", "cg_tol = -1", "horizon = nan"])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, line):
         # sweep keys follow the simulate rules
@@ -238,6 +276,21 @@ snapshot_every = 5
                               name="sweep.cfg")
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep")]) == 1
         assert line.split()[0] in capsys.readouterr().err
+
+
+class TestInitialCurve:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("name", ["nope", "perturbed-circle(0,0.05)", "missing.csv"])
+    def test_bad_initial_curve_exit_1(self, tmp_path, capsys, command, name):
+        # checked with the config: no run, no output directory
+        if name.endswith(".csv"):
+            name = str(tmp_path / name)
+        text = {"simulate": GOOD_CONFIG, "sweep": TINY_SWEEP}[command]
+        config = write_config(tmp_path, text.replace("perturbed-circle(2,0.03)", name))
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert "bad value for 'initial_curve'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunner:

@@ -126,3 +126,29 @@ class TestSweepConfig:
     def test_as_dict_round_trip(self):
         config = parse_sweep_config("n = 64\nhorizon = 0.25\n")
         assert SweepConfig(**config_as_dict(config)) == config
+
+
+class TestInitialCurve:
+    @pytest.mark.parametrize("name", ["circle", "trefoil", " perturbed-circle(3, 0.05) "])
+    def test_corpus_names(self, name):
+        assert parse_sweep_config(f"initial_curve = {name}\n").initial_curve == name.strip()
+
+    def test_existing_csv(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("s,x,y,z\n")
+        assert parse_config(MINIMAL + f"initial_curve = {path}\n").initial_curve == str(path)
+
+    @pytest.mark.parametrize("name,fragment", [
+        ("nope", "unknown initial curve"),
+        ("perturbed-circle(3)", "(mode, amplitude)"),
+        ("perturbed-circle(0,0.05)", "mode >= 1"),
+        ("perturbed-circle(2.5,0.05)", "invalid literal"),
+        ("perturbed-circle(3,nan)", "finite amplitude"),
+        ("missing.csv", "curve file not found"),
+    ])
+    def test_rejected_when_parsed(self, name, fragment):
+        for parse, text in ((parse_config, MINIMAL), (parse_sweep_config, "")):
+            with pytest.raises(ConfigError) as err:
+                parse(text + f"initial_curve = {name}\n")
+            assert "bad value for 'initial_curve'" in str(err.value)
+            assert fragment in str(err.value)

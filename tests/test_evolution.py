@@ -267,7 +267,7 @@ class TestRunDriver:
         def broken_step(*args, **kwargs):
             raise TypeError("broken step")
 
-        monkeypatch.setattr(evolution, "_step", broken_step)
+        monkeypatch.setattr(evolution, "_advance", broken_step)
         config = RunConfig(model="rft", epsilon=1e-3, n=32, horizon=2e-6, dt=1e-6)
         with pytest.raises(TypeError, match="broken step"):
             run(config, PeriodicCurve.perturbed_circle(32, 2, 0.03))

@@ -224,7 +224,7 @@ class TestStudyDriver:
         def broken_step(*args, **kwargs):
             raise TypeError("broken step")
 
-        monkeypatch.setattr(evolution, "_step", broken_step)
+        monkeypatch.setattr(evolution, "_advance", broken_step)
         with pytest.raises(TypeError, match="broken step"):
             convergence_study(self.make_sweep())
 
@@ -233,16 +233,17 @@ class TestStudyDriver:
         # time stops advancing; that row fails and the next one runs
         from filament import evolution
 
-        real_step = evolution._step
+        real_advance = evolution._advance
 
-        def flagging_step(state, dt, force_map, **kwargs):
-            state = real_step(state, dt, force_map, **kwargs)
-            if force_map.epsilon == 1e-2:
-                flagged = dataclasses.replace(state.diagnostics, energy_flag=True)
-                state = dataclasses.replace(state, diagnostics=flagged)
-            return state
+        def flagging_advance(states, force_maps, dts, options):
+            outcomes = real_advance(states, force_maps, dts, options)
+            for i, (state, force_map) in enumerate(zip(outcomes, force_maps)):
+                if force_map.epsilon == 1e-2:
+                    flagged = dataclasses.replace(state.diagnostics, energy_flag=True)
+                    outcomes[i] = dataclasses.replace(state, diagnostics=flagged)
+            return outcomes
 
-        monkeypatch.setattr(evolution, "_step", flagging_step)
+        monkeypatch.setattr(evolution, "_advance", flagging_advance)
         first, second = convergence_study(dataclasses.replace(
             self.make_sweep(), epsilons=(1e-2, 1e-3)))
         assert first.failed is not None and "step size underflow" in first.failed
@@ -274,8 +275,8 @@ class TestStudyDriver:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [task[0] for task in tasks]
+            def map(self, fn, chunks):
+                return [[task[0] for task in chunk] for chunk in chunks]
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         assert convergence_study(self.make_sweep(), jobs=64) == [1e-2, 3e-3, 1e-3]

@@ -230,6 +230,14 @@ class TestSolverInterface:
         assert len(err.value.residuals) >= 2
         assert err.value.residuals[0] > 0.0
 
+    def test_step_length_breakdown_is_a_stall(self):
+        # far past convergence p.Bp underflows to 0: a stall, not a
+        # division by zero
+        curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
+        problem = make_problem(curve, "rft", 1e-3, cg_tol=1e-30)
+        with pytest.raises(SolverError, match="stalled"):
+            solve_tension(problem)
+
     def test_problem_validation(self):
         curve = PeriodicCurve.circle(32)
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ ROOT is a source checkout (its src/ and perfbench/ are used).  For each
 benchmark workload at seeds 0 and 1 this writes the workload's inputs
 with ROOT/perfbench/inputs.py into OUT/<workload>-seed<N>/ and replays
 its plan.json through filament.cli.main, so the outputs land in out/
-next to the inputs.  It then runs `lemma-suite` at its defaults into
+next to the inputs.  The seed-0 sweep is replayed a second time with
+--jobs 2 into OUT/sweep-seed0-jobs2/, which covers the sweep split over
+worker processes.  It then runs `lemma-suite` at its defaults into
 OUT/lemma-suite/ and `multiplier-dump --epsilon 1e-3 --kmax 4096` into
 OUT/multiplier-dump/.  Each replay runs in a fresh interpreter with
 BLAS and OpenMP pinned to one thread, as in the benchmark.  The
@@ -32,8 +34,8 @@ EXTRA_CALLS = {
 }
 
 # Run in the child, inside the replay directory: argv[1] is a workload
-# name and argv[2] its seed, or argv[1] is "-" and argv[2] one CLI call
-# as JSON.
+# name, argv[2] its seed and argv[3], if given, the --jobs value of its
+# calls; or argv[1] is "-" and argv[2] one CLI call as JSON.
 CHILD = """
 import json, os, sys
 from pathlib import Path
@@ -44,6 +46,9 @@ else:
     from inputs import write_inputs
     write_inputs(sys.argv[1], int(sys.argv[2]), ".")
     calls = [c["argv"] for c in json.loads(Path("plan.json").read_text())["calls"]]
+    if len(sys.argv) > 3:
+        for argv in calls:
+            argv[argv.index("--jobs") + 1] = sys.argv[3]
 os.makedirs("out", exist_ok=True)
 codes = [filament.cli.main(list(argv)) for argv in calls]
 sys.exit(max(codes))
@@ -72,6 +77,7 @@ def main():
         sys.exit(f"replay_outputs.py: {out} already exists")
     codes = [replay(root, out / f"{workload}-seed{seed}", [workload, str(seed)])
              for workload in WORKLOADS for seed in SEEDS]
+    codes.append(replay(root, out / "sweep-seed0-jobs2", ["sweep", "0", "2"]))
     codes += [replay(root, out / name, ["-", json.dumps(argv)])
               for name, argv in EXTRA_CALLS.items()]
     sys.exit(1 if any(codes) else 0)
