@@ -53,12 +53,10 @@ def aspect_ratio(raw):
 
 
 def aspect_ratios(raw):
-    """A strictly decreasing comma-separated list in (0, 0.1)."""
-    values = tuple(float(p) for p in raw.split(",") if p.strip())
+    """A strictly decreasing comma-separated list of aspect ratios."""
+    values = tuple(aspect_ratio(p) for p in raw.split(",") if p.strip())
     if not values:
         raise ValueError("must be a nonempty comma-separated list")
-    if not all(0.0 < e < 0.1 for e in values):
-        raise ValueError(f"each must lie in (0, 0.1), got {values}")
     if any(a <= b for a, b in zip(values, values[1:])):
         raise ValueError(f"must be strictly decreasing, got {values}")
     return values

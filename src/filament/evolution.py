@@ -13,7 +13,8 @@ A model enters only as its force map (see multipliers).  One loop,
 row the two models side by side with one dt.  Each step advances every
 member of every group as one array program with a member axis first
 (`_advance`): one batched tension solve, forcing and implicit update for
-all of them, each member getting the bits of its solo step.
+all of them, each member getting the bits of its solo step.  A failing
+member raises for the whole batch, and `_batched` alone isolates it.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -37,7 +38,7 @@ from .spectral import (
     to_coeffs,
     write_csv,
 )
-from .tension import TensionField, TensionProblem, lift, solve_tensions
+from .tension import SolverError, TensionField, TensionProblem, lift, solve_tensions
 
 H2 = SobolevIndex(2.0)
 H_HALF = SobolevIndex(0.5)
@@ -117,39 +118,28 @@ def choose_dt(curve, force_map, cg_tol=1e-10, rescaled=False):
     forcing, giving a step in rescaled time units.
     """
     (dt,) = _policy_dts([curve], [force_map], [cg_tol], [rescaled])
-    if isinstance(dt, Exception):
-        raise dt
     return dt
 
 
 def _forcing(curves, force_maps, cg_tols, warm):
     """The tension solve and explicit forcing of the curves as one batch
-    (leps members first).  Returns each member's TensionField or
-    SolverError, the positions of the solved members, and their batched
+    (leps members first): each member's TensionField, and the batched
     problem, implicit symbol and forcing coefficients."""
     grid = curves[0].grid
     problem = TensionProblem(CurveBatch.of(curves), ForceMapStack(force_maps, grid.k.shape[0]),
                              cg_tol=np.array(cg_tols))
     tensions = solve_tensions(problem, warm)
-    solved = [j for j, tension in enumerate(tensions) if isinstance(tension, TensionField)]
-    if not solved:
-        return tensions, solved, None, None, None
-    if len(solved) < len(curves):
-        problem = problem.members(solved)
     lam = implicit_symbol(grid, problem.force_map)
-    ghat = _explicit_forcing(problem, TensionField.stack([tensions[j] for j in solved]), lam)
-    return tensions, solved, problem, lam, ghat
+    return tensions, problem, lam, _explicit_forcing(problem, TensionField.stack(tensions), lam)
 
 
 def _policy_dts(curves, force_maps, cg_tols, rescaled):
-    """choose_dt for every member (leps members first) as one batch: each
-    member's dt, or the SolverError of its tension solve."""
-    dts, solved, _, _, ghat = _forcing(curves, force_maps, cg_tols, None)
-    for j, member_ghat in zip(solved, () if ghat is None else ghat):
-        dt = 1e-2 * sobolev_norm_coeffs(curves[j].coeffs, H2) / sobolev_norm_coeffs(member_ghat, H2)
-        if rescaled[j]:
-            dt *= force_maps[j].log_eps
-        dts[j] = float(dt)
+    """choose_dt for every member (leps members first) as one batch."""
+    ghat = _forcing(curves, force_maps, cg_tols, None)[-1]
+    dts = []
+    for curve, force_map, member_ghat, scaled in zip(curves, force_maps, ghat, rescaled):
+        dt = 1e-2 * sobolev_norm_coeffs(curve.coeffs, H2) / sobolev_norm_coeffs(member_ghat, H2)
+        dts.append(float(dt * force_map.log_eps if scaled else dt))
     return dts
 
 
@@ -166,60 +156,50 @@ class StepOptions:
 
 def _advance(states, force_maps, dts, options):
     """One IMEX Euler step of every member (leps members first) as one
-    array program: a list with each member's new EvolutionState, or the
-    SolverError or GeometryError that stopped its step.  options holds a
-    StepOptions per member."""
+    array program: a list with each member's new EvolutionState; raises
+    the SolverError or GeometryError of a member whose step fails.
+    options holds a StepOptions per member."""
     if not all(dt > 0.0 for dt in dts):
         raise ValueError(f"dt must be positive, got {dts!r}")
-    tensions, solved, problem, lam, ghat = _forcing(
+    tensions, problem, lam, ghat = _forcing(
         [s.curve for s in states], force_maps, [o.cg_tol for o in options],
         [None if s.tension is None else s.tension.values for s in states])
-    outcomes = list(tensions)
-    if not solved:
-        return outcomes
-    dt_native = np.array([dts[j] * options[j].time_scale for j in solved])[:, None, None]
+    dt_native = np.array([dt * o.time_scale for dt, o in zip(dts, options)])[:, None, None]
     new_hat = (problem.curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[..., None])
     new_hat[..., -1, :] = 0.0
-    curves = dict(zip(solved, curves_from_samples(from_coeffs(new_hat, problem.curve.n,
-                                                              axis=-2))))
-    off = [j for j, curve in curves.items() if isinstance(curve, PeriodicCurve)
-           and curve.inext_residual > 0.5 * options[j].inext_tol]
-    curves.update(zip(off, reparameterize_each([curves[j] for j in off])))
-    for j, curve in list(curves.items()):
-        if isinstance(curve, GeometryError):
-            outcomes[j] = curves.pop(j)
-    if not curves:
-        return outcomes
-    # diagnostics of the members that stepped, their FFTs batched
-    tension = TensionField.stack([tensions[j] for j in curves])
-    dissipations = dissipation(CurveBatch.of(list(curves.values())), tension)
+    curves = curves_from_samples(from_coeffs(new_hat, problem.curve.n, axis=-2))
+    off = [j for j, curve in enumerate(curves)
+           if curve.inext_residual > 0.5 * options[j].inext_tol]
+    for j, curve in zip(off, reparameterize_each([curves[j] for j in off])):
+        curves[j] = curve
+    # diagnostics, their FFTs batched
+    tension = TensionField.stack(tensions)
+    dissipations = dissipation(CurveBatch.of(curves), tension)
     h12 = to_coeffs(tension.values, axis=-1)
-    for d, (j, curve) in enumerate(curves.items()):
-        state = states[j]
+    new_states = []
+    for j, (state, curve) in enumerate(zip(states, curves)):
         e_old = state.diagnostics.energy if state.diagnostics else energy(state.curve)
         e_new = energy(curve)
         record = DiagnosticsRecord(
             step=(state.diagnostics.step + 1) if state.diagnostics else 1,
             time=state.time + dts[j],
             energy=e_new,
-            dissipation=dissipations[d],
+            dissipation=dissipations[j],
             inext_residual=curve.inext_residual,
-            tension_h12=sobolev_norm_coeffs(h12[d], H_HALF),
+            tension_h12=sobolev_norm_coeffs(h12[j], H_HALF),
             energy_flag=bool(e_new > e_old + options[j].energy_tol_abs),
             cg_iterations=tensions[j].iterations,
             cg_residual=tensions[j].residual,
         )
-        outcomes[j] = EvolutionState(curve, state.time + dts[j], tensions[j], record)
-    return outcomes
+        new_states.append(EvolutionState(curve, state.time + dts[j], tensions[j], record))
+    return new_states
 
 
 def _step(state, dt, force_map, **options):
     """One IMEX Euler step of one state (the batch of one); options are
     the fields of StepOptions."""
-    (outcome,) = _advance([state], [force_map], [dt], [StepOptions(**options)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    (new_state,) = _advance([state], [force_map], [dt], [StepOptions(**options)])
+    return new_state
 
 
 def step_leps(state, dt, table, **options):
@@ -278,20 +258,43 @@ class Group:
     failure: str = None  # why the group ended early
 
 
-def _batched(function, groups, member):
+def _named(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _batched(function, groups, member, describe=_named):
     """function called once on the members of all groups, leps members
     first; member(group, k) gives member k's arguments.  Returns each
-    group's outcomes in member order."""
+    group's results in member order.
+
+    When the batch raises SolverError or GeometryError, each group is
+    called alone; one that fails alone too is called member by member and
+    ends with its first failure, `describe`d into `failure`, and no
+    results.  The others get the bits of the batch, their members' solo bits.
+    """
     members = sorted(((g, k) for g in groups for k in range(len(g.states))),
                      key=lambda gk: gk[0].force_maps[gk[1]].model != "leps")
     if not members:
         return {}
-    outcomes = dict(zip(members, function(*zip(*(member(g, k) for g, k in members)))))
-    return {g: [outcomes[g, k] for k in range(len(g.states))] for g in groups}
-
-
-def _failure(outcomes):
-    return next((o for o in outcomes if isinstance(o, Exception)), None)
+    try:
+        results = dict(zip(members, function(*zip(*(member(g, k) for g, k in members)))))
+    except (SolverError, GeometryError) as exc:
+        if len(groups) > 1:
+            isolated = {}
+            for g in groups:
+                isolated.update(_batched(function, [g], member, describe))
+            return isolated
+        (g,) = groups
+        if len(g.states) > 1:  # a group of one has failed as its member alone
+            for k in range(len(g.states)):
+                try:
+                    function(*zip(member(g, k)))
+                except (SolverError, GeometryError) as first:
+                    exc = first
+                    break
+        g.failure = describe(exc)
+        return {}
+    return {g: [results[g, k] for k in range(len(g.states))] for g in groups}
 
 
 def _apply_policy(groups):
@@ -300,13 +303,7 @@ def _apply_policy(groups):
     policy = _batched(_policy_dts, groups, lambda g, k: (
         g.states[k].curve, g.force_maps[k], g.options.cg_tol, g.rescaled))
     for g, dts in policy.items():
-        failed = _failure(dts)
-        if failed is not None:
-            g.failure = f"{type(failed).__name__}: {failed}"
-        elif g.dt is None:
-            g.dt = min(min(dts), g.dt_cap)
-        else:
-            g.dt = min(min(dts), 2.0 * g.dt, g.dt_cap)
+        g.dt = min(min(dts), g.dt_cap, np.inf if g.dt is None else 2.0 * g.dt)
 
 
 def _resample(groups):
@@ -314,11 +311,7 @@ def _resample(groups):
     a failure ends the group."""
     curves = _batched(reparameterize_each, groups, lambda g, k: (g.states[k].curve,))
     for g, resampled in curves.items():
-        failed = _failure(resampled)
-        if failed is not None:
-            g.failure = f"{type(failed).__name__}: {failed}"
-        else:
-            g.states = [replace(s, curve=c) for s, c in zip(g.states, resampled)]
+        g.states = [replace(s, curve=c) for s, c in zip(g.states, resampled)]
 
 
 def lockstep(groups):
@@ -342,26 +335,21 @@ def lockstep(groups):
                 g.failure = f"step size underflow: dt = {dt_step:.3e} at t = {g.t!r}"
             else:
                 stepping[g] = dt_step
-        outcomes = _batched(_advance, stepping, lambda g, k: (
-            g.states[k], g.force_maps[k], stepping[g], g.options))
-        stepped = {}
-        for g, states in outcomes.items():
-            failed = _failure(states)
-            if failed is not None:  # keep the last good states
-                g.failure = str(failed)
-                continue
+        # a group whose step fails keeps its last good states
+        stepped = _batched(_advance, stepping, lambda g, k: (
+            g.states[k], g.force_maps[k], stepping[g], g.options), describe=str)
+        for g, states in stepped.items():
             g.states, g.t, g.steps = states, g.t + stepping[g], g.steps + 1
             if any(s.diagnostics.energy_flag for s in states):
                 g.flagged += 1
                 g.dt *= 0.5
-            stepped[g] = stepping[g]
         _resample([g for g in stepped if g.steps % 20 == 0])
         _apply_policy([g for g in stepped if g.failure is None and g.policy_every
                        and g.steps % g.policy_every == 0])
         running = []
-        for g, dt_step in stepped.items():
+        for g in stepped:
             if g.failure is None:
-                g.on_step(g.states, g.steps, dt_step)
+                g.on_step(g.states, g.steps, stepping[g])
                 if g.t < g.end:
                     running.append(g)
     return groups
@@ -384,11 +372,6 @@ def run(config, initial):
     """
     force_map = force_map_for(config.model, config.epsilon, initial.n)
     time_scale = 1.0 / force_map.log_eps if config.rescaled_time else 1.0
-    if config.dt is not None:
-        dt = float(config.dt)
-    else:
-        dt = choose_dt(initial, force_map, cg_tol=config.cg_tol,
-                       rescaled=config.rescaled_time)
     e0 = energy(initial)
     state = EvolutionState(
         initial, 0.0, None,
@@ -404,10 +387,11 @@ def run(config, initial):
             traj.states.append(state)
 
     (group,) = lockstep([Group(
-        [state], (force_map,), dt, config.horizon,
+        [state], (force_map,), config.dt, config.horizon,
         config.horizon - 1e-12 * config.horizon, after_step,
         StepOptions(cg_tol=config.cg_tol, inext_tol=config.inextensibility_tol,
                     energy_tol_abs=config.energy_tol * e0, time_scale=time_scale),
+        rescaled=config.rescaled_time,
     )])
     (state,), traj.aborted = group.states, group.failure
     if traj.states[-1] is not state:

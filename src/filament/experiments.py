@@ -118,8 +118,11 @@ POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
 SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
 
 
-def run_pair(eps, n, horizon, initial_name, **options):
-    """Run both models in rescaled time, lockstep, and compare.
+def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
+          cg_tol=1e-10, inext_tol=1e-6, table=None):
+    """The lockstep group of one eps row, both models in rescaled time,
+    and the function that makes the stepped group its DiscrepancyRecord
+    (a failed one if `lockstep` ended the group early).
 
     Both runs share the grid, the initial curve, and the dt schedule
     bit-for-bit; discrepancy norms are evaluated on shared snapshots
@@ -128,19 +131,8 @@ def run_pair(eps, n, horizon, initial_name, **options):
     taken as the minimum; a fixed dt argument disables the adaptation.
     Growth is limited to a factor 2 per re-evaluation and capped at
     horizon/SNAPSHOT_TARGET, which is safe because the semi-implicit
-    update is exactly stationary on the relaxed circle.  A pair that
-    `lockstep` ends early comes back as a failed record.  The options
-    are those of `_pair`.
+    update is exactly stationary on the relaxed circle.
     """
-    group, finish = _pair(eps, n, horizon, initial_name, **options)
-    lockstep([group])
-    return finish(group)
-
-
-def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
-          cg_tol=1e-10, inext_tol=1e-6, table=None):
-    """The lockstep group of one eps row, and the function that makes
-    the stepped group its DiscrepancyRecord."""
     curve = initial_curve(initial_name, n)
     if table is None:
         table = build_table(eps, n // 2)

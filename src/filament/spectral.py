@@ -21,7 +21,8 @@ member axis first, and the projection and force maps take a batch
 wherever they take a curve: the grid is axis -2 of a vector field and
 axis -1 of a scalar one, so every FFT call transforms all members at
 once.  Each member's columns go through the same arithmetic as alone,
-so a batch gives every member the bits of its solo computation.
+so a batch gives every member the bits of its solo computation, and a
+GeometryError of one member is raised for the whole batch.
 """
 
 import csv
@@ -262,15 +263,10 @@ def fill_derived(curves):
 
 
 def curves_from_samples(samples):
-    """A PeriodicCurve for each member of samples (m, n, 3), or the
-    GeometryError that rejects it, with its derived fields filled."""
-    curves = []
-    for member in samples:
-        try:
-            curves.append(PeriodicCurve(member))
-        except GeometryError as exc:
-            curves.append(exc)
-    fill_derived([c for c in curves if isinstance(c, PeriodicCurve)])
+    """A PeriodicCurve for each member of samples (m, n, 3), with its
+    derived fields filled; raises GeometryError on non-finite samples."""
+    curves = [PeriodicCurve(member) for member in samples]
+    fill_derived(curves)
     return curves
 
 
@@ -353,8 +349,6 @@ def reparameterize_arclength(curve, passes=1):
     """
     for _ in range(max(1, int(passes))):
         (curve,) = reparameterize_each([curve])
-        if isinstance(curve, GeometryError):
-            raise curve
     return curve
 
 
@@ -363,18 +357,15 @@ def reparameterize_arclength(curve, passes=1):
 _NEWTON_MAXITER = 50
 
 
-def _fold_over(speed):
+def _reject_fold_over(speed):
     if np.min(speed) <= 0.5:
-        return GeometryError("fold-over: min |X_s| <= 0.5, cannot reparameterize")
-    return None
+        raise GeometryError("fold-over: min |X_s| <= 0.5, cannot reparameterize")
 
 
 def _speed_spectrum(curve):
     """Total length and Fourier coefficients of |X_s|; rejects fold-over."""
     speed = curve.speed
-    failure = _fold_over(speed)
-    if failure is not None:
-        raise failure
+    _reject_fold_over(speed)
     return float(np.mean(speed)), to_coeffs(speed)
 
 
@@ -387,7 +378,7 @@ def _newton_failure(residual):
 
 def reparameterize_each(curves):
     """One resampling pass of each curve (all on one grid): a list with
-    each resampled curve, or the GeometryError that rejects it.
+    each resampled curve; raises GeometryError if any is rejected.
 
     A Taylor shift from the nodes when x = pi n max|delta^0| <= 1, dense
     interpolation otherwise.  With g the periodic antiderivative of
@@ -397,13 +388,13 @@ def reparameterize_each(curves):
     same Taylor order share their FFT calls and Newton iterations, and a
     member that converges keeps its preimages while the others iterate.
     """
-    out = [_fold_over(c.speed) for c in curves]
-    live = [i for i, failure in enumerate(out) if failure is None]
-    if not live:
-        return out
-    grid = curves[live[0]].grid
+    if not curves:
+        return []
+    for curve in curves:
+        _reject_fold_over(curve.speed)
+    grid = curves[0].grid
     n = grid.n
-    speed = np.array([curves[i].speed for i in live])
+    speed = np.array([c.speed for c in curves])
     total = np.array([float(np.mean(member)) for member in speed])
     shat = to_coeffs(speed, axis=-1)
     ghat = np.zeros_like(shat)
@@ -412,13 +403,11 @@ def reparameterize_each(curves):
     delta = -(g - g[:, :1]) / total[:, None]
     # x is the phase by which the shift moves the Nyquist mode; for
     # x <= 1 the Taylor terms decay at least like x^m/m!.
+    out = [None] * len(curves)
     orders = {}
     for j, x in enumerate((np.pi * n * np.max(np.abs(delta), axis=-1)).tolist()):
         if x > 1.0:
-            try:
-                out[live[j]] = _reparameterize_dense(curves[live[j]])
-            except GeometryError as exc:
-                out[live[j]] = exc
+            out[j] = _reparameterize_dense(curves[j])
             continue
         # Orders 0..M with x^M/M! < 1e-17: the shift's truncation error
         # is below double-precision resolution.
@@ -434,7 +423,7 @@ def reparameterize_each(curves):
         # the odd orders.
         factor = (TWO_PI * 1j * grid.k[:, None]) ** np.arange(order + 1)
         gd = from_coeffs(ghat[rows][:, :, None] * factor, n, axis=-2)
-        coeffs = np.array([curves[live[j]].coeffs for j in rows])
+        coeffs = np.array([curves[j].coeffs for j in rows])
         xd = from_coeffs(coeffs[:, :, None, :] * factor[:, :, None], n, axis=-3)
         length = total[rows][:, None]
         d = delta[rows]
@@ -449,9 +438,10 @@ def reparameterize_each(curves):
             going &= ~(residual < tol)
             if not going.any():
                 break
-        resampled = curves_from_samples(_taylor_shift(xd, d) / length[:, :, None])
-        for j, curve, fails, res in zip(rows, resampled, going, residual):
-            out[live[j]] = _newton_failure(res) if fails else curve
+        if going.any():
+            raise _newton_failure(residual[going][0])
+        for j, curve in zip(rows, curves_from_samples(_taylor_shift(xd, d) / length[:, :, None])):
+            out[j] = curve
     return out
 
 
@@ -557,7 +547,12 @@ def read_curve_csv(path):
         if [h.strip() for h in header] != ["s", "x", "y", "z"]:
             raise ValueError(f"unexpected curve CSV header: {header}")
         for row in reader:
-            rows.append([float(v) for v in row[1:4]])
+            if not row:  # a blank line
+                continue
+            if len(row) != 4:
+                raise ValueError(f"line {reader.line_num}: expected 4 columns s,x,y,z, "
+                                 f"got {len(row)}")
+            rows.append([float(v) for v in row[1:]])
     meta = None
     sidecar = path.with_suffix(".json")
     if sidecar.exists():

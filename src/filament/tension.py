@@ -22,8 +22,10 @@ multipliers.ForceMapStack holds one problem per member, tau then having
 shape (m, n).  solve_tensions runs CG on all members at once, with
 per-member step lengths and inner products (np.vecdot on contiguous
 member rows, which reproduces np.dot bitwise).  A member that converges
-or stalls leaves the batch with its iterate, so it takes exactly the
-iterations it would take alone.  solve_tension is the batch of one.
+leaves the batch with its iterate, so it takes exactly the iterations
+it would take alone; a member that stalls raises SolverError for the
+whole batch (evolution._batched isolates it).  solve_tension is the
+batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -159,17 +161,15 @@ def solve_tension(problem, initial=None):
     batch = TensionProblem(CurveBatch.of([curve]),
                            ForceMapStack([problem.force_map], curve.grid.k.shape[0]),
                            cg_tol=problem.cg_tol)
-    (outcome,) = solve_tensions(batch, None if initial is None else [initial])
-    if isinstance(outcome, SolverError):
-        raise outcome
-    return outcome
+    (tension,) = solve_tensions(batch, None if initial is None else [initial])
+    return tension
 
 
 def solve_tensions(problem, initial=None):
     """solve_tension for every member of a batched problem: a list with
-    each member's TensionField or the SolverError that stopped it.
-    initial is None, or holds a warm start per member (None for a cold
-    one)."""
+    each member's TensionField; raises the SolverError of the first
+    member to stall.  initial is None, or holds a warm start per member
+    (None for a cold one)."""
     n, m = problem.curve.n, len(problem.curve)
     rhs = assemble_rhs(problem)
     rhs_norm = np.sqrt(np.vecdot(rhs, rhs))
@@ -182,11 +182,11 @@ def solve_tensions(problem, initial=None):
         x[cold] = 0.0
         r = rhs - apply_B(problem, x)
         r[cold] = rhs[cold]
-    outcomes = [None] * m
+    tensions = [None] * m
     members = []  # member number of each row of the batch
     for i, norm in enumerate(rhs_norm.tolist()):
         if norm == 0.0:
-            outcomes[i] = TensionField.from_values(np.zeros(n))
+            tensions[i] = TensionField.from_values(np.zeros(n))
         else:
             members.append(i)
     tols = np.broadcast_to(problem.cg_tol, (m,))[members].tolist()
@@ -197,27 +197,21 @@ def solve_tensions(problem, initial=None):
     history = {i: [v] for i, v in zip(members, residual.tolist())}
     iterations = 0
     p = rz = None
-    broken = set()  # rows whose step length broke down: they stall
     while members:
-        # members leave the batch when they converge or stall
-        leaving = {j for j, (i, t) in enumerate(zip(members, tols))
-                   if j not in broken and not history[i][-1] > t}
+        # members leave the batch when they converge
+        leaving = {j for j, (i, t) in enumerate(zip(members, tols)) if not history[i][-1] > t}
         for j in leaving:
-            outcomes[members[j]] = TensionField.from_values(
+            tensions[members[j]] = TensionField.from_values(
                 x[j].copy(), iterations, history[members[j]][-1])
-        leaving |= broken
         if len(leaving) == len(members):
             break
         z = precond(r)
         rz_new = np.vecdot(r, z)
         for j, rz_j in enumerate(rz_new.tolist()):
             if j not in leaving and (iterations >= 10 * n or not rz_j > 0.0):
-                leaving.add(j)
-                outcomes[members[j]] = _stalled(history[members[j]], iterations)
+                raise _stalled(history[members[j]], iterations)
         if leaving:  # compact the batch to the members still iterating
             keep = [j for j in range(len(members)) if j not in leaving]
-            if not keep:
-                break
             members, tols = [members[j] for j in keep], [tols[j] for j in keep]
             rhs_norm, x, r, z, rz_new = (a[keep] for a in (rhs_norm, x, r, z, rz_new))
             if p is not None:
@@ -228,11 +222,9 @@ def solve_tensions(problem, initial=None):
         rz = rz_new
         bp = apply_B(problem, p)
         pbp = np.vecdot(p, bp)
-        broken = {j for j, v in enumerate(pbp.tolist()) if not v > 0.0}
-        if broken:  # p.Bp underflowed: keep the iterate, report a stall
-            for j in broken:
-                outcomes[members[j]] = _stalled(history[members[j]], iterations)
-            pbp = np.where(pbp > 0.0, pbp, np.inf)
+        for j, v in enumerate(pbp.tolist()):
+            if not v > 0.0:  # p.Bp underflowed: the iterate cannot move
+                raise _stalled(history[members[j]], iterations)
         alpha = (rz / pbp)[:, None]
         x = x + alpha * p
         r = r - alpha * bp
@@ -240,7 +232,7 @@ def solve_tensions(problem, initial=None):
         for i, v in zip(members, residual.tolist()):
             history[i].append(v)
         iterations += 1
-    return outcomes
+    return tensions
 
 
 def _stalled(history, iterations):

@@ -14,6 +14,7 @@ from filament.evolution import (
     Group,
     StepOptions,
     _advance,
+    _resample,
     _step,
     initial_curve,
     lockstep,
@@ -112,6 +113,15 @@ class TestAgainstSolo:
             assert np.array_equal(got.samples, reparameterize_arclength(curve).samples)
 
 
+def folded(n):
+    """A circle traversed at speed 1 + 0.6 cos(2 pi s): min |X_s| = 0.4,
+    a fold-over to the resampler."""
+    s = np.arange(n) / n
+    phase = 2 * np.pi * s + 0.6 * np.sin(2 * np.pi * s)
+    return PeriodicCurve(np.column_stack([np.cos(phase), np.sin(phase),
+                                          0.06 * np.sin(2 * phase)]) / (2 * np.pi))
+
+
 def group(n, dt, cg_tol=1e-10, **kwargs):
     curve = initial_curve("perturbed-circle(3,0.05)", n)
     return Group([EvolutionState(curve, 0.0)] * 2, (build_table(1e-3, n // 2), rft_constants(1e-3)),
@@ -150,3 +160,49 @@ class TestGroupFailures:
         for got, want in zip(other.states, alone.states):
             assert np.array_equal(got.curve.samples, want.curve.samples)
             assert got.diagnostics == want.diagnostics
+
+
+class TestIsolatedCalls:
+    """A failure in one of two groups during the dt policy, a scheduled
+    resampling or a step's inextensibility resampling ends that group as
+    it ends alone, and leaves the other group as it runs alone."""
+
+    @staticmethod
+    def together_and_alone(make_failing, make_other, call):
+        failing, other = make_failing(), make_other()
+        call([failing, other])
+        failing_alone, other_alone = make_failing(), make_other()
+        call([failing_alone])
+        call([other_alone])
+        assert failing.failure is not None and failing.failure == failing_alone.failure
+        assert other.failure is None
+        assert (other.steps, other.t, other.dt) == (other_alone.steps, other_alone.t, other_alone.dt)
+        for got, want in zip(other.states, other_alone.states):
+            assert np.array_equal(got.curve.samples, want.curve.samples)
+            assert got.diagnostics == want.diagnostics
+        return failing
+
+    def test_policy_stall(self):
+        # dt None: the policy sets it, and its cold tension solve stalls
+        failing = self.together_and_alone(lambda: group(64, None, cg_tol=1e-30),
+                                          lambda: group(64, None), lockstep)
+        assert failing.failure.startswith("SolverError: tension CG stalled")
+        assert failing.steps == 0 and failing.dt is None
+
+    @staticmethod
+    def folded_group():
+        """A group whose second (rft) member is folded over."""
+        g = group(64, 1e-6)
+        g.states = [g.states[0], EvolutionState(folded(64), 0.0)]
+        return g
+
+    def test_scheduled_resample_fold_over(self):
+        failing = self.together_and_alone(self.folded_group, lambda: group(64, 1e-6), _resample)
+        assert failing.failure.startswith("GeometryError: fold-over")
+
+    def test_step_resample_fold_over(self):
+        failing = self.together_and_alone(self.folded_group, lambda: group(64, 1e-6), lockstep)
+        with pytest.raises(GeometryError) as solo:
+            _step(failing.states[1], 1e-6, failing.force_maps[1])
+        assert failing.failure == str(solo.value) and failing.steps == 0
+        assert failing.failure.startswith("fold-over")

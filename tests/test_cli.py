@@ -164,6 +164,25 @@ class TestSimulate:
         assert manifest["aborted"]
 
 
+    def test_failed_dt_policy_aborts_with_manifest(self, tmp_path):
+        # no dt: the policy's tension solve stalls, an aborted run as with dt
+        config = write_config(tmp_path, """\
+model = leps
+epsilon = 1e-3
+n = 64
+horizon = 1e-4
+initial_curve = perturbed-circle(2,0.03)
+cg_tol = 1e-30
+""")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["steps"] == 0
+        assert manifest["aborted"].startswith("SolverError: tension CG stalled")
+        assert read_csv(out / "diagnostics.csv")[1:] == []
+        assert [p.name for p in out.glob("curve_*.csv")] == ["curve_000000.csv"]
+
+
 class TestTensionCheck:
     def test_circle_tension(self, tmp_path):
         from filament.spectral import PeriodicCurve, write_curve_csv
@@ -194,6 +213,24 @@ class TestTensionCheck:
         assert main(["tension-check", "--curve", str(curve_path), "--epsilon", "1e-2",
                      "--out", str(tmp_path / "t.csv")]) == 1
         assert "bad curve file" in capsys.readouterr().err
+
+
+    def test_trailing_blank_line_accepted(self, tmp_path):
+        argv, manifest = tiny_call(tmp_path, "tension-check")
+        curve_path = tmp_path / "circle.csv"
+        curve_path.write_text(curve_path.read_text() + "\n")
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["n"] == 32
+
+    @pytest.mark.parametrize("row,cells", [("0.5,1,2", 3), ("0.5,1,2,3,4", 5)])
+    def test_row_with_wrong_cell_count_exit_1(self, tmp_path, capsys, row, cells):
+        argv, _ = tiny_call(tmp_path, "tension-check")
+        curve_path = tmp_path / "circle.csv"
+        lines = curve_path.read_text().splitlines()
+        curve_path.write_text("\n".join(lines[:5] + [row] + lines[5:]) + "\n")
+        assert main(argv) == 1
+        assert f"bad curve file: line 6: expected 4 columns s,x,y,z, got {cells}" in \
+            capsys.readouterr().err
 
 
 class TestLemmaSuiteCommand:

@@ -123,6 +123,13 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             parse_sweep_config("epsilons = 0.5, 1e-3\n")
 
+    def test_epsilons_follow_the_epsilon_rule(self):
+        # each entry in (0, 0.1], as `epsilon` of a simulate config
+        assert parse_sweep_config("epsilons = 0.1, 0.01, 0.001\n").epsilons == (0.1, 0.01, 0.001)
+        with pytest.raises(ConfigError) as err:
+            parse_sweep_config("epsilons = 0.2, 0.01\n")
+        assert "line 1: bad value for 'epsilons': must lie in (0, 0.1], got 0.2" in str(err.value)
+
     def test_as_dict_round_trip(self):
         config = parse_sweep_config("n = 64\nhorizon = 0.25\n")
         assert SweepConfig(**config_as_dict(config)) == config

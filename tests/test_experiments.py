@@ -8,20 +8,29 @@ import numpy as np
 import pytest
 
 from filament.config import SweepConfig
+from filament.evolution import lockstep
 from filament.experiments import (
     DiscrepancyRecord,
+    _pair,
     coercivity_ratios,
     compensated_band,
     convergence_study,
     discrepancy_energy_trace,
     gronwall_constants,
     lemma_suite,
-    run_pair,
     write_summary_csv,
     write_traces_csv,
 )
 from filament.multipliers import MultiplierTable, build_table
 from filament.spectral import PeriodicCurve, write_json
+
+
+def run_pair(eps, n, horizon, initial_name, **options):
+    """The DiscrepancyRecord of one eps row stepped alone; the options
+    are those of `_pair`."""
+    group, finish = _pair(eps, n, horizon, initial_name, **options)
+    lockstep([group])
+    return finish(group)
 
 
 class TestLemmaSuite:

@@ -395,6 +395,23 @@ class TestSerialization:
         sidecar = json.loads((tmp_path / "curve.json").read_text())
         assert sidecar["n"] == 64
 
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        c = PeriodicCurve.circle(32)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(c, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n\n")
+        assert np.array_equal(read_curve_csv(path)[0].samples, c.samples)
+
+    @pytest.mark.parametrize("row,cells", [("0.5,1,2", 3), ("0.5,1,2,3,4", 5), ("  ", 1)])
+    def test_csv_row_cell_count(self, tmp_path, row, cells):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(PeriodicCurve.circle(32), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [row] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match=rf"^line 4: expected 4 columns s,x,y,z, got {cells}$"):
+            read_curve_csv(path)
+
     def test_csv_cells(self, tmp_path):
         # ints (numpy's too) as they are, bools as 0/1, every other cell
         # with 17 significant digits, so that it reads back as the same double
