@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (aspect_ratios, config_as_dict, count, model_name, parse_config,
-                     parse_sweep_config)
-from .multipliers import _validate_epsilon
+from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, model_name,
+                     parse_config, parse_sweep_config)
 from .spectral import read_curve_csv, write_csv, write_curve_csv, write_json
 from .tension import SolverError
 
@@ -193,8 +192,6 @@ def _cmd_lemma_suite(args):
             None if report["passed"] else "lemma suite failed; see lemma_report.json")
 
 
-_EPSILON = _checked(lambda raw: _validate_epsilon(float(raw)))
-
 # name: (help, work, writes a directory, options besides --out and --force)
 _COMMANDS = {
     "simulate": ("run one model from a key=value config", _cmd_simulate, True, {
@@ -205,12 +202,12 @@ _COMMANDS = {
             "config", lambda path: parse_sweep_config(path.read_text()))),
         "--jobs": dict(type=_checked(count), default=1)}),
     "multiplier-dump": ("tabulate the multipliers to CSV", _cmd_multiplier_dump, False, {
-        "--epsilon": dict(required=True, type=_EPSILON),
+        "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--kmax": dict(required=True, type=_checked(count))}),
     "tension-check": ("solve the tension problem on a stored curve", _cmd_tension_check, False, {
         "--curve": dict(required=True, type=_input_file(
             "curve", lambda path: read_curve_csv(path)[0])),
-        "--epsilon": dict(required=True, type=_EPSILON),
+        "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--model": dict(type=_checked(model_name), default="leps")}),
     "lemma-suite": ("multiplier bound and coercivity suites", _cmd_lemma_suite, True, {
         "--epsilons": dict(type=_checked(aspect_ratios), default="1e-2,1e-3,1e-4,1e-5"),

@@ -68,7 +68,13 @@ class EvolutionState:
 
 def energy(curve):
     """Bending energy E = 1/2 int |X_ss|^2 ds."""
-    return 0.5 * mean_inner(curve.xss, curve.xss)
+    return float(_energies(curve.xss))
+
+
+def _energies(xss):
+    """energy of each member from X_ss samples (..., n, 3), member axes
+    first; a member gets the bits of its solo energy."""
+    return 0.5 * np.mean(np.sum(xss * xss, axis=-1), axis=-1)
 
 
 def force_density(curve, tension):
@@ -84,10 +90,8 @@ def dissipation(curve, tension):
     xsss = grid.ik_pow[:, 3, None] * curve.coeffs
     product = to_coeffs(curve.tangent * tension.values[..., None], axis=-2)
     product[..., grid.above_band, :] = 0.0
-    z = xsss - product
-    if z.ndim == 2:
-        return sobolev_norm_coeffs(z, H_HALF_HOM) ** 2
-    return [sobolev_norm_coeffs(member, H_HALF_HOM) ** 2 for member in z]
+    norm = sobolev_norm_coeffs(xsss - product, H_HALF_HOM, axis=-2)
+    return norm ** 2 if xsss.ndim == 2 else [v ** 2 for v in norm.tolist()]
 
 
 def dissipation_rate(problem, tension):
@@ -135,12 +139,11 @@ def _forcing(curves, force_maps, cg_tols, warm):
 
 def _policy_dts(curves, force_maps, cg_tols, rescaled):
     """choose_dt for every member (leps members first) as one batch."""
-    ghat = _forcing(curves, force_maps, cg_tols, None)[-1]
-    dts = []
-    for curve, force_map, member_ghat, scaled in zip(curves, force_maps, ghat, rescaled):
-        dt = 1e-2 * sobolev_norm_coeffs(curve.coeffs, H2) / sobolev_norm_coeffs(member_ghat, H2)
-        dts.append(float(dt * force_map.log_eps if scaled else dt))
-    return dts
+    _, problem, _, ghat = _forcing(curves, force_maps, cg_tols, None)
+    dts = (1e-2 * sobolev_norm_coeffs(problem.curve.coeffs, H2, axis=-2)
+           / sobolev_norm_coeffs(ghat, H2, axis=-2))
+    return [float(dt * force_map.log_eps if scaled else dt)
+            for dt, force_map, scaled in zip(dts.tolist(), force_maps, rescaled)]
 
 
 @dataclass(frozen=True)
@@ -172,21 +175,21 @@ def _advance(states, force_maps, dts, options):
            if curve.inext_residual > 0.5 * options[j].inext_tol]
     for j, curve in zip(off, reparameterize_each([curves[j] for j in off])):
         curves[j] = curve
-    # diagnostics, their FFTs batched
+    # diagnostics, one array expression per quantity for all members
     tension = TensionField.stack(tensions)
     dissipations = dissipation(CurveBatch.of(curves), tension)
-    h12 = to_coeffs(tension.values, axis=-1)
+    h12 = sobolev_norm_coeffs(to_coeffs(tension.values, axis=-1), H_HALF, axis=-1).tolist()
+    energies = _energies(np.array([c.xss for c in curves])).tolist()
     new_states = []
-    for j, (state, curve) in enumerate(zip(states, curves)):
+    for j, (state, curve, e_new) in enumerate(zip(states, curves, energies)):
         e_old = state.diagnostics.energy if state.diagnostics else energy(state.curve)
-        e_new = energy(curve)
         record = DiagnosticsRecord(
             step=(state.diagnostics.step + 1) if state.diagnostics else 1,
             time=state.time + dts[j],
             energy=e_new,
             dissipation=dissipations[j],
             inext_residual=curve.inext_residual,
-            tension_h12=sobolev_norm_coeffs(h12[j], H_HALF),
+            tension_h12=h12[j],
             energy_flag=bool(e_new > e_old + options[j].energy_tol_abs),
             cg_iterations=tensions[j].iterations,
             cg_residual=tensions[j].residual,

@@ -2,7 +2,9 @@
 
 Conventions: the curve lives on s in [0, 1) sampled at n equispaced
 points; Fourier coefficients follow f(s) = sum_k fhat(k) e^{2 pi i k s}
-and are stored in rfft layout (k = 0..n/2), so fhat = rfft(f)/n.  All
+and are stored in rfft layout (k = 0..n/2), so fhat = rfft(f)/n, with
+the 1/n applied inside pocketfft (norm="forward"): on the power-of-two
+grids of PeriodicCurve and the configs that is bitwise rfft(f)/n.  All
 pointwise products are dealiased with the 2/3 rule (modes |k| > n/3
 zeroed on inputs and outputs), and the Nyquist mode is zeroed on every
 differentiation and multiplier application.
@@ -76,13 +78,16 @@ class Grid:
 
 
 def to_coeffs(values, axis=0):
-    """Fourier coefficients (rfft layout) of real samples on the given grid axis."""
-    return np.fft.rfft(values, axis=axis) / values.shape[axis]
+    """Fourier coefficients (rfft layout) of real samples on the given grid
+    axis, scaled by pocketfft: a power of two commutes with every rounding,
+    so on a power-of-two grid this is bitwise rfft(values) / n."""
+    return np.fft.rfft(values, axis=axis, norm="forward")
 
 
 def from_coeffs(coeffs, n, axis=0):
-    """Real samples from rfft-layout coefficients on the given grid axis."""
-    return np.fft.irfft(coeffs * n, n=n, axis=axis)
+    """Real samples from rfft-layout coefficients on the given grid axis,
+    unscaled by pocketfft: on a power-of-two grid bitwise irfft(coeffs * n)."""
+    return np.fft.irfft(coeffs, n=n, axis=axis, norm="forward")
 
 
 def dealias(values, axis=0):
@@ -105,12 +110,16 @@ def sobolev_norm(values, index):
     return sobolev_norm_coeffs(to_coeffs(values), index)
 
 
-def sobolev_norm_coeffs(coeffs, index):
-    """sobolev_norm of the field with rfft-layout coefficients coeffs."""
-    grid = Grid.of_size(2 * (coeffs.shape[0] - 1))
+def sobolev_norm_coeffs(coeffs, index, axis=0):
+    """sobolev_norm of the field with rfft-layout coefficients coeffs on
+    the given grid axis; an axis after it holds vector components.  Axes
+    before it are members, and the result is then an array of norms, each
+    with the bits of the member's solo norm (one pairwise sum per row)."""
+    axis %= coeffs.ndim
+    grid = Grid.of_size(2 * (coeffs.shape[axis] - 1))
     power = np.abs(coeffs) ** 2
-    if power.ndim == 2:
-        power = power.sum(axis=1)
+    if power.ndim > axis + 1:
+        power = power.sum(axis=-1)
     if index.homogeneous:
         k = grid.k.copy()
         k[0] = 1.0  # placeholder; the k = 0 weight is zeroed below
@@ -118,7 +127,8 @@ def sobolev_norm_coeffs(coeffs, index):
         w[0] = 0.0
     else:
         w = (1.0 + grid.k ** 2) ** index.order
-    return float(np.sqrt(np.sum(grid.weight * w * power)))
+    norm = np.sqrt(np.sum(grid.weight * w * power, axis=-1))
+    return norm if axis else float(norm)
 
 
 def mean_inner(a, b):
@@ -395,7 +405,7 @@ def reparameterize_each(curves):
     grid = curves[0].grid
     n = grid.n
     speed = np.array([c.speed for c in curves])
-    total = np.array([float(np.mean(member)) for member in speed])
+    total = np.mean(speed, axis=-1)
     shat = to_coeffs(speed, axis=-1)
     ghat = np.zeros_like(shat)
     ghat[:, 1:] = shat[:, 1:] / (TWO_PI * 1j * grid.k[1:])

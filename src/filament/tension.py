@@ -194,50 +194,56 @@ def solve_tensions(problem, initial=None):
         problem, rhs_norm, x, r = problem.members(members), rhs_norm[members], x[members], r[members]
     precond = _preconditioner(problem)
     residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
-    history = {i: [v] for i, v in zip(members, residual.tolist())}
+    history = [residual]  # each iteration's residuals, over the rows it had
     iterations = 0
     p = rz = None
+    # The checks read the rows through tolist(), a tenth of the cost of a
+    # numpy reduction on so few rows; the rest happens only when one fails.
     while members:
         # members leave the batch when they converge
-        leaving = {j for j, (i, t) in enumerate(zip(members, tols)) if not history[i][-1] > t}
-        for j in leaving:
-            tensions[members[j]] = TensionField.from_values(
-                x[j].copy(), iterations, history[members[j]][-1])
-        if len(leaving) == len(members):
-            break
-        z = precond(r)
-        rz_new = np.vecdot(r, z)
-        for j, rz_j in enumerate(rz_new.tolist()):
-            if j not in leaving and (iterations >= 10 * n or not rz_j > 0.0):
-                raise _stalled(history[members[j]], iterations)
-        if leaving:  # compact the batch to the members still iterating
-            keep = [j for j in range(len(members)) if j not in leaving]
+        going = [v > t for v, t in zip(residual.tolist(), tols)]
+        if not all(going):
+            for j, g in enumerate(going):
+                if not g:
+                    tensions[members[j]] = TensionField.from_values(
+                        x[j].copy(), iterations, float(residual[j]))
+            keep = [j for j, g in enumerate(going) if g]
+            if not keep:
+                break
+            # compact the batch to the members still iterating
             members, tols = [members[j] for j in keep], [tols[j] for j in keep]
-            rhs_norm, x, r, z, rz_new = (a[keep] for a in (rhs_norm, x, r, z, rz_new))
+            rhs_norm, x, r = rhs_norm[keep], x[keep], r[keep]
+            history = [h[keep] for h in history]
             if p is not None:
                 p, rz = p[keep], rz[keep]
             problem = problem.members(keep)
             precond = _preconditioner(problem)
+        z = precond(r)
+        rz_new = np.vecdot(r, z)
+        ok = [iterations < 10 * n and v > 0.0 for v in rz_new.tolist()]
+        if not all(ok):
+            raise _stalled(history, iterations, ok.index(False))
         p = z if p is None else z + (rz_new / rz)[:, None] * p
         rz = rz_new
         bp = apply_B(problem, p)
         pbp = np.vecdot(p, bp)
-        for j, v in enumerate(pbp.tolist()):
-            if not v > 0.0:  # p.Bp underflowed: the iterate cannot move
-                raise _stalled(history[members[j]], iterations)
+        ok = [v > 0.0 for v in pbp.tolist()]
+        if not all(ok):  # p.Bp underflowed: the iterate cannot move
+            raise _stalled(history, iterations, ok.index(False))
         alpha = (rz / pbp)[:, None]
         x = x + alpha * p
         r = r - alpha * bp
         residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
-        for i, v in zip(members, residual.tolist()):
-            history[i].append(v)
+        history.append(residual)
         iterations += 1
     return tensions
 
 
-def _stalled(history, iterations):
+def _stalled(history, iterations, row):
+    """The SolverError of the given row of the batch."""
+    residuals = [float(h[row]) for h in history]
     return SolverError(
-        f"tension CG stalled at relative residual {history[-1]:.3e} "
+        f"tension CG stalled at relative residual {residuals[-1]:.3e} "
         f"after {iterations} iterations",
-        history,
+        residuals,
     )

@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 from filament.evolution import (
+    H2,
+    H_HALF,
+    H_HALF_HOM,
     EvolutionState,
     Group,
     StepOptions,
     _advance,
+    _energies,
     _resample,
     _step,
+    dissipation,
+    energy,
     initial_curve,
     lockstep,
 )
@@ -24,12 +30,16 @@ from filament.spectral import (
     CurveBatch,
     GeometryError,
     PeriodicCurve,
+    SobolevIndex,
     dealias,
+    mean_inner,
     reparameterize_arclength,
     reparameterize_each,
+    sobolev_norm_coeffs,
     to_coeffs,
 )
-from filament.tension import SolverError, TensionProblem, apply_B, solve_tension, solve_tensions
+from filament.tension import (SolverError, TensionField, TensionProblem, apply_B, solve_tension,
+                              solve_tensions)
 
 NS = [64, 256]
 
@@ -99,6 +109,25 @@ class TestAgainstSolo:
                 assert np.array_equal(got.tension.values, want.tension.values)
                 assert got.diagnostics == want.diagnostics
                 assert got.time == want.time
+
+    def test_sobolev_norms(self, n):
+        rng = np.random.default_rng(n + 3)
+        vector = to_coeffs(rng.standard_normal((4, n, 3)), axis=-2)
+        scalar = to_coeffs(rng.standard_normal((4, n)), axis=-1)
+        for index in (H2, H_HALF, H_HALF_HOM, SobolevIndex(3.5, homogeneous=True)):
+            for coeffs, axis in ((vector, -2), (scalar, -1)):
+                got = sobolev_norm_coeffs(coeffs, index, axis=axis).tolist()
+                assert got == [sobolev_norm_coeffs(member, index) for member in coeffs]
+
+    def test_energies_and_dissipation(self, n):
+        curves = [curve for curve, _ in members(n)]
+        got = _energies(np.array([c.xss for c in curves])).tolist()
+        assert got == [energy(c) for c in curves]
+        assert got == [0.5 * mean_inner(c.xss, c.xss) for c in curves]
+        tau = np.random.default_rng(n + 4).standard_normal((len(curves), n))
+        assert dissipation(CurveBatch.of(curves), TensionField.stack(
+            [TensionField.from_values(t) for t in tau])) == [
+            dissipation(c, TensionField.from_values(t)) for c, t in zip(curves, tau)]
 
     def test_resampler(self, n):
         s = np.arange(n) / n

@@ -398,3 +398,16 @@ class TestArgumentErrors:
     def test_missing_required_arg_exit_1(self, capsys):
         assert main(["multiplier-dump", "--epsilon", "1e-2"]) == 1
         assert "--kmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["multiplier-dump", "tension-check"])
+    def test_epsilon_takes_the_config_rule(self, tmp_path, capsys, command):
+        # --epsilon accepts what the config's epsilon accepts, (0, 0.1]
+        argv, manifest = tiny_call(tmp_path, command)
+        at = argv.index("--epsilon") + 1
+        argv[at] = "0.5"
+        assert main(argv) == 1
+        assert "argument --epsilon: must lie in (0, 0.1], got 0.5" in capsys.readouterr().err
+        assert not manifest.exists()
+        argv[at] = "0.1"
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["epsilon"] == 0.1

@@ -42,6 +42,19 @@ class TestTransforms:
         f = random_field(128, band_limited=False, seed=3)
         assert np.max(np.abs(from_coeffs(to_coeffs(f), 128) - f)) < 1e-12
 
+    @pytest.mark.parametrize("n", [32, 256, 1024])
+    @pytest.mark.parametrize("axis", [-1, -2], ids=["scalar", "vector"])
+    def test_scaling_matches_the_plain_form_bitwise(self, n, axis):
+        # pocketfft's own 1/n scaling against rfft(x)/n and irfft(c*n):
+        # on a power-of-two grid a scaling by 2^-k commutes with rounding
+        rng = np.random.default_rng(n)
+        shape = (5, n) if axis == -1 else (5, n, 3)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        coeffs = np.fft.rfft(values, axis=axis) / n
+        assert to_coeffs(values, axis=axis).tobytes() == coeffs.tobytes()
+        assert (from_coeffs(coeffs, n, axis=axis).tobytes()
+                == np.fft.irfft(coeffs * n, n=n, axis=axis).tobytes())
+
     def test_derivative_of_constant(self):
         curve = PeriodicCurve(np.ones((64, 3)))
         for values in (curve.xs, curve.xss, curve.xsss, curve.xssss, curve.tangent):

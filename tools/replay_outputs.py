@@ -10,11 +10,13 @@ its plan.json through filament.cli.main, so the outputs land in out/
 next to the inputs.  The seed-0 sweep is replayed a second time with
 --jobs 2 into OUT/sweep-seed0-jobs2/, which covers the sweep split over
 worker processes.  It then runs `lemma-suite` at its defaults into
-OUT/lemma-suite/ and `multiplier-dump --epsilon 1e-3 --kmax 4096` into
-OUT/multiplier-dump/.  Each replay runs in a fresh interpreter with
-BLAS and OpenMP pinned to one thread, as in the benchmark.  The
-wall_time_s of each directory manifest (manifest.json) is dropped, so
-two replays compare whole, manifests included, with
+OUT/lemma-suite/, `multiplier-dump --epsilon 1e-3 --kmax 4096` into
+OUT/multiplier-dump/, and `simulate` of the rft model at n = 32, with
+the config it writes first, into OUT/simulate-rft-n32/.  Each replay
+runs in a fresh interpreter with BLAS and OpenMP pinned to one thread,
+as in the benchmark.  The wall_time_s of each directory manifest
+(manifest.json) is dropped, so two replays compare whole, manifests
+included, with
 
     diff -r OUT_A OUT_B
 """
@@ -27,21 +29,28 @@ from pathlib import Path
 
 WORKLOADS = ("sweep", "simulate_n1024", "tension_check")
 SEEDS = (0, 1)
+# name: (CLI call, {input file: its text})
 EXTRA_CALLS = {
-    "lemma-suite": ["lemma-suite", "--out", "out"],
-    "multiplier-dump": ["multiplier-dump", "--epsilon", "1e-3", "--kmax", "4096",
-                        "--out", "out/multipliers.csv"],
+    "lemma-suite": (["lemma-suite", "--out", "out"], {}),
+    "multiplier-dump": (["multiplier-dump", "--epsilon", "1e-3", "--kmax", "4096",
+                         "--out", "out/multipliers.csv"], {}),
+    "simulate-rft-n32": (["simulate", "--config", "rft.cfg", "--out", "out/simulate"], {
+        "rft.cfg": "model = rft\nepsilon = 1e-3\nn = 32\nhorizon = 2e-5\n"
+                   "initial_curve = perturbed-circle(3,0.05)\n"}),
 }
 
 # Run in the child, inside the replay directory: argv[1] is a workload
 # name, argv[2] its seed and argv[3], if given, the --jobs value of its
-# calls; or argv[1] is "-" and argv[2] one CLI call as JSON.
+# calls; or argv[1] is "-", argv[2] one CLI call as JSON and argv[3] its
+# input files as JSON, {name: text}.
 CHILD = """
 import json, os, sys
 from pathlib import Path
 import filament.cli
 if sys.argv[1] == "-":
     calls = [json.loads(sys.argv[2])]
+    for name, text in json.loads(sys.argv[3]).items():
+        Path(name).write_text(text)
 else:
     from inputs import write_inputs
     write_inputs(sys.argv[1], int(sys.argv[2]), ".")
@@ -78,8 +87,8 @@ def main():
     codes = [replay(root, out / f"{workload}-seed{seed}", [workload, str(seed)])
              for workload in WORKLOADS for seed in SEEDS]
     codes.append(replay(root, out / "sweep-seed0-jobs2", ["sweep", "0", "2"]))
-    codes += [replay(root, out / name, ["-", json.dumps(argv)])
-              for name, argv in EXTRA_CALLS.items()]
+    codes += [replay(root, out / name, ["-", json.dumps(argv), json.dumps(files)])
+              for name, (argv, files) in EXTRA_CALLS.items()]
     sys.exit(1 if any(codes) else 0)
 
 
