@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, model_name,
-                     parse_config, parse_sweep_config)
+from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, curve_spec,
+                     model_name, parse_config, parse_sweep_config)
+from .evolution import initial_curve
 from .spectral import read_curve_csv, write_csv, write_curve_csv, write_json
 from .tension import SolverError
 
@@ -75,13 +76,25 @@ def _checked(convert):
 def _input_file(kind, read):
     """An argparse type that loads a config or curve file with read."""
     def load(path):
-        if not Path(path).exists():
+        if not Path(path).is_file():
             raise ValueError(f"{kind} file not found: {path}")
         try:
             return read(Path(path))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"bad {kind} file: {exc}") from exc
     return _checked(load)
+
+
+def _config_file(parse, sizes):
+    """An argparse type that loads a config file with parse; a CSV initial
+    curve is read too, and must have each n in sizes(config)."""
+    def read(path):
+        config = parse(path.read_text())
+        if curve_spec(config.initial_curve)[0] == "csv":
+            for n in sizes(config):
+                initial_curve(config.initial_curve, n)
+        return config
+    return _input_file("config", read)
 
 
 def _run(args):
@@ -109,7 +122,7 @@ def _run(args):
 # failure message or None.
 
 def _cmd_simulate(args):
-    from .evolution import initial_curve, run, write_diagnostics_csv
+    from .evolution import run, write_diagnostics_csv
 
     config = args.config
     curve = initial_curve(config.initial_curve, config.n)
@@ -195,11 +208,10 @@ def _cmd_lemma_suite(args):
 # name: (help, work, writes a directory, options besides --out and --force)
 _COMMANDS = {
     "simulate": ("run one model from a key=value config", _cmd_simulate, True, {
-        "--config": dict(required=True, type=_input_file(
-            "config", lambda path: parse_config(path.read_text())))}),
+        "--config": dict(required=True, type=_config_file(parse_config, lambda c: (c.n,)))}),
     "sweep": ("eps-sweep comparison of the two models", _cmd_sweep, True, {
-        "--config": dict(required=True, type=_input_file(
-            "config", lambda path: parse_sweep_config(path.read_text()))),
+        "--config": dict(required=True, type=_config_file(
+            parse_sweep_config, lambda c: (c.n, 1024) if c.confirmation else (c.n,))),
         "--jobs": dict(type=_checked(count), default=1)}),
     "multiplier-dump": ("tabulate the multipliers to CSV", _cmd_multiplier_dump, False, {
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),

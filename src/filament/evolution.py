@@ -235,9 +235,9 @@ def initial_curve(name, n):
 @dataclass(eq=False)
 class Group:
     """Members stepped with one shared dt: a run is a group of one, a
-    sweep row its two models.  The group runs from t = 0 while t < end,
-    its last step shortened to land on the horizon; after each step
-    lockstep calls on_step(states, steps, dt_step).
+    sweep row its two models.  The group runs from t = 0 while
+    t < end = horizon (1 - 1e-12), its last step shortened to land on the
+    horizon; after each step lockstep calls on_step(states, steps, dt_step).
 
     With policy_every > 0 the dt policy (choose_dt, minimum over the
     members) is re-evaluated every policy_every steps, letting dt at
@@ -249,7 +249,6 @@ class Group:
     force_maps: tuple
     dt: float
     horizon: float
-    end: float
     on_step: object
     options: StepOptions
     policy_every: int = 0
@@ -259,6 +258,10 @@ class Group:
     steps: int = 0
     flagged: int = 0     # steps on which a member raised its energy flag
     failure: str = None  # why the group ended early
+
+    @property
+    def end(self):
+        return self.horizon * (1.0 - 1e-12)
 
 
 def _named(exc):
@@ -390,8 +393,7 @@ def run(config, initial):
             traj.states.append(state)
 
     (group,) = lockstep([Group(
-        [state], (force_map,), config.dt, config.horizon,
-        config.horizon - 1e-12 * config.horizon, after_step,
+        [state], (force_map,), config.dt, config.horizon, after_step,
         StepOptions(cg_tol=config.cg_tol, inext_tol=config.inextensibility_tol,
                     energy_tol_abs=config.energy_tol * e0, time_scale=time_scale),
         rescaled=config.rescaled_time,

@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SweepConfig, config_as_dict
 from .evolution import H2, EvolutionState, Group, StepOptions, energy, initial_curve, lockstep
-from .evolution import _step  # noqa: F401  (perfbench/test_smoke.py looks it up here)
+from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
 from .multipliers import build_table, eval_mn, eval_mt, lowk_rft_difference, rft_constants
 from .spectral import (
     GeometryError,
@@ -167,10 +166,9 @@ def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
     options = StepOptions(cg_tol=cg_tol, inext_tol=inext_tol,
                           energy_tol_abs=1e-8 * energy(curve),
                           time_scale=1.0 / abs(math.log(eps)))
-    group = Group([EvolutionState(curve, 0.0)] * 2, (table, rft_constants(eps)), dt,
-                  horizon, horizon * (1.0 - 1e-12), after_step, options,
-                  policy_every=POLICY_EVERY if dt is None else 0, dt_cap=interval,
-                  rescaled=True)
+    group = Group([EvolutionState(curve, 0.0)] * 2, (table, rft_constants(eps)), dt, horizon,
+                  after_step, options, policy_every=POLICY_EVERY if dt is None else 0,
+                  dt_cap=interval, rescaled=True)
     return group, finish
 
 
@@ -178,18 +176,13 @@ def _study_worker(tasks):
     """The records of a chunk of sweep rows; the rows of one grid size
     step as one batch."""
     rows = []
-    for eps, sweep_dict, n_override in tasks:
-        sweep = SweepConfig(**sweep_dict)
-        n = n_override if n_override else sweep.n
+    for eps, sweep, n in tasks:
         try:
-            rows.append((n, *_pair(
-                eps, n, sweep.horizon, sweep.initial_curve,
-                snapshot_every=sweep.snapshot_every,
-                cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
-            )))
+            rows.append((n, *_pair(eps, n, sweep.horizon, sweep.initial_curve,
+                                   snapshot_every=sweep.snapshot_every, cg_tol=sweep.cg_tol,
+                                   inext_tol=sweep.inextensibility_tol)))
         except GeometryError as exc:
-            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n,
-                                                    failed=f"{type(exc).__name__}: {exc}")))
+            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n, failed=_named(exc))))
     for size in dict.fromkeys(n for n, *_ in rows):
         lockstep([group for n, group, _ in rows if n == size and group is not None])
     records = [finish if group is None else finish(group) for _, group, finish in rows]
@@ -207,9 +200,9 @@ def convergence_study(sweep, jobs=1):
     that many contiguous chunks (at most one per row), each run as one
     batch in its own worker process.
     """
-    tasks = [(eps, config_as_dict(sweep), None) for eps in sweep.epsilons]
+    tasks = [(eps, sweep, sweep.n) for eps in sweep.epsilons]
     if sweep.confirmation:
-        tasks.append((1e-4, config_as_dict(sweep), 1024))
+        tasks.append((1e-4, sweep, 1024))
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return _study_worker(tasks)

@@ -21,7 +21,6 @@ ForceMapStack is the force map of a batch of curves (see
 spectral.CurveBatch): the same interface with a member axis first.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +177,7 @@ class ForceMapStack:
     normal constants for the rft members.  `apply` makes the first
     tangent projection once for all members and L_eps's second one for
     the leps members only.  Symbols have shape (m, size) and log_eps
-    (m, 1); indexing gives the stack of the selected members."""
+    (m, 1)."""
 
     def __init__(self, maps, size):
         self.maps = tuple(maps)
@@ -198,17 +197,6 @@ class ForceMapStack:
         for row, m in enumerate(self.maps):
             self._principal[row] = m.principal_symbol(size)
             self._precond[row] = m.precond_symbol(size)
-
-    def __getitem__(self, index):
-        index = np.arange(len(self.maps))[index]  # ascending, so leps members stay first
-        stack = copy.copy(self)
-        stack.maps = tuple(self.maps[i] for i in index)
-        stack.split = int(np.count_nonzero(index < self.split))
-        stack.mt, stack.mn = self.mt[index[:stack.split]], self.mn[index[:stack.split]]
-        stack.normal = self.normal[index[stack.split:] - self.split]
-        stack.log_eps, stack._principal, stack._precond = (
-            a[index] for a in (self.log_eps, self._principal, self._precond))
-        return stack
 
     def apply(self, curve, coeffs):
         pt = spectral.project_tangent(curve, coeffs)

@@ -23,9 +23,9 @@ shape (m, n).  solve_tensions runs CG on all members at once, with
 per-member step lengths and inner products (np.vecdot on contiguous
 member rows, which reproduces np.dot bitwise).  A member that converges
 leaves the batch with its iterate, so it takes exactly the iterations
-it would take alone; a member that stalls raises SolverError for the
-whole batch (evolution._batched isolates it).  solve_tension is the
-batch of one.
+it would take alone; a member that stalls or has a NaN residual raises
+SolverError for the whole batch (evolution._batched isolates it).
+solve_tension is the batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -98,8 +98,11 @@ class TensionProblem:
         return self.force_map.apply(self.curve, coeffs)
 
     def members(self, index):
-        """The batched problem of the selected members."""
-        return TensionProblem(self.curve[index], self.force_map[index],
+        """The batched problem of the selected members (ascending, so the
+        leps members stay first), with a new stack of their force maps."""
+        maps = self.force_map.maps
+        return TensionProblem(self.curve[index],
+                              ForceMapStack([maps[i] for i in index], self.curve.grid.k.shape[0]),
                               cg_tol=np.broadcast_to(self.cg_tol, (len(self.curve),))[index])
 
 
@@ -200,8 +203,8 @@ def solve_tensions(problem, initial=None):
     # The checks read the rows through tolist(), a tenth of the cost of a
     # numpy reduction on so few rows; the rest happens only when one fails.
     while members:
-        # members leave the batch when they converge
-        going = [v > t for v, t in zip(residual.tolist(), tols)]
+        # members leave the batch when they converge (a NaN residual stalls below)
+        going = [not v <= t for v, t in zip(residual.tolist(), tols)]
         if not all(going):
             for j, g in enumerate(going):
                 if not g:

@@ -330,6 +330,45 @@ class TestInitialCurve:
         assert not out.exists()
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "tension-check"])
+    def test_directory_input_exit_1(self, tmp_path, capsys, command):
+        # a directory given as --config or --curve is an input error
+        argv, _ = tiny_call(tmp_path, command)
+        (tmp_path / "adir").mkdir()
+        flag = "--curve" if command == "tension-check" else "--config"
+        argv[argv.index(flag) + 1] = str(tmp_path / "adir")
+        assert main(argv) == 1
+        assert "not found" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command,case", [
+        ("simulate", "bad-header"), ("simulate", "other-n"),
+        ("sweep", "bad-header"), ("sweep", "other-n"), ("sweep", "confirmation")])
+    def test_csv_initial_curve_checked_with_config(self, tmp_path, capsys, command, case):
+        # a CSV initial curve is read with the config: no run, no output
+        # (the sweep's confirmation row needs n = 1024)
+        from filament.spectral import PeriodicCurve, write_curve_csv
+
+        curve = tmp_path / "curve.csv"
+        write_curve_csv(PeriodicCurve.circle(64 if case == "other-n" else 32), curve,
+                        epsilon=1e-2, time=0.0, model="leps")
+        if case == "bad-header":
+            curve.write_text("s,x,y\n" + "".join(curve.read_text().splitlines(True)[1:]))
+        text = {"simulate": GOOD_CONFIG, "sweep": TINY_SWEEP}[command]
+        text = text.replace("perturbed-circle(2,0.03)", str(curve))
+        if case == "confirmation":
+            text += "confirmation = true\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        want = {"bad-header": "unexpected curve CSV header",
+                "other-n": "curve file has n=64, config asks n=32",
+                "confirmation": "curve file has n=32, config asks n=1024"}[case]
+        assert f"bad config file: {want}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunner:
     @pytest.mark.parametrize("command,module,name", [
         ("simulate", "evolution", "run"),

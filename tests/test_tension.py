@@ -238,6 +238,14 @@ class TestSolverInterface:
         with pytest.raises(SolverError, match="stalled"):
             solve_tension(problem)
 
+    def test_nan_residual_is_a_stall(self):
+        # a NaN residual is not below the tolerance: no NaN tension
+        # comes back as converged
+        problem = TensionProblem(PeriodicCurve.trefoil(64), build_table(1e-2, 32))
+        with pytest.raises(SolverError, match="stalled") as err:
+            solve_tension(problem, np.full(64, np.nan))
+        assert np.isnan(err.value.residuals[-1])
+
     def test_problem_validation(self):
         curve = PeriodicCurve.circle(32)
         with pytest.raises(ValueError):
