@@ -237,7 +237,8 @@ class Group:
     """Members stepped with one shared dt: a run is a group of one, a
     sweep row its two models.  The group runs from t = 0 while
     t < end = horizon (1 - 1e-12), its last step shortened to land on the
-    horizon; after each step lockstep calls on_step(states, steps, dt_step).
+    horizon; after each step lockstep calls on_step(group, dt_step), so a
+    callback reads the group without holding it (no reference cycle).
 
     With policy_every > 0 the dt policy (choose_dt, minimum over the
     members) is re-evaluated every policy_every steps, letting dt at
@@ -355,7 +356,7 @@ def lockstep(groups):
         running = []
         for g in stepped:
             if g.failure is None:
-                g.on_step(g.states, g.steps, stepping[g])
+                g.on_step(g, stepping[g])
                 if g.t < g.end:
                     running.append(g)
     return groups
@@ -385,11 +386,11 @@ def run(config, initial):
     )
     traj = Trajectory([state], [], [])
 
-    def after_step(states, steps, dt_step):
-        (state,) = states
+    def after_step(group, dt_step):
+        (state,) = group.states
         traj.diagnostics.append(state.diagnostics)
         traj.dt_history.append(dt_step)
-        if steps % config.snapshot_every == 0 or state.time >= config.horizon - 1e-12:
+        if group.steps % config.snapshot_every == 0:
             traj.states.append(state)
 
     (group,) = lockstep([Group(

@@ -117,11 +117,11 @@ POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
 SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
 
 
-def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
-          cg_tol=1e-10, inext_tol=1e-6, table=None):
-    """The lockstep group of one eps row, both models in rescaled time,
-    and the function that makes the stepped group its DiscrepancyRecord
-    (a failed one if `lockstep` ended the group early).
+def _pair(eps, curve, sweep, *, dt=None, table=None):
+    """The lockstep group of one eps row from the initial curve under the
+    SweepConfig sweep, both models in rescaled time, and the function that
+    makes the stepped group its DiscrepancyRecord (a failed one if
+    `lockstep` ended the group early).
 
     Both runs share the grid, the initial curve, and the dt schedule
     bit-for-bit; discrepancy norms are evaluated on shared snapshots
@@ -132,7 +132,7 @@ def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
     horizon/SNAPSHOT_TARGET, which is safe because the semi-implicit
     update is exactly stationary on the relaxed circle.
     """
-    curve = initial_curve(initial_name, n)
+    n, horizon = curve.n, sweep.horizon
     if table is None:
         table = build_table(eps, n // 2)
     interval = horizon / SNAPSHOT_TARGET
@@ -140,19 +140,19 @@ def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
     # in the initial transient where the policy keeps dt small and the
     # discrepancy actually accumulates, plus at fixed time marks (running
     # sums of the interval) so the quiescent tail is covered too.
-    stride = 20 if snapshot_every is None else snapshot_every
+    stride = 20 if sweep.snapshot_every is None else sweep.snapshot_every
     marks = itertools.accumulate(itertools.repeat(interval))
     next_snap = next(marks)
     # (time, _discrepancy_row) per snapshot: a row is a few numbers, so
     # the rows of a batch keep no curves alive
     snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
 
-    def after_step(states, steps, dt_step):
+    def after_step(group, dt_step):
         nonlocal next_snap
-        t = states[0].time
-        if (t >= horizon * (1.0 - 1e-12) or steps % stride == 0
-                or t >= next_snap * (1.0 - 1e-12)):
-            snapshots.append((t, _discrepancy_row(states[0].curve, states[1].curve, table)))
+        x, y = group.states
+        t = x.time
+        if t >= group.end or group.steps % stride == 0 or t >= next_snap * (1.0 - 1e-12):
+            snapshots.append((t, _discrepancy_row(x.curve, y.curve, table)))
             if next_snap <= t * (1.0 + 1e-12):
                 next_snap = next(m for m in marks if m > t * (1.0 + 1e-12))
 
@@ -163,9 +163,8 @@ def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
         times, rows = zip(*snapshots)
         return replace(_discrepancy_record(table, n, times, rows), **progress)
 
-    options = StepOptions(cg_tol=cg_tol, inext_tol=inext_tol,
-                          energy_tol_abs=1e-8 * energy(curve),
-                          time_scale=1.0 / abs(math.log(eps)))
+    options = StepOptions(cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
+                          energy_tol_abs=1e-8 * energy(curve), time_scale=1.0 / table.log_eps)
     group = Group([EvolutionState(curve, 0.0)] * 2, (table, rft_constants(eps)), dt, horizon,
                   after_step, options, policy_every=POLICY_EVERY if dt is None else 0,
                   dt_cap=interval, rescaled=True)
@@ -173,16 +172,19 @@ def _pair(eps, n, horizon, initial_name, *, dt=None, snapshot_every=None,
 
 
 def _study_worker(tasks):
-    """The records of a chunk of sweep rows; the rows of one grid size
-    step as one batch."""
-    rows = []
+    """The records of a chunk of sweep rows; the initial curve is built
+    once per grid size, and the rows of one grid size step as one batch."""
+    curves, rows = {}, []
     for eps, sweep, n in tasks:
-        try:
-            rows.append((n, *_pair(eps, n, sweep.horizon, sweep.initial_curve,
-                                   snapshot_every=sweep.snapshot_every, cg_tol=sweep.cg_tol,
-                                   inext_tol=sweep.inextensibility_tol)))
-        except GeometryError as exc:
-            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n, failed=_named(exc))))
+        if n not in curves:
+            try:
+                curves[n] = initial_curve(sweep.initial_curve, n)
+            except GeometryError as exc:
+                curves[n] = exc
+        if isinstance(curves[n], GeometryError):
+            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n, failed=_named(curves[n]))))
+        else:
+            rows.append((n, *_pair(eps, curves[n], sweep)))
     for size in dict.fromkeys(n for n, *_ in rows):
         lockstep([group for n, group, _ in rows if n == size and group is not None])
     records = [finish if group is None else finish(group) for _, group, finish in rows]

@@ -13,8 +13,9 @@ The tangent projection and the force-to-velocity maps act on rfft
 coefficients and return coefficients: differentiation, band limiting
 and the multipliers are diagonal there, so each pointwise product with
 the tangent costs one irfft/rfft pair and nothing else.  L_eps costs 8
-FFT calls, L_rft 4, and a curve's derivatives X_s..X_ssss and its
-dealiased tangent come from one batched irfft.  Callers holding samples
+FFT calls, L_rft 4.  A curve's X_s, X_ss and dealiased tangent come from
+one batched irfft (fill_derived); X_sss and X_ssss are never sampled, but
+enter as the products ik_pow[:, m] * coeffs.  Callers holding samples
 convert at their own boundary with to_coeffs/from_coeffs.
 
 Member axis: several curves on one grid step as one array program.  A
@@ -66,8 +67,8 @@ class Grid:
         self.ik[-1] = 0.0
         self.ik_pow = np.stack([self.ik ** m for m in range(5)], axis=1)
         self.band_ik = np.where(self.band, self.ik, 0.0)
-        # factors of a curve's derivative stack X_s..X_ssss, tangent
-        self.stack_factor = np.column_stack((self.ik_pow[:, 1:], self.band_ik))
+        # factors of a curve's derivative stack X_s, X_ss, tangent
+        self.stack_factor = np.column_stack((self.ik_pow[:, 1:3], self.band_ik))
 
     @staticmethod
     def of_size(n):
@@ -139,8 +140,9 @@ def mean_inner(a, b):
 class PeriodicCurve:
     """Closed curve sampled on a power-of-two periodic grid.
 
-    Derived quantities (tangent, curvature vector, ...) are computed
-    lazily and cached; instances are treated as immutable.
+    Its coefficients, X_s, X_ss and tangent come from fill_derived, a
+    curve alone being the batch of one; derived quantities are cached and
+    instances are treated as immutable.
     """
 
     def __init__(self, samples):
@@ -163,18 +165,14 @@ class PeriodicCurve:
             self._cache[key] = make()
         return self._cache[key]
 
+    def _derived(self, key):
+        if key not in self._cache:
+            fill_derived([self])
+        return self._cache[key]
+
     @property
     def coeffs(self):
-        return self._cached("coeffs", lambda: to_coeffs(self.samples))
-
-    _DERIVED = ("xs", "xss", "xsss", "xssss", "tangent")
-
-    def _derived(self, key):
-        """X_s..X_ssss and the tangent, all from one batched irfft."""
-        if key not in self._cache:
-            for name, values in zip(self._DERIVED, _derivative_stack(self.grid, self.coeffs)):
-                self._cache.setdefault(name, values)
-        return self._cache[key]
+        return self._derived("coeffs")
 
     @property
     def xs(self):
@@ -183,14 +181,6 @@ class PeriodicCurve:
     @property
     def xss(self):
         return self._derived("xss")
-
-    @property
-    def xsss(self):
-        return self._derived("xsss")
-
-    @property
-    def xssss(self):
-        return self._derived("xssss")
 
     @property
     def tangent(self):
@@ -204,10 +194,6 @@ class PeriodicCurve:
     @property
     def inext_residual(self):
         return self._cached("resid", lambda: float(np.max(np.abs(self.speed - 1.0))))
-
-    @property
-    def length(self):
-        return self._cached("length", lambda: float(np.mean(self.speed)))
 
     @classmethod
     def circle(cls, n):
@@ -242,34 +228,22 @@ class PeriodicCurve:
         return _dense_passes(cls(raw), 3)
 
 
-def _derivative_stack(grid, coeffs, fields=slice(None)):
-    """X_s..X_ssss and the dealiased tangent (or the selected fields of
-    the five) of the curves with rfft coefficients (..., n/2+1, 3), from
-    one batched irfft: read-only, shape (..., fields, n, 3)."""
-    factor = grid.stack_factor[:, fields, None]
-    stack = from_coeffs(factor * coeffs[..., :, None, :], grid.n, axis=-3)
-    stack = np.ascontiguousarray(stack.swapaxes(-2, -3))
-    stack.setflags(write=False)
-    return stack
-
-
-# The derived fields a step reads, and their rows in the derivative stack.
-_STEPPED = ("xs", "xss", "tangent")
-_STEPPED_ROWS = [PeriodicCurve._DERIVED.index(name) for name in _STEPPED]
-
-
 def fill_derived(curves):
-    """Cache the coefficients, X_s, X_ss and tangents of the curves on one
-    grid that lack them, from one rfft and one irfft call for all of
-    them.  X_sss and X_ssss stay lazy: a step does not read them."""
+    """Cache the coefficients, X_s, X_ss and dealiased tangents of the
+    curves on one grid that lack them, from one rfft and one irfft call
+    for all of them (the factors of grid.stack_factor); the only place
+    that computes these fields.  The sampled fields are read-only."""
     curves = [c for c in curves if "tangent" not in c._cache]
     if not curves:
         return
+    grid = curves[0].grid
     coeffs = to_coeffs(np.array([c.samples for c in curves]), axis=-2)
-    stacks = _derivative_stack(curves[0].grid, coeffs, _STEPPED_ROWS)
+    stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], grid.n, axis=-3)
+    stacks = np.ascontiguousarray(stacks.swapaxes(-2, -3))
+    stacks.setflags(write=False)
     for curve, member_coeffs, stack in zip(curves, coeffs, stacks):
-        curve._cache.setdefault("coeffs", member_coeffs)
-        curve._cache.update(zip(_STEPPED, stack))
+        curve._cache["coeffs"] = member_coeffs
+        curve._cache.update(zip(("xs", "xss", "tangent"), stack))
 
 
 def curves_from_samples(samples):
@@ -548,9 +522,11 @@ def write_curve_csv(curve, path, *, epsilon=None, time=0.0, model=None):
 
 
 def read_curve_csv(path):
-    """Load a curve CSV; returns (curve, metadata dict or None)."""
+    """Load a curve CSV; returns (curve, metadata dict or None).  Row j of
+    n must have s = j/n to within 1e-9, so rows out of order or missing
+    are rejected."""
     path = Path(path)
-    rows = []
+    rows, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file has no header
@@ -562,10 +538,19 @@ def read_curve_csv(path):
             if len(row) != 4:
                 raise ValueError(f"line {reader.line_num}: expected 4 columns s,x,y,z, "
                                  f"got {len(row)}")
-            rows.append([float(v) for v in row[1:]])
+            rows.append(row)
+            lines.append(reader.line_num)
+    # numpy converts each cell with float(), in one call for the file
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    n = len(table)
+    off = np.flatnonzero(~(np.abs(table[:, 0] - np.arange(n) / n) <= 1e-9)).tolist()
+    if off:
+        j = off[0]
+        raise ValueError(f"line {lines[j]}: s = {float(table[j, 0])!r}, "
+                         f"expected j/n = {j}/{n} = {j / n!r}")
     meta = None
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
-    return PeriodicCurve(np.array(rows)), meta
+    return PeriodicCurve(table[:, 1:]), meta
 

@@ -176,25 +176,22 @@ def solve_tensions(problem, initial=None):
     n, m = problem.curve.n, len(problem.curve)
     rhs = assemble_rhs(problem)
     rhs_norm = np.sqrt(np.vecdot(rhs, rhs))
+    # a zero right-hand side has the solution 0: it starts cold and its
+    # residual reads 0, so it leaves the batch at the first check
+    zero = rhs_norm == 0.0
+    rhs_norm[zero] = 1.0
     x = np.zeros((m, n))
     r = rhs
     if initial is not None and any(v is not None for v in initial):
-        cold = np.array([v is None for v in initial])
+        cold = np.array([v is None for v in initial]) | zero
         x = dealias(np.array([np.zeros(n) if v is None else v for v in initial], dtype=float),
                     axis=-1)
         x[cold] = 0.0
         r = rhs - apply_B(problem, x)
         r[cold] = rhs[cold]
     tensions = [None] * m
-    members = []  # member number of each row of the batch
-    for i, norm in enumerate(rhs_norm.tolist()):
-        if norm == 0.0:
-            tensions[i] = TensionField.from_values(np.zeros(n))
-        else:
-            members.append(i)
-    tols = np.broadcast_to(problem.cg_tol, (m,))[members].tolist()
-    if len(members) < m:
-        problem, rhs_norm, x, r = problem.members(members), rhs_norm[members], x[members], r[members]
+    members = list(range(m))  # member number of each row of the batch
+    tols = np.broadcast_to(problem.cg_tol, (m,)).tolist()
     precond = _preconditioner(problem)
     residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
     history = [residual]  # each iteration's residuals, over the rows it had

@@ -25,12 +25,13 @@ from filament.evolution import (
     initial_curve,
     lockstep,
 )
-from filament.multipliers import ForceMapStack, build_table, rft_constants
+from filament.multipliers import ForceMapStack, RftConstants, build_table, rft_constants
 from filament.spectral import (
     CurveBatch,
     GeometryError,
     PeriodicCurve,
     SobolevIndex,
+    curves_from_samples,
     dealias,
     mean_inner,
     reparameterize_arclength,
@@ -106,6 +107,26 @@ class TestAgainstSolo:
             assert got.residual == want.residual
             assert got.mean == want.mean
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_zero_force_map(self, n, warm):
+        # a zero right-hand side leaves the CG at its first check: tau = 0
+        # in 0 iterations at residual 0, warm start or not, and the
+        # other members keep their solo bits
+        curve = initial_curve("perturbed-circle(3,0.05)", n)
+        zero = RftConstants(1e-2, 0.0, 0.0)
+        start = np.ones(n) if warm else None
+        pairs = members(n)
+        pairs.insert(3, (curve, zero))  # among the rft members
+        batch = solve_tensions(batched(pairs), [start if m is zero else None for _, m in pairs])
+        for got in (solve_tension(TensionProblem(curve, zero), start), batch[3]):
+            assert got.values.tobytes() == np.zeros(n).tobytes()
+            assert (got.iterations, got.residual, got.mean) == (0, 0.0, 0.0)
+        for got, (c, force_map) in zip(batch, pairs):
+            want = solve_tension(TensionProblem(c, force_map))
+            assert np.array_equal(got.values, want.values)
+            assert (got.iterations, got.residual, got.mean) == (
+                want.iterations, want.residual, want.mean)
+
     def test_two_steps(self, n):
         pairs = members(n)
         maps = [force_map for _, force_map in pairs]
@@ -154,6 +175,19 @@ class TestAgainstSolo:
             assert np.array_equal(got.samples, reparameterize_arclength(curve).samples)
 
 
+@pytest.mark.parametrize("n", [32, 256, 1024])
+@pytest.mark.parametrize("name", ["trefoil", "perturbed-circle(3,0.05)"])
+def test_curve_alone_is_a_batch_of_one(name, n):
+    # fill_derived is the one path to a curve's fields: a curve read alone
+    # gets the bits it gets as the middle member of a batch
+    curve = initial_curve(name, n)
+    batch = curves_from_samples(np.array([PeriodicCurve.circle(n).samples, curve.samples,
+                                          initial_curve("perturbed-circle(2,0.03)", n).samples]))
+    for field in ("coeffs", "xs", "xss", "tangent"):
+        alone = PeriodicCurve(curve.samples)  # this field read first
+        assert getattr(alone, field).tobytes() == getattr(batch[1], field).tobytes()
+
+
 def folded(n):
     """A circle traversed at speed 1 + 0.6 cos(2 pi s): min |X_s| = 0.4,
     a fold-over to the resampler."""
@@ -166,7 +200,7 @@ def folded(n):
 def group(n, dt, cg_tol=1e-10, **kwargs):
     curve = initial_curve("perturbed-circle(3,0.05)", n)
     return Group([EvolutionState(curve, 0.0)] * 2, (build_table(1e-3, n // 2), rft_constants(1e-3)),
-                 dt, 4e-6, lambda states, steps, dt_step: None,
+                 dt, 4e-6, lambda group, dt_step: None,
                  StepOptions(cg_tol=cg_tol, **kwargs))
 
 

@@ -232,6 +232,18 @@ class TestTensionCheck:
         assert f"bad curve file: line 6: expected 4 columns s,x,y,z, got {cells}" in \
             capsys.readouterr().err
 
+    def test_rows_out_of_order_exit_1(self, tmp_path, capsys):
+        # row j of n must have s = j/n
+        argv, manifest = tiny_call(tmp_path, "tension-check")
+        curve_path = tmp_path / "circle.csv"
+        lines = curve_path.read_text().splitlines()
+        lines[5], lines[6] = lines[6], lines[5]
+        curve_path.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 1
+        assert ("bad curve file: line 6: s = 0.15625, expected j/n = 4/32 = 0.125"
+                in capsys.readouterr().err)
+        assert not manifest.exists()
+
 
 class TestLemmaSuiteCommand:
     def test_small_suite(self, tmp_path):
@@ -306,6 +318,24 @@ snapshot_every = 5
         assert main(["sweep", "--config", ok, "--out", str(tmp_path / "again")]) == 0
         assert not [r for r in caplog.records if r.levelno < logging.WARNING]
 
+    def test_csv_initial_curve_read_once_per_grid_size(self, tmp_path, monkeypatch):
+        # once when the config is loaded, once for the three rows at n = 64
+        import filament.evolution
+        from filament.spectral import PeriodicCurve, write_curve_csv
+
+        curve = tmp_path / "curve.csv"
+        write_curve_csv(PeriodicCurve.perturbed_circle(64, 2, 0.03), curve)
+        read = filament.evolution.read_curve_csv
+        reads = []
+        monkeypatch.setattr(filament.evolution, "read_curve_csv",
+                            lambda path: reads.append(path) or read(path))
+        config = write_config(tmp_path, "epsilons = 1e-2, 3e-3, 1e-3\nhorizon = 1e-5\n"
+                              f"n = 64\ninitial_curve = {curve}\n", name="sweep.cfg")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep"),
+                     "--jobs", "1"]) == 0
+        assert len(read_csv(tmp_path / "sweep" / "summary.csv")) == 4
+        assert len(reads) == 2
+
     @pytest.mark.parametrize("line", ["snapshot_every = 0", "cg_tol = -1", "horizon = nan"])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, line):
         # sweep keys follow the simulate rules
@@ -343,8 +373,9 @@ class TestInputFiles:
         assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command,case", [
-        ("simulate", "bad-header"), ("simulate", "other-n"),
-        ("sweep", "bad-header"), ("sweep", "other-n"), ("sweep", "confirmation")])
+        ("simulate", "bad-header"), ("simulate", "other-n"), ("simulate", "rows-swapped"),
+        ("sweep", "bad-header"), ("sweep", "other-n"), ("sweep", "rows-swapped"),
+        ("sweep", "confirmation")])
     def test_csv_initial_curve_checked_with_config(self, tmp_path, capsys, command, case):
         # a CSV initial curve is read with the config: no run, no output
         # (the sweep's confirmation row needs n = 1024)
@@ -353,8 +384,12 @@ class TestInputFiles:
         curve = tmp_path / "curve.csv"
         write_curve_csv(PeriodicCurve.circle(64 if case == "other-n" else 32), curve,
                         epsilon=1e-2, time=0.0, model="leps")
+        lines = curve.read_text().splitlines(True)
         if case == "bad-header":
-            curve.write_text("s,x,y\n" + "".join(curve.read_text().splitlines(True)[1:]))
+            curve.write_text("s,x,y\n" + "".join(lines[1:]))
+        if case == "rows-swapped":
+            lines[5], lines[6] = lines[6], lines[5]
+            curve.write_text("".join(lines))
         text = {"simulate": GOOD_CONFIG, "sweep": TINY_SWEEP}[command]
         text = text.replace("perturbed-circle(2,0.03)", str(curve))
         if case == "confirmation":
@@ -364,7 +399,8 @@ class TestInputFiles:
         assert main([command, "--config", config, "--out", str(out)]) == 1
         want = {"bad-header": "unexpected curve CSV header",
                 "other-n": "curve file has n=64, config asks n=32",
-                "confirmation": "curve file has n=32, config asks n=1024"}[case]
+                "confirmation": "curve file has n=32, config asks n=1024",
+                "rows-swapped": "line 6: s = 0.15625, expected j/n = 4/32 = 0.125"}[case]
         assert f"bad config file: {want}" in capsys.readouterr().err
         assert not out.exists()
 

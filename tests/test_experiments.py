@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from filament.config import SweepConfig
-from filament.evolution import lockstep
+from filament.evolution import initial_curve, lockstep
 from filament.experiments import (
     DiscrepancyRecord,
     _pair,
@@ -26,9 +26,11 @@ from filament.spectral import PeriodicCurve, write_json
 
 
 def run_pair(eps, n, horizon, initial_name, **options):
-    """The DiscrepancyRecord of one eps row stepped alone; the options
-    are those of `_pair`."""
-    group, finish = _pair(eps, n, horizon, initial_name, **options)
+    """The DiscrepancyRecord of one eps row stepped alone, under the
+    sweep defaults but for n, the horizon and the initial curve; the
+    options are those of `_pair`."""
+    sweep = SweepConfig(epsilons=(eps,), horizon=horizon, n=n, initial_curve=initial_name)
+    group, finish = _pair(eps, initial_curve(initial_name, n), sweep, **options)
     lockstep([group])
     return finish(group)
 

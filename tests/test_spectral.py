@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ from filament.spectral import (
 TWO_PI = 2.0 * np.pi
 
 
+def derivative(curve, order):
+    """The samples of d^order X/ds^order, formed from the curve's
+    coefficients as the program forms X_sss and X_ssss."""
+    return from_coeffs(curve.grid.ik_pow[:, order, None] * curve.coeffs, curve.n)
+
+
 def random_field(n, components=3, seed=0, band_limited=True):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, components)) if components > 1 else rng.standard_normal(n)
@@ -57,7 +64,8 @@ class TestTransforms:
 
     def test_derivative_of_constant(self):
         curve = PeriodicCurve(np.ones((64, 3)))
-        for values in (curve.xs, curve.xss, curve.xsss, curve.xssss, curve.tangent):
+        for values in (curve.xs, curve.xss, derivative(curve, 3), derivative(curve, 4),
+                       curve.tangent):
             assert np.max(np.abs(values)) < 1e-12
 
     def test_second_derivative_eigenfunction(self):
@@ -68,7 +76,7 @@ class TestTransforms:
 
     def test_fourth_derivative_of_circle(self):
         curve = PeriodicCurve.circle(128)
-        d4 = curve.xssss
+        d4 = derivative(curve, 4)
         assert np.max(np.abs(d4 - TWO_PI**4 * curve.samples)) < 1e-8 * TWO_PI**4
 
 
@@ -232,7 +240,7 @@ class TestSobolevNorms:
 class TestCurves:
     def test_circle_is_unit_length_and_inextensible(self):
         c = PeriodicCurve.circle(64)
-        assert c.length == pytest.approx(1.0, abs=1e-12)
+        assert np.mean(c.speed) == pytest.approx(1.0, abs=1e-12)
         assert c.inext_residual < 1e-12
 
     def test_grid_size_validated(self):
@@ -250,12 +258,12 @@ class TestCurves:
     def test_perturbed_circle_reparameterized(self):
         c = PeriodicCurve.perturbed_circle(128, 3, 0.05)
         assert c.inext_residual < 1e-8
-        assert c.length == pytest.approx(1.0, abs=1e-8)
+        assert np.mean(c.speed) == pytest.approx(1.0, abs=1e-8)
 
     def test_trefoil_reparameterized(self):
         c = PeriodicCurve.trefoil(256)
         assert c.inext_residual < 1e-8
-        assert c.length == pytest.approx(1.0, abs=1e-8)
+        assert np.mean(c.speed) == pytest.approx(1.0, abs=1e-8)
 
 
 def _warped_circle(n=128, amplitude=1e-5):
@@ -322,7 +330,7 @@ class TestReparameterization:
     def test_length_rescaling(self):
         c = PeriodicCurve(PeriodicCurve.circle(64).samples * 1.01)
         r = reparameterize_arclength(c)
-        assert r.length == pytest.approx(1.0, abs=1e-10)
+        assert np.mean(r.speed) == pytest.approx(1.0, abs=1e-10)
 
     def test_energy_stable_under_reparameterization(self):
         c = PeriodicCurve.perturbed_circle(128, 4, 0.08)
@@ -424,6 +432,33 @@ class TestSerialization:
         path.write_text("\n".join(lines[:3] + [row] + lines[3:]) + "\n")
         with pytest.raises(ValueError, match=rf"^line 4: expected 4 columns s,x,y,z, got {cells}$"):
             read_curve_csv(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        ("swap", "line 6: s = 0.078125, expected j/n = 4/64 = 0.0625"),
+        ("same-s", "line 2: s = 0.9, expected j/n = 0/64 = 0.0"),
+        ("nan-s", "line 2: s = nan, expected j/n = 0/64 = 0.0")],
+        ids=["swap", "same-s", "nan-s"])
+    def test_csv_s_column(self, tmp_path, edit, message):
+        # row j of n must have s = j/n: rows out of order, or an s column
+        # that does not match, are rejected rather than read as a curve
+        path = tmp_path / "curve.csv"
+        write_curve_csv(PeriodicCurve.perturbed_circle(64, 3, 0.05), path)
+        lines = path.read_text().splitlines()
+        if edit == "swap":
+            lines[5], lines[6] = lines[6], lines[5]
+        else:
+            value = "0.9" if edit == "same-s" else "nan"
+            lines[1:] = [value + line[line.index(","):] for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            read_curve_csv(path)
+
+    def test_csv_s_within_tolerance(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        c = PeriodicCurve.circle(32)
+        write_csv(path, ["s", "x", "y", "z"],
+                  zip(np.arange(32) / 32 + 5e-10, *c.samples.T))
+        assert np.array_equal(read_curve_csv(path)[0].samples, c.samples)
 
     def test_csv_cells(self, tmp_path):
         # ints (numpy's too) as they are, bools as 0/1, every other cell

@@ -89,10 +89,15 @@ def dense_operators(curve, model, epsilon):
     return lmap, lift_m, adjoint_m
 
 
+def xssss(curve):
+    """X_ssss samples, formed from the coefficients as the program forms it."""
+    return from_coeffs(curve.grid.ik_pow[:, 4, None] * curve.coeffs, curve.n)
+
+
 def dense_solve(curve, model, epsilon):
     lmap, lift_m, adjoint_m = dense_operators(curve, model, epsilon)
     b = adjoint_m @ lmap @ lift_m
-    rhs = adjoint_m @ lmap @ curve.xssss.reshape(-1)
+    rhs = adjoint_m @ lmap @ xssss(curve).reshape(-1)
     # restrict to an orthonormal basis of the retained band, where the
     # lift/adjoint sandwich is symmetric positive definite
     n = curve.n
@@ -169,7 +174,7 @@ class TestDenseOracle:
         problem = make_problem(curve, "leps", 1e-2)
         _, lift_m, adjoint_m = dense_operators(curve, "leps", 1e-2)
         lmap, _, _ = dense_operators(curve, "leps", 1e-2)
-        dense_rhs = adjoint_m @ lmap @ curve.xssss.reshape(-1)
+        dense_rhs = adjoint_m @ lmap @ xssss(curve).reshape(-1)
         assert np.max(np.abs(dense_rhs - assemble_rhs(problem))) < 1e-8
 
     def test_dense_B_matches_matrix_free_apply(self):
