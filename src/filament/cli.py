@@ -2,14 +2,14 @@
 
 Subcommands: simulate, sweep, multiplier-dump, tension-check,
 lemma-suite.  Exit codes: 0 success, 1 validation error (arguments,
-config or curve file) or refused overwrite, 2 runtime/solver error.
-Options, config files and curve files are checked while the arguments
-are parsed, with the converters of `config`.  One runner then serves
-every subcommand: before any work it refuses to overwrite an existing
-output without --force, then it creates the output directory, times
-the run and writes the JSON manifest (command, config echo, versions,
-wall time for directory outputs, results).  Logging level comes from
-the FILAMENT_LOG environment variable (error | info | debug).
+config or curve file) or refused overwrite, 2 solver, geometry or file
+error; any other exception propagates.  Options, config files and curve
+files are checked while the arguments are parsed, with the converters
+of `config`.  One runner serves every subcommand: it refuses to
+overwrite an existing output without --force before any work, creates
+the output directory, times the run and writes the JSON manifest
+(command, config echo, versions, wall time for directory outputs,
+results).  Logging level comes from FILAMENT_LOG (error | info | debug).
 """
 
 import argparse
@@ -25,7 +25,7 @@ from . import __version__
 from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, curve_spec,
                      model_name, parse_config, parse_sweep_config)
 from .evolution import initial_curve
-from .spectral import read_curve_csv, write_csv, write_curve_csv, write_json
+from .spectral import GeometryError, read_curve_csv, write_csv, write_curve_csv, write_json
 from .tension import SolverError
 
 log = logging.getLogger("filament")
@@ -248,7 +248,7 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (SolverError, ValueError, OSError) as exc:  # solver, input and file failures
+    except (SolverError, GeometryError, OSError) as exc:  # solver, geometry and file failures
         log.debug("unhandled error", exc_info=True)
         print(f"filament: error: {exc}", file=sys.stderr)
         return 2

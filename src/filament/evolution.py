@@ -95,15 +95,15 @@ def dissipation(curve, tension):
 
 
 def dissipation_rate(problem, tension):
-    """-dE/dt predicted by the energy identity: int Z_s . L[Z_s] ds."""
+    """-dE/dt of member 0 by the energy identity: int Z_s . L[Z_s] ds."""
     n = problem.curve.n
     zs = force_density(problem.curve, tension)
-    return mean_inner(from_coeffs(zs, n), from_coeffs(problem.apply_operator(zs), n))
+    return mean_inner(from_coeffs(zs[0], n), from_coeffs(problem.apply_operator(zs)[0], n))
 
 
 def implicit_symbol(grid, force_map):
     """Fourier symbol of the implicit principal part, indexed by |k|."""
-    lam = force_map.principal_symbol(grid.k.shape[0]) * (TWO_PI * grid.k) ** 4
+    lam = force_map.principal * (TWO_PI * grid.k) ** 4
     lam[..., -1] = 0.0
     return lam
 
@@ -131,7 +131,7 @@ def _forcing(curves, force_maps, cg_tols, warm):
     problem, implicit symbol and forcing coefficients."""
     grid = curves[0].grid
     problem = TensionProblem(CurveBatch.of(curves), ForceMapStack(force_maps, grid.k.shape[0]),
-                             cg_tol=np.array(cg_tols))
+                             cg_tol=cg_tols)
     tensions = solve_tensions(problem, warm)
     lam = implicit_symbol(grid, problem.force_map)
     return tensions, problem, lam, _explicit_forcing(problem, TensionField.stack(tensions), lam)

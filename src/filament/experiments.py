@@ -23,7 +23,8 @@ import numpy as np
 
 from .evolution import H2, EvolutionState, Group, StepOptions, energy, initial_curve, lockstep
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
-from .multipliers import build_table, eval_mn, eval_mt, lowk_rft_difference, rft_constants
+from .multipliers import (abs_log, build_table, eval_mn, eval_mt, lowk_rft_difference,
+                          rft_constants)
 from .spectral import (
     GeometryError,
     PeriodicCurve,
@@ -67,7 +68,7 @@ class DiscrepancyRecord:
 
     @property
     def log_eps(self):
-        return abs(math.log(self.eps))
+        return abs_log(self.eps)
 
     @property
     def compensated(self):
@@ -291,7 +292,7 @@ UPPER_FAMILIES = ("low_over_log", "inv_low_norm", "high_times_epsk", "inv_high_o
 def _bound_suite_one_eps(eps, kmax):
     """Raw extremal ratios for the bound families at one eps."""
     k = np.arange(1, kmax + 1)
-    log_eps = abs(math.log(eps))
+    log_eps = abs_log(eps)
     crossover = 1.0 / (2.0 * math.pi * eps)
     low = k < crossover
     high = ~low
@@ -334,7 +335,7 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
     curve = PeriodicCurve.circle(grid_n)
     if table is None:
         table = build_table(eps, grid_n // 2)
-    log_eps = abs(math.log(eps))
+    log_eps = abs_log(eps)
     rng = np.random.default_rng(seed)
     ratios = np.empty(n_fields)
     for i in range(n_fields):

@@ -14,11 +14,10 @@ formulas remain well conditioned arbitrarily far past the underflow
 threshold of the raw Bessel values; no separate asymptotic branch is
 needed.
 
-The table and the RFT constants are the two force maps: each carries
-its operator (`apply`), the symbols of the implicit principal part and
-of the tension preconditioner, |log eps| and its model name.  A
-ForceMapStack is the force map of a batch of curves (see
-spectral.CurveBatch): the same interface with a member axis first.
+The table and the RFT constants are the data of the two models, with
+|log eps| and the model name.  ForceMapStack is the one force map: the
+maps of a batch of curves (see spectral.CurveBatch), member axis first,
+with the operator and the symbols; a map alone is the stack of one.
 """
 
 from dataclasses import dataclass
@@ -27,6 +26,11 @@ import numpy as np
 
 from . import spectral
 from .bessel import bessel_k_scaled
+
+
+def abs_log(epsilon):
+    """|log eps|, the one spelling of it in the package."""
+    return float(abs(np.log(epsilon)))
 
 
 def _validate_epsilon(epsilon):
@@ -57,7 +61,7 @@ def _eval(epsilon, k, nonzero, zero_mode):
     out = np.empty_like(ka)
     nz = ka > 0
     out[nz] = nonzero(2.0 * np.pi * epsilon * ka[nz])
-    out[~nz] = zero_mode * np.abs(np.log(epsilon))
+    out[~nz] = zero_mode * abs_log(epsilon)
     return out if np.ndim(k) else float(out)
 
 
@@ -83,7 +87,7 @@ def lowk_rft_difference(epsilon, k, direction):
     ka = np.abs(np.asarray(k, dtype=float))
     if np.any(ka >= 1.0 / (2.0 * np.pi * epsilon)):
         raise ValueError("lowk_rft_difference requires |k| < 1/(2*pi*eps)")
-    log_eps = np.abs(np.log(epsilon))
+    log_eps = abs_log(epsilon)
     if direction == "tangential":
         out = eval_mt(epsilon, k) - log_eps / (2.0 * np.pi)
     else:
@@ -93,8 +97,7 @@ def lowk_rft_difference(epsilon, k, direction):
 
 @dataclass(frozen=True)
 class RftConstants:
-    """Resistive-force-theory drag coefficients at fixed eps; as a force
-    map, both symbols are constants (tangential, normal)."""
+    """Resistive-force-theory drag coefficients at fixed eps."""
 
     model = "rft"
 
@@ -104,21 +107,12 @@ class RftConstants:
 
     @property
     def log_eps(self):
-        return abs(np.log(self.epsilon))
-
-    def apply(self, curve, coeffs):
-        return spectral.apply_L_rft(curve, self, coeffs)
-
-    def principal_symbol(self, size):
-        return self.tangential
-
-    def precond_symbol(self, size):
-        return self.normal
+        return abs_log(self.epsilon)
 
 
 def rft_constants(epsilon):
     epsilon = _validate_epsilon(epsilon)
-    log_eps = abs(np.log(epsilon))
+    log_eps = abs_log(epsilon)
     return RftConstants(epsilon, log_eps / (2.0 * np.pi), log_eps / (4.0 * np.pi))
 
 
@@ -127,8 +121,7 @@ class MultiplierTable:
     """m_t(|k|), m_n(|k|) for |k| = 0..kmax at fixed eps.
 
     The entries are checked once, here: both arrays must hold kmax + 1
-    positive finite values.  The table keeps read-only copies.  As a
-    force map, both symbols are m_n(|k|).
+    positive finite values.  The table keeps read-only copies.
     """
 
     model = "leps"
@@ -152,15 +145,7 @@ class MultiplierTable:
 
     @property
     def log_eps(self):
-        return abs(np.log(self.epsilon))
-
-    def apply(self, curve, coeffs):
-        return spectral.apply_L_eps(curve, self, coeffs)
-
-    def principal_symbol(self, size):
-        return self.mn[:size]
-
-    precond_symbol = principal_symbol
+        return abs_log(self.epsilon)
 
 
 def build_table(epsilon, kmax):
@@ -176,8 +161,9 @@ class ForceMapStack:
     axis: m_t, m_n rows for the leps members, which come first, and
     normal constants for the rft members.  `apply` makes the first
     tangent projection once for all members and L_eps's second one for
-    the leps members only.  Symbols have shape (m, size) and log_eps
-    (m, 1)."""
+    the leps members only.  The symbols of the implicit principal part
+    and of the tension preconditioner, (m, size), are m_n for leps and
+    the tangential and normal constant for rft; log_eps is (m, 1)."""
 
     def __init__(self, maps, size):
         self.maps = tuple(maps)
@@ -190,13 +176,12 @@ class ForceMapStack:
         self.kmax = size - 1
         self.mt = np.array([t.mt[:size] for t in tables]).reshape(-1, size)
         self.mn = np.array([t.mn[:size] for t in tables]).reshape(-1, size)
-        self.normal = np.array([c.normal for c in rfts])[:, None, None]
+        tangential = np.array([c.tangential for c in rfts])[:, None]
+        normal = np.array([c.normal for c in rfts])[:, None]
+        self.normal = normal[..., None]
         self.log_eps = np.array([m.log_eps for m in self.maps])[:, None]
-        self._principal = np.empty((len(self.maps), size))
-        self._precond = np.empty((len(self.maps), size))
-        for row, m in enumerate(self.maps):
-            self._principal[row] = m.principal_symbol(size)
-            self._precond[row] = m.precond_symbol(size)
+        self.principal = np.concatenate((self.mn, np.repeat(tangential, size, axis=1)))
+        self.precond = np.concatenate((self.mn, np.repeat(normal, size, axis=1)))
 
     def apply(self, curve, coeffs):
         pt = spectral.project_tangent(curve, coeffs)
@@ -209,12 +194,6 @@ class ForceMapStack:
         out[:split] = spectral.apply_L_eps(curve[:split], self, coeffs[:split], pt[:split])
         out[split:] = spectral.apply_L_rft(curve[split:], self, coeffs[split:], pt[split:])
         return out
-
-    def principal_symbol(self, size):
-        return self._principal
-
-    def precond_symbol(self, size):
-        return self._precond
 
 
 def force_map_for(model, epsilon, n):

@@ -140,9 +140,9 @@ def mean_inner(a, b):
 class PeriodicCurve:
     """Closed curve sampled on a power-of-two periodic grid.
 
-    Its coefficients, X_s, X_ss and tangent come from fill_derived, a
-    curve alone being the batch of one; derived quantities are cached and
-    instances are treated as immutable.
+    Its coefficients, X_s, X_ss, tangent, speed and inext_residual come
+    from fill_derived, a curve alone being the batch of one; derived
+    quantities are cached and instances are treated as immutable.
     """
 
     def __init__(self, samples):
@@ -159,11 +159,6 @@ class PeriodicCurve:
         self.n = n
         self.grid = Grid.of_size(n)
         self._cache = {}
-
-    def _cached(self, key, make):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
 
     def _derived(self, key):
         if key not in self._cache:
@@ -189,11 +184,11 @@ class PeriodicCurve:
 
     @property
     def speed(self):
-        return self._cached("speed", lambda: np.sqrt(np.sum(self.xs ** 2, axis=1)))
+        return self._derived("speed")
 
     @property
     def inext_residual(self):
-        return self._cached("resid", lambda: float(np.max(np.abs(self.speed - 1.0))))
+        return self._derived("inext_residual")
 
     @classmethod
     def circle(cls, n):
@@ -229,10 +224,11 @@ class PeriodicCurve:
 
 
 def fill_derived(curves):
-    """Cache the coefficients, X_s, X_ss and dealiased tangents of the
-    curves on one grid that lack them, from one rfft and one irfft call
-    for all of them (the factors of grid.stack_factor); the only place
-    that computes these fields.  The sampled fields are read-only."""
+    """Cache the coefficients, X_s, X_ss, dealiased tangents, speeds |X_s|
+    and residuals max||X_s| - 1| of the curves on one grid that lack them:
+    one rfft and one irfft call (the factors of grid.stack_factor) and one
+    array expression per quantity for all of them; the only place that
+    computes these fields.  The sampled fields are read-only."""
     curves = [c for c in curves if "tangent" not in c._cache]
     if not curves:
         return
@@ -240,9 +236,12 @@ def fill_derived(curves):
     coeffs = to_coeffs(np.array([c.samples for c in curves]), axis=-2)
     stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], grid.n, axis=-3)
     stacks = np.ascontiguousarray(stacks.swapaxes(-2, -3))
+    speeds = np.sqrt(np.sum(stacks[:, 0] ** 2, axis=-1))
+    residuals = np.max(np.abs(speeds - 1.0), axis=-1).tolist()
     stacks.setflags(write=False)
-    for curve, member_coeffs, stack in zip(curves, coeffs, stacks):
-        curve._cache["coeffs"] = member_coeffs
+    speeds.setflags(write=False)
+    for curve, hat, stack, speed, residual in zip(curves, coeffs, stacks, speeds, residuals):
+        curve._cache.update(coeffs=hat, speed=speed, inext_residual=residual)
         curve._cache.update(zip(("xs", "xss", "tangent"), stack))
 
 
@@ -541,7 +540,15 @@ def read_curve_csv(path):
             rows.append(row)
             lines.append(reader.line_num)
     # numpy converts each cell with float(), in one call for the file
-    table = np.array(rows, dtype=float).reshape(-1, 4)
+    try:
+        table = np.array(rows, dtype=float).reshape(-1, 4)
+    except ValueError:  # name the line of the first cell that is not a number
+        for row, line in zip(rows, lines):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+        raise
     n = len(table)
     off = np.flatnonzero(~(np.abs(table[:, 0] - np.arange(n) / n) <= 1e-9)).tolist()
     if off:

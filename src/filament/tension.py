@@ -17,24 +17,22 @@ preconditioner is the diagonal spectral operator
 (|log eps| + (2 pi k)^2 m_n(k))^{-1}, the inverse of the form's symbol
 on a tension mode k (for rft, m_n is the constant normal coefficient).
 
-A problem whose curve is a spectral.CurveBatch and whose force map is a
-multipliers.ForceMapStack holds one problem per member, tau then having
-shape (m, n).  solve_tensions runs CG on all members at once, with
+A problem is a batch: a spectral.CurveBatch, a multipliers.ForceMapStack
+and a cg_tol per member, tau having shape (m, n); a curve alone is the
+batch of one.  solve_tensions runs CG on all members at once, with
 per-member step lengths and inner products (np.vecdot on contiguous
 member rows, which reproduces np.dot bitwise).  A member that converges
 leaves the batch with its iterate, so it takes exactly the iterations
 it would take alone; a member that stalls or has a NaN residual raises
 SolverError for the whole batch (evolution._batched isolates it).
-solve_tension is the batch of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
 from .multipliers import ForceMapStack, MultiplierTable, RftConstants
-from .spectral import CurveBatch, dealias, from_coeffs, to_coeffs
+from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
 
 
 class SolverError(RuntimeError):
@@ -70,28 +68,33 @@ class TensionField:
 
 @dataclass
 class TensionProblem:
-    """`model` is a force map, or 'leps' / 'rft' with the map given as
-    `table` / `constants`; either way the map is resolved once, into
-    `force_map`.  A batched problem has a CurveBatch for `curve`, a
-    ForceMapStack for `model` and a cg_tol per member or one for all."""
+    """A CurveBatch with a ForceMapStack for `model`, or a PeriodicCurve
+    with a force map or 'leps' / 'rft' and the map as `table` /
+    `constants`, which become the batch of one in `curve` and `force_map`;
+    cg_tol, one for all or one per member, becomes one per member."""
 
-    curve: spectral.PeriodicCurve
+    curve: object
     model: object
     table: MultiplierTable = None
     constants: RftConstants = None
-    cg_tol: float = 1e-10
-    force_map: object = field(init=False, repr=False)
+    cg_tol: object = 1e-10
+    force_map: ForceMapStack = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.force_map = self.model
+        force_map = self.model
         if isinstance(self.model, str):
             given = {"leps": (self.table, "a MultiplierTable"),
                      "rft": (self.constants, "RftConstants")}
             if self.model not in given:
                 raise ValueError(f"model must be 'leps' or 'rft', got {self.model!r}")
-            self.force_map, needs = given[self.model]
-            if getattr(self.force_map, "model", None) != self.model:
+            force_map, needs = given[self.model]
+            if getattr(force_map, "model", None) != self.model:
                 raise ValueError(f"{self.model} tension problem needs {needs}")
+        if isinstance(self.curve, PeriodicCurve):
+            self.curve = CurveBatch.of([self.curve])
+            force_map = ForceMapStack([force_map], self.curve.grid.k.shape[0])
+        self.force_map = force_map
+        self.cg_tol = np.broadcast_to(np.asarray(self.cg_tol, dtype=float), (len(self.curve),))
 
     def apply_operator(self, coeffs):
         """The force-to-velocity map on rfft coefficients."""
@@ -103,7 +106,7 @@ class TensionProblem:
         maps = self.force_map.maps
         return TensionProblem(self.curve[index],
                               ForceMapStack([maps[i] for i in index], self.curve.grid.k.shape[0]),
-                              cg_tol=np.broadcast_to(self.cg_tol, (len(self.curve),))[index])
+                              cg_tol=self.cg_tol[index])
 
 
 def lift(curve, tau):
@@ -142,8 +145,7 @@ def _preconditioner(problem):
     """
     grid = problem.curve.grid
     force_map = problem.force_map
-    mn = force_map.precond_symbol(grid.k.shape[0])
-    diag = 1.0 / (force_map.log_eps + (2.0 * np.pi * grid.k) ** 2 * mn)
+    diag = 1.0 / (force_map.log_eps + (2.0 * np.pi * grid.k) ** 2 * force_map.precond)
     diag[..., grid.above_band] = 0.0
 
     def apply(r):
@@ -153,18 +155,15 @@ def _preconditioner(problem):
 
 
 def solve_tension(problem, initial=None):
-    """Preconditioned CG for B tau = rhs; returns a TensionField.
+    """Preconditioned CG for B tau = rhs on a batch of one; returns a
+    TensionField.
 
     Raises SolverError (with the residual history) if the relative
     residual does not reach problem.cg_tol within 10 n iterations, or if
     CG breaks down before: a residual left with only out-of-band
     roundoff has r.z = 0 and cannot be reduced further.
     """
-    curve = problem.curve
-    batch = TensionProblem(CurveBatch.of([curve]),
-                           ForceMapStack([problem.force_map], curve.grid.k.shape[0]),
-                           cg_tol=problem.cg_tol)
-    (tension,) = solve_tensions(batch, None if initial is None else [initial])
+    (tension,) = solve_tensions(problem, None if initial is None else [initial])
     return tension
 
 
@@ -191,7 +190,7 @@ def solve_tensions(problem, initial=None):
         r[cold] = rhs[cold]
     tensions = [None] * m
     members = list(range(m))  # member number of each row of the batch
-    tols = np.broadcast_to(problem.cg_tol, (m,)).tolist()
+    tols = problem.cg_tol.tolist()
     precond = _preconditioner(problem)
     residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
     history = [residual]  # each iteration's residuals, over the rows it had

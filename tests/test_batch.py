@@ -31,6 +31,8 @@ from filament.spectral import (
     GeometryError,
     PeriodicCurve,
     SobolevIndex,
+    apply_L_eps,
+    apply_L_rft,
     curves_from_samples,
     dealias,
     mean_inner,
@@ -39,8 +41,8 @@ from filament.spectral import (
     sobolev_norm_coeffs,
     to_coeffs,
 )
-from filament.tension import (SolverError, TensionField, TensionProblem, apply_B, solve_tension,
-                              solve_tensions)
+from filament.tension import (SolverError, TensionField, TensionProblem, apply_B, assemble_rhs,
+                              lift, lift_adjoint, solve_tension, solve_tensions)
 
 NS = [64, 256]
 
@@ -59,6 +61,12 @@ def batched(pairs, **kwargs):
                           **kwargs)
 
 
+def apply_L(curve, force_map, coeffs):
+    """The unbatched force map of one curve, bypassing ForceMapStack."""
+    apply = apply_L_eps if force_map.model == "leps" else apply_L_rft
+    return apply(curve, force_map, coeffs)
+
+
 @pytest.mark.parametrize("n", NS)
 class TestAgainstSolo:
     def test_force_maps(self, n):
@@ -68,7 +76,7 @@ class TestAgainstSolo:
         problem = batched(pairs)
         got = problem.apply_operator(coeffs)
         for member, (curve, force_map), field in zip(got, pairs, coeffs):
-            assert np.array_equal(member, force_map.apply(curve, field))
+            assert np.array_equal(member, apply_L(curve, force_map, field))
 
     def test_members_rebuild_the_stack(self, n):
         pairs = members(n)
@@ -76,18 +84,16 @@ class TestAgainstSolo:
         got = batched(pairs).members(index).force_map
         want = ForceMapStack([pairs[i][1] for i in index], n // 2 + 1)
         assert got.maps == want.maps and got.split == want.split == 1
-        for name in ("mt", "mn", "normal", "log_eps"):
+        for name in ("mt", "mn", "normal", "log_eps", "principal", "precond"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        for symbol in ("principal_symbol", "precond_symbol"):
-            assert np.array_equal(getattr(got, symbol)(n // 2 + 1),
-                                  getattr(want, symbol)(n // 2 + 1))
 
     def test_apply_B(self, n):
         pairs = members(n)
         tau = dealias(np.random.default_rng(n + 1).standard_normal((len(pairs), n)), axis=-1)
         got = apply_B(batched(pairs), tau)
         for member, (curve, force_map), values in zip(got, pairs, tau):
-            assert np.array_equal(member, apply_B(TensionProblem(curve, force_map), values))
+            want = lift_adjoint(curve, apply_L(curve, force_map, lift(curve, values)))
+            assert np.array_equal(member, want)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_cg_solve(self, n, warm):
@@ -183,9 +189,35 @@ def test_curve_alone_is_a_batch_of_one(name, n):
     curve = initial_curve(name, n)
     batch = curves_from_samples(np.array([PeriodicCurve.circle(n).samples, curve.samples,
                                           initial_curve("perturbed-circle(2,0.03)", n).samples]))
-    for field in ("coeffs", "xs", "xss", "tangent"):
+    for field in ("coeffs", "xs", "xss", "tangent", "speed", "inext_residual"):
         alone = PeriodicCurve(curve.samples)  # this field read first
-        assert getattr(alone, field).tobytes() == getattr(batch[1], field).tobytes()
+        assert (np.asarray(getattr(alone, field)).tobytes()
+                == np.asarray(getattr(batch[1], field)).tobytes())
+    assert type(batch[1].inext_residual) is float
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("model", ["leps", "rft"])
+def test_problem_alone_is_a_batch_of_one(model, n):
+    # a curve and a force map alone are the batch of one: they get the
+    # bits of the middle member of a batch
+    curve = initial_curve("trefoil", n)
+    circle = initial_curve("perturbed-circle(3,0.05)", n)
+    force_map = build_table(1e-3, n // 2) if model == "leps" else rft_constants(1e-3)
+    alone = TensionProblem(curve, force_map)
+    batch = batched([(circle, build_table(1e-2, n // 2)), (curve, force_map),
+                     (circle, rft_constants(1e-4))])
+    coeffs = to_coeffs(np.random.default_rng(n).standard_normal((3, n, 3)), axis=-2)
+    tau = dealias(np.random.default_rng(n + 1).standard_normal((3, n)), axis=-1)
+    pairs = [(alone.apply_operator(coeffs[1:2]), batch.apply_operator(coeffs)),
+             (apply_B(alone, tau[1]), apply_B(batch, tau)),
+             (assemble_rhs(alone), assemble_rhs(batch))]
+    for got, want in pairs:
+        assert got.shape[0] == 1 and got[0].tobytes() == want[1].tobytes()
+    got, want = solve_tension(alone), solve_tensions(batch)[1]
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.iterations, got.residual, got.mean) == (
+        want.iterations, want.residual, want.mean)
 
 
 def folded(n):

@@ -452,6 +452,31 @@ class TestProgrammingErrors:
         with pytest.raises(TypeError, match="broken run"):
             main(["simulate", "--config", config, "--out", str(tmp_path / "run")])
 
+    def test_value_error_propagates(self, tmp_path, monkeypatch):
+        # input errors exit 1 while the arguments are parsed, so a
+        # ValueError during the work is a bug, not an exit code
+        from filament import evolution
+
+        def broken_run(config, initial):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(evolution, "run", broken_run)
+        config = write_config(tmp_path, GOOD_CONFIG)
+        with pytest.raises(ValueError, match="^bug$"):
+            main(["simulate", "--config", config, "--out", str(tmp_path / "run")])
+
+    def test_geometry_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        from filament import evolution
+        from filament.spectral import GeometryError
+
+        def folded_run(config, initial):
+            raise GeometryError("fold-over")
+
+        monkeypatch.setattr(evolution, "run", folded_run)
+        config = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 2
+        assert "filament: error: fold-over" in capsys.readouterr().err
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand_exit_1(self, capsys):

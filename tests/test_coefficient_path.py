@@ -184,10 +184,10 @@ class TestAgainstReference:
     def test_explicit_forcing(self, name, n, model):
         curve = fresh(name, n)
         problem = make_problem(curve, model)
-        lam = implicit_symbol(curve.grid, ref_operator(curve, model)[0])
+        lam = implicit_symbol(curve.grid, problem.force_map)
         tau = solve_tension(problem)
-        got = from_coeffs(_explicit_forcing(problem, tau, lam), n)
-        assert_close(got, ref_explicit_forcing(curve, model, tau.values, lam))
+        got = from_coeffs(_explicit_forcing(problem, tau, lam)[0], n)
+        assert_close(got, ref_explicit_forcing(curve, model, tau.values, lam[0]))
 
 
 class TestFftBudget:

@@ -22,7 +22,7 @@ from filament.evolution import (
     step_rft,
     write_diagnostics_csv,
 )
-from filament.multipliers import build_table, rft_constants
+from filament.multipliers import ForceMapStack, build_table, rft_constants
 from filament.spectral import Grid, PeriodicCurve, SobolevIndex, sobolev_norm
 from filament.tension import TensionProblem, solve_tension
 from test_tension import velocity
@@ -65,7 +65,7 @@ class TestSymbols:
     def test_implicit_symbol_leps(self):
         grid = Grid.of_size(64)
         table = build_table(1e-3, 32)
-        lam = implicit_symbol(grid, table)
+        (lam,) = implicit_symbol(grid, ForceMapStack([table], 33))
         k = 5
         assert lam[k] == pytest.approx(table.mn[k] * (2 * np.pi * k) ** 4, rel=1e-14)
         assert lam[-1] == 0.0
@@ -73,7 +73,7 @@ class TestSymbols:
     def test_implicit_symbol_rft(self):
         grid = Grid.of_size(64)
         c = rft_constants(1e-3)
-        lam = implicit_symbol(grid, c)
+        (lam,) = implicit_symbol(grid, ForceMapStack([c], 33))
         assert lam[3] == pytest.approx(c.tangential * (6 * np.pi) ** 4, rel=1e-14)
 
 

@@ -21,7 +21,7 @@ from filament.experiments import (
     write_summary_csv,
     write_traces_csv,
 )
-from filament.multipliers import MultiplierTable, build_table
+from filament.multipliers import MultiplierTable, build_table, rft_constants
 from filament.spectral import PeriodicCurve, write_json
 
 
@@ -300,6 +300,14 @@ class TestStudyDriver:
         records = convergence_study(sweep)
         assert len(records) == 4
         assert records[-1].n == 1024 or records[-1].failed is not None
+
+
+def test_one_spelling_of_log_eps():
+    # |log eps| of a sweep row is the one its force maps step with; at
+    # this eps math.log and np.log differ by one ulp
+    eps = 0.041793876040415984
+    record = DiscrepancyRecord(eps=eps, n=32)
+    assert record.log_eps == build_table(eps, 16).log_eps == rft_constants(eps).log_eps
 
 
 class TestDegenerateMultipliers:

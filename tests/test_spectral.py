@@ -453,6 +453,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             read_curve_csv(path)
 
+    def test_csv_cell_not_a_number(self, tmp_path):
+        # the error names the line of the first cell that is not a number
+        path = tmp_path / "curve.csv"
+        write_curve_csv(PeriodicCurve.circle(32), path)
+        lines = path.read_text().splitlines()
+        s, x, _, z = lines[4].split(",")
+        lines[4] = ",".join((s, x, "abc", z))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=r"^line 5: could not convert string to float: 'abc'$"):
+            read_curve_csv(path)
+
     def test_csv_s_within_tolerance(self, tmp_path):
         path = tmp_path / "curve.csv"
         c = PeriodicCurve.circle(32)
