@@ -142,6 +142,7 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     from .experiments import (
+        ROW_KEYS,
         compensated_band,
         convergence_study,
         gronwall_constants,
@@ -162,8 +163,9 @@ def _cmd_sweep(args):
     if len(ok) >= 3:
         fitted = {"compensated_band": compensated_band(ok), **gronwall_constants(ok)}
     failed = [r.eps for r in records if r.failed is not None]
+    rows = [{key: getattr(r, key) for key in ROW_KEYS} for r in records]
     return ({"config": config_as_dict(sweep)},
-            {"fitted_constants": fitted, "failed_rows": failed},
+            {"fitted_constants": fitted, "failed_rows": failed, "rows": rows},
             "one or more sweep rows failed" if failed else None)
 
 

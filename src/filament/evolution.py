@@ -13,8 +13,10 @@ A model enters only as its force map (see multipliers).  One loop,
 row the two models side by side with one dt.  Each step advances every
 member of every group as one array program with a member axis first
 (`_advance`): one batched tension solve, forcing and implicit update for
-all of them, each member getting the bits of its solo step.  A failing
-member raises for the whole batch, and `_batched` alone isolates it.
+all of them, each member getting the bits of its solo step.  Groups may
+share a member (a sweep's rows share their RFT member): the batch makes
+its calls once while they keep one dt.  A failing member raises for the
+whole batch, and `_batched` alone isolates it.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -56,6 +58,7 @@ class DiagnosticsRecord:
     energy_flag: bool = False
     cg_iterations: int = 0     # of the step's tension solve
     cg_residual: float = 0.0   # its final relative residual
+    dt: float = 0.0            # the step's dt, in the state's time units
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,8 @@ def _policy_dts(curves, force_maps, cg_tols, rescaled):
 @dataclass(frozen=True)
 class StepOptions:
     """Tolerances of a step; dt is in the state's own time units and
-    time_scale converts it to native model time."""
+    time_scale converts it to native model time (`lockstep` sets it from
+    Group.rescaled)."""
 
     cg_tol: float = 1e-10
     inext_tol: float = 1e-6
@@ -193,6 +197,7 @@ def _advance(states, force_maps, dts, options):
             energy_flag=bool(e_new > e_old + options[j].energy_tol_abs),
             cg_iterations=tensions[j].iterations,
             cg_residual=tensions[j].residual,
+            dt=dts[j],
         )
         new_states.append(EvolutionState(curve, state.time + dts[j], tensions[j], record))
     return new_states
@@ -239,6 +244,8 @@ class Group:
     t < end = horizon (1 - 1e-12), its last step shortened to land on the
     horizon; after each step lockstep calls on_step(group, dt_step), so a
     callback reads the group without holding it (no reference cycle).
+    options holds the members' tolerances; lockstep sets each member's
+    time_scale, 1/|log eps| of its force map when rescaled, else 1.
 
     With policy_every > 0 the dt policy (choose_dt, minimum over the
     members) is re-evaluated every policy_every steps, letting dt at
@@ -269,10 +276,17 @@ def _named(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+def _call_key(args):
+    """Identical member calls share a key: the same state, curve and force
+    map objects, and equal dts, flags and StepOptions."""
+    return tuple(a if isinstance(a, (float, bool, StepOptions)) else id(a) for a in args)
+
+
 def _batched(function, groups, member, describe=_named):
     """function called once on the members of all groups, leps members
     first; member(group, k) gives member k's arguments.  Returns each
-    group's results in member order.
+    group's results in member order.  Identical calls (`_call_key`) are
+    made once, and every member that asked for one gets its result.
 
     When the batch raises SolverError or GeometryError, each group is
     called alone; one that fails alone too is called member by member and
@@ -283,8 +297,13 @@ def _batched(function, groups, member, describe=_named):
                      key=lambda gk: gk[0].force_maps[gk[1]].model != "leps")
     if not members:
         return {}
+    calls, keys = {}, {}
+    for g, k in members:
+        args = member(g, k)
+        keys[g, k] = key = _call_key(args)
+        calls.setdefault(key, args)
     try:
-        results = dict(zip(members, function(*zip(*(member(g, k) for g, k in members)))))
+        results = dict(zip(calls, function(*zip(*calls.values()))))
     except (SolverError, GeometryError) as exc:
         if len(groups) > 1:
             isolated = {}
@@ -301,7 +320,7 @@ def _batched(function, groups, member, describe=_named):
                     break
         g.failure = describe(exc)
         return {}
-    return {g: [results[g, k] for k in range(len(g.states))] for g in groups}
+    return {g: [results[keys[g, k]] for k in range(len(g.states))] for g in groups}
 
 
 def _apply_policy(groups):
@@ -313,12 +332,17 @@ def _apply_policy(groups):
         g.dt = min(min(dts), g.dt_cap, np.inf if g.dt is None else 2.0 * g.dt)
 
 
+def _resampled(states):
+    """The states with their curves resampled at arclength, one batch."""
+    curves = reparameterize_each([s.curve for s in states])
+    return [replace(s, curve=c) for s, c in zip(states, curves)]
+
+
 def _resample(groups):
     """Resample the states of the groups at arclength, one batch for all;
-    a failure ends the group."""
-    curves = _batched(reparameterize_each, groups, lambda g, k: (g.states[k].curve,))
-    for g, resampled in curves.items():
-        g.states = [replace(s, curve=c) for s, c in zip(g.states, resampled)]
+    a failure ends the group.  A state that groups share stays shared."""
+    for g, states in _batched(_resampled, groups, lambda g, k: (g.states[k],)).items():
+        g.states = states
 
 
 def lockstep(groups):
@@ -330,8 +354,11 @@ def lockstep(groups):
     20 of its steps and halves its dt for good when any of its states
     raises the energy flag.  A solver or geometry failure, or a dt halved
     until time stands still, ends that group early with its last good
-    states and the reason in `failure`; the other groups go on.
+    states and the reason in `failure`; the other groups go on.  Groups
+    that share a state, force map and dt make its step once.
     """
+    options = {g: [replace(g.options, time_scale=1.0 / m.log_eps if g.rescaled else 1.0)
+                   for m in g.force_maps] for g in groups}
     _apply_policy([g for g in groups if g.dt is None])
     running = [g for g in groups if g.failure is None and g.t < g.end]
     while running:
@@ -344,7 +371,7 @@ def lockstep(groups):
                 stepping[g] = dt_step
         # a group whose step fails keeps its last good states
         stepped = _batched(_advance, stepping, lambda g, k: (
-            g.states[k], g.force_maps[k], stepping[g], g.options), describe=str)
+            g.states[k], g.force_maps[k], stepping[g], options[g][k]), describe=str)
         for g, states in stepped.items():
             g.states, g.t, g.steps = states, g.t + stepping[g], g.steps + 1
             if any(s.diagnostics.energy_flag for s in states):
@@ -365,8 +392,7 @@ def lockstep(groups):
 @dataclass
 class Trajectory:
     states: list          # snapshot EvolutionStates (always includes initial & final)
-    diagnostics: list     # per-step DiagnosticsRecords
-    dt_history: list      # dt actually used at each step
+    diagnostics: list     # per-step DiagnosticsRecords, each with its dt
     aborted: str = None   # error message if the run stopped early
 
 
@@ -378,25 +404,23 @@ def run(config, initial):
     `lockstep` ends early keeps its partial trajectory.
     """
     force_map = force_map_for(config.model, config.epsilon, initial.n)
-    time_scale = 1.0 / force_map.log_eps if config.rescaled_time else 1.0
     e0 = energy(initial)
     state = EvolutionState(
         initial, 0.0, None,
         DiagnosticsRecord(0, 0.0, e0, 0.0, initial.inext_residual, 0.0),
     )
-    traj = Trajectory([state], [], [])
+    traj = Trajectory([state], [])
 
     def after_step(group, dt_step):
         (state,) = group.states
         traj.diagnostics.append(state.diagnostics)
-        traj.dt_history.append(dt_step)
         if group.steps % config.snapshot_every == 0:
             traj.states.append(state)
 
     (group,) = lockstep([Group(
         [state], (force_map,), config.dt, config.horizon, after_step,
         StepOptions(cg_tol=config.cg_tol, inext_tol=config.inextensibility_tol,
-                    energy_tol_abs=config.energy_tol * e0, time_scale=time_scale),
+                    energy_tol_abs=config.energy_tol * e0),
         rescaled=config.rescaled_time,
     )])
     (state,), traj.aborted = group.states, group.failure

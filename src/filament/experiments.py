@@ -8,9 +8,12 @@ dissipation traces of the difference W = X - Y.
 
 The sweep steps its rows together: every row of one grid size is a
 lockstep group of its two models, and all groups advance as one batch
-with a member axis first (see evolution.lockstep).  With jobs > 1 the
-rows are split into contiguous chunks, one per worker process, and each
-chunk is such a batch.
+with a member axis first (see evolution.lockstep).  In rescaled time the
+RFT evolution does not depend on eps, so every row's RFT member is the
+RFT map of the sweep's first eps from one initial state per grid size:
+while the rows keep one dt the batch steps it once for all of them.
+With jobs > 1 the rows are split into contiguous chunks, one per worker
+process, and each chunk is such a batch with its own RFT member.
 """
 
 import itertools
@@ -74,6 +77,10 @@ class DiscrepancyRecord:
     def compensated(self):
         return math.sqrt(self.log_eps) * self.sup_h2
 
+    @property
+    def snapshots(self):
+        return 0 if self.times is None else len(self.times)
+
 
 def discrepancy_energy_trace(times, curves_x, curves_y, table):
     """Traces of the difference W = X - Y on matched snapshots.
@@ -118,11 +125,14 @@ POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
 SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
 
 
-def _pair(eps, curve, sweep, *, dt=None, table=None):
-    """The lockstep group of one eps row from the initial curve under the
-    SweepConfig sweep, both models in rescaled time, and the function that
-    makes the stepped group its DiscrepancyRecord (a failed one if
-    `lockstep` ended the group early).
+def _pair(eps, start, rft, sweep, *, dt=None, table=None):
+    """The lockstep group of one eps row under the SweepConfig sweep, both
+    models in rescaled time from the EvolutionState start at t = 0, and
+    the function that makes the stepped group its DiscrepancyRecord (a
+    failed one if `lockstep` ended the group early).  The models are the
+    row's table and the RFT constants rft, which in rescaled time stand
+    for RFT at every eps: rows that share start and rft share their RFT
+    member while they keep one dt.
 
     Both runs share the grid, the initial curve, and the dt schedule
     bit-for-bit; discrepancy norms are evaluated on shared snapshots
@@ -133,7 +143,8 @@ def _pair(eps, curve, sweep, *, dt=None, table=None):
     horizon/SNAPSHOT_TARGET, which is safe because the semi-implicit
     update is exactly stationary on the relaxed circle.
     """
-    n, horizon = curve.n, sweep.horizon
+    curve, horizon = start.curve, sweep.horizon
+    n = curve.n
     if table is None:
         table = build_table(eps, n // 2)
     interval = horizon / SNAPSHOT_TARGET
@@ -165,27 +176,30 @@ def _pair(eps, curve, sweep, *, dt=None, table=None):
         return replace(_discrepancy_record(table, n, times, rows), **progress)
 
     options = StepOptions(cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
-                          energy_tol_abs=1e-8 * energy(curve), time_scale=1.0 / table.log_eps)
-    group = Group([EvolutionState(curve, 0.0)] * 2, (table, rft_constants(eps)), dt, horizon,
-                  after_step, options, policy_every=POLICY_EVERY if dt is None else 0,
-                  dt_cap=interval, rescaled=True)
+                          energy_tol_abs=1e-8 * energy(curve))
+    group = Group([start] * 2, (table, rft), dt, horizon, after_step, options,
+                  policy_every=POLICY_EVERY if dt is None else 0, dt_cap=interval,
+                  rescaled=True)
     return group, finish
 
 
 def _study_worker(tasks):
-    """The records of a chunk of sweep rows; the initial curve is built
-    once per grid size, and the rows of one grid size step as one batch."""
-    curves, rows = {}, []
+    """The records of a chunk of sweep rows.  Every row's RFT member is
+    the RFT map of the sweep's first eps, the same in every chunk; the
+    initial state is built once per grid size, and the rows of one grid
+    size step as one batch, which steps their shared RFT member once."""
+    starts, rows = {}, []
+    rft = rft_constants(tasks[0][1].epsilons[0])  # every task holds the same sweep
     for eps, sweep, n in tasks:
-        if n not in curves:
+        if n not in starts:
             try:
-                curves[n] = initial_curve(sweep.initial_curve, n)
+                starts[n] = EvolutionState(initial_curve(sweep.initial_curve, n), 0.0)
             except GeometryError as exc:
-                curves[n] = exc
-        if isinstance(curves[n], GeometryError):
-            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n, failed=_named(curves[n]))))
+                starts[n] = exc
+        if isinstance(starts[n], GeometryError):
+            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n, failed=_named(starts[n]))))
         else:
-            rows.append((n, *_pair(eps, curves[n], sweep)))
+            rows.append((n, *_pair(eps, starts[n], rft, sweep)))
     for size in dict.fromkeys(n for n, *_ in rows):
         lockstep([group for n, group, _ in rows if n == size and group is not None])
     records = [finish if group is None else finish(group) for _, group, finish in rows]
@@ -264,6 +278,8 @@ SUMMARY_COLUMNS = (("eps", "eps"), ("log_eps", "log_eps"), ("sup_h2_err", "sup_h
                    ("max_EW", "max_ew"), ("int_DW", "int_dw"))
 TRACE_COLUMNS = (("time", "times"), ("h2", "h2"), ("EW", "ew"), ("DW", "dw"),
                  ("mean_sq", "mean_sq"))
+# DiscrepancyRecord attributes of each row, failed or not, in the manifest
+ROW_KEYS = ("eps", "n", "steps", "dt", "flags", "snapshots", "failed")
 
 
 def write_summary_csv(records, path):

@@ -313,3 +313,45 @@ class TestIsolatedCalls:
             _step(failing.states[1], 1e-6, failing.force_maps[1])
         assert failing.failure == str(solo.value) and failing.steps == 0
         assert failing.failure.startswith("fold-over")
+
+
+def shared_groups(n, rft_state=None):
+    """Three groups, one table each, from one start state and one rft
+    member; rft_state, if given, is the rft member's state in all three."""
+    start = EvolutionState(initial_curve("perturbed-circle(3,0.05)", n), 0.0)
+    rft = rft_constants(1e-3)
+    return [Group([start, rft_state or start], (build_table(eps, n // 2), rft), 1e-6, 4e-6,
+                  lambda group, dt_step: None, StepOptions())
+            for eps in (1e-2, 1e-3, 1e-4)]
+
+
+class TestSharedMember:
+    """Groups that share a member's state, force map and dt make its calls
+    once, and get the bits of groups that each have their own."""
+
+    def test_shared_member_steps_once(self):
+        together = lockstep(shared_groups(64))
+        assert together[0].states[1] is together[1].states[1] is together[2].states[1]
+        for got, (alone,) in zip(together, (lockstep([g]) for g in shared_groups(64))):
+            assert got.failure is None and got.steps == alone.steps == 4
+            for a, b in zip(got.states, alone.states):
+                assert np.array_equal(a.curve.samples, b.curve.samples)
+                assert a.diagnostics == b.diagnostics
+
+    def test_resample_keeps_shared_states_shared(self):
+        groups = shared_groups(64)
+        (want,) = reparameterize_each([groups[0].states[0].curve])
+        _resample(groups)
+        state = groups[0].states[0]
+        assert all(s is state for g in groups for s in g.states)
+        assert np.array_equal(state.curve.samples, want.samples)
+
+    def test_failing_shared_member_ends_every_group(self):
+        folded_state = EvolutionState(folded(64), 0.0)
+        groups = lockstep(shared_groups(64, folded_state))
+        with pytest.raises(GeometryError) as solo:
+            _step(folded_state, 1e-6, groups[0].force_maps[1])
+        for got, (alone,) in zip(groups, (lockstep([g])
+                                          for g in shared_groups(64, folded_state))):
+            assert got.failure == alone.failure == str(solo.value)
+            assert got.steps == alone.steps == 0

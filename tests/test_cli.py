@@ -282,6 +282,33 @@ snapshot_every = 5
         traces = sorted(out.glob("traces_*.csv"))
         assert len(traces) == 3
 
+    def test_manifest_rows(self, tmp_path):
+        # one block per row, failed or not, from its DiscrepancyRecord; the
+        # same for every --jobs
+        config = write_config(tmp_path, TINY_SWEEP.replace("1e-2", "1e-2, 1e-3"), name="ok.cfg")
+        blocks = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+            blocks[jobs] = json.loads((out / "manifest.json").read_text())["rows"]
+            for block, eps in zip(blocks[jobs], ("1e-02", "1e-03")):
+                traces = read_csv(out / f"traces_eps{eps}_n32.csv")
+                assert block["snapshots"] == len(traces) - 1
+                assert float(traces[-1][0]) == pytest.approx(1e-5)
+        assert blocks["1"] == blocks["2"]
+        assert [list(b) for b in blocks["1"]] == [
+            ["eps", "n", "steps", "dt", "flags", "snapshots", "failed"]] * 2
+        assert [(b["eps"], b["n"], b["flags"], b["failed"]) for b in blocks["1"]] == [
+            (1e-2, 32, 0, None), (1e-3, 32, 0, None)]
+        assert all(b["steps"] > 0 and 0.0 < b["dt"] <= 1e-5 / 50 for b in blocks["1"])
+        failing = write_config(tmp_path, TINY_SWEEP + "cg_tol = 1e-30\n", name="failing.cfg")
+        out = tmp_path / "failing"
+        assert main(["sweep", "--config", failing, "--out", str(out)]) == 2
+        (block,) = json.loads((out / "manifest.json").read_text())["rows"]
+        assert (block["eps"], block["steps"], block["dt"], block["snapshots"]) == (
+            1e-2, 0, None, 0)
+        assert block["failed"].startswith("SolverError: tension CG stalled")
+
     def test_jobs_leave_the_output_unchanged(self, tmp_path):
         # --jobs 2 steps the rows in two chunks, each one batch; every CSV
         # must be byte for byte that of the single batch of --jobs 1
@@ -426,7 +453,8 @@ class TestRunner:
 
     @pytest.mark.parametrize("command,keys", [
         ("simulate", ["config", "versions", "wall_time_s", "steps", "aborted"]),
-        ("sweep", ["config", "versions", "wall_time_s", "fitted_constants", "failed_rows"]),
+        ("sweep", ["config", "versions", "wall_time_s", "fitted_constants", "failed_rows",
+                   "rows"]),
         ("multiplier-dump", ["epsilon", "kmax", "versions"]),
         ("tension-check", ["epsilon", "model", "n", "mean_tau", "cg_iterations", "versions"]),
         ("lemma-suite", ["epsilons", "kmax", "versions", "wall_time_s", "fitted_constants",

@@ -231,7 +231,7 @@ class TestRunDriver:
         config = RunConfig(model="rft", epsilon=1e-3, n=32, horizon=2.5e-6, dt=1e-6)
         traj = run(config, PeriodicCurve.circle(32))
         assert traj.states[-1].time == pytest.approx(2.5e-6)
-        assert traj.dt_history[-1] == pytest.approx(0.5e-6)
+        assert traj.diagnostics[-1].dt == pytest.approx(0.5e-6)
 
     def test_determinism(self):
         config = RunConfig(model="leps", epsilon=1e-2, n=64, horizon=5e-6,
@@ -248,7 +248,7 @@ class TestRunDriver:
                            initial_curve="perturbed-circle(2,0.03)")
         curve = initial_curve(config.initial_curve, config.n)
         traj = run(config, curve)
-        assert traj.dt_history[1] == pytest.approx(0.5 * traj.dt_history[0])
+        assert traj.diagnostics[1].dt == pytest.approx(0.5 * traj.diagnostics[0].dt)
 
     def test_abort_keeps_partial_trajectory(self):
         # an unsolvable CG budget aborts the run but preserves state
@@ -287,18 +287,19 @@ class TestRunDriver:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "time", "energy", "dissipation", "inext_residual",
-                           "tension_h12", "energy_flag", "cg_iterations", "cg_residual"]
+                           "tension_h12", "energy_flag", "cg_iterations", "cg_residual", "dt"]
         for row, state in zip(rows[1:], traj.states[1:]):
             assert int(row[7]) == state.tension.iterations
             assert float(row[8]) == state.tension.residual
+            assert float(row[9]) == state.diagnostics.dt == 1e-6
 
     def test_diagnostics_csv(self, tmp_path):
         records = [DiagnosticsRecord(1, 1e-6, 20.0, 3.0, 1e-9, 40.0, False),
-                   DiagnosticsRecord(2, 2e-6, 21.0, 0.1, 1e-9, 40.0, True, 12, 3e-11)]
+                   DiagnosticsRecord(2, 2e-6, 21.0, 0.1, 1e-9, 40.0, True, 12, 3e-11, 1e-6)]
         path = tmp_path / "diag.csv"
         write_diagnostics_csv(records, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("step,time,energy")
-        assert lines[1:] == ["1,9.9999999999999995e-07,20,3,1.0000000000000001e-09,40,0,0,0",
+        assert lines[1:] == ["1,9.9999999999999995e-07,20,3,1.0000000000000001e-09,40,0,0,0,0",
                              "2,1.9999999999999999e-06,21,0.10000000000000001,"
-                             "1.0000000000000001e-09,40,1,12,3e-11"]
+                             "1.0000000000000001e-09,40,1,12,3e-11,9.9999999999999995e-07"]

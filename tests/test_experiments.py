@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from filament.config import SweepConfig
-from filament.evolution import initial_curve, lockstep
+from filament.evolution import EvolutionState, initial_curve, lockstep
 from filament.experiments import (
     DiscrepancyRecord,
     _pair,
@@ -30,7 +30,8 @@ def run_pair(eps, n, horizon, initial_name, **options):
     sweep defaults but for n, the horizon and the initial curve; the
     options are those of `_pair`."""
     sweep = SweepConfig(epsilons=(eps,), horizon=horizon, n=n, initial_curve=initial_name)
-    group, finish = _pair(eps, initial_curve(initial_name, n), sweep, **options)
+    start = EvolutionState(initial_curve(initial_name, n), 0.0)
+    group, finish = _pair(eps, start, rft_constants(eps), sweep, **options)
     lockstep([group])
     return finish(group)
 
@@ -249,7 +250,7 @@ class TestStudyDriver:
         def flagging_advance(states, force_maps, dts, options):
             outcomes = real_advance(states, force_maps, dts, options)
             for i, (state, force_map) in enumerate(zip(outcomes, force_maps)):
-                if force_map.epsilon == 1e-2:
+                if force_map.model == "leps" and force_map.epsilon == 1e-2:
                     flagged = dataclasses.replace(state.diagnostics, energy_flag=True)
                     outcomes[i] = dataclasses.replace(state, diagnostics=flagged)
             return outcomes
@@ -330,3 +331,43 @@ class TestDegenerateMultipliers:
         # splitting error from the differing implicit symbols
         assert coarse.sup_h2 < 1e-4
         assert 1.5 < coarse.sup_h2 / fine.sup_h2 < 2.5
+
+
+class TestSharedRftMember:
+    """Every row of a batch steps the RFT map of the sweep's first eps from
+    one start state: the batch makes the shared member's calls once, and
+    each row gets the bits it gets with a copy of its own."""
+
+    SWEEP = SweepConfig(epsilons=(1e-2, 3e-3, 1e-3), horizon=1e-3, n=64,
+                        initial_curve="perturbed-circle(3,0.05)")
+
+    def test_sharing_changes_no_bits(self):
+        sweep = self.SWEEP
+        rft = rft_constants(sweep.epsilons[0])
+        rows = [_pair(eps, EvolutionState(initial_curve(sweep.initial_curve, sweep.n), 0.0),
+                      rft, sweep) for eps in sweep.epsilons]
+        lockstep([group for group, _ in rows])
+        shared = convergence_study(sweep)
+        assert all(r.failed is None and r.steps > 50 for r in shared)
+        for got, (group, finish) in zip(shared, rows):
+            own = finish(group)
+            for field in dataclasses.fields(DiscrepancyRecord):
+                assert np.array_equal(getattr(got, field.name), getattr(own, field.name))
+
+    def test_one_rft_member_per_step(self, monkeypatch):
+        # 3 leps members and the shared rft member, not 3 pairs, at every
+        # step: the policy keeps the rows on one dt, and the scheduled
+        # resampling keeps the shared state shared
+        from filament import evolution
+
+        real_advance = evolution._advance
+        sizes = []
+
+        def counting_advance(states, *args):
+            sizes.append(len(states))
+            return real_advance(states, *args)
+
+        monkeypatch.setattr(evolution, "_advance", counting_advance)
+        records = convergence_study(self.SWEEP)
+        assert [r.steps for r in records] == [len(sizes)] * 3 and len(sizes) > 50
+        assert set(sizes) == {4}
