@@ -140,6 +140,12 @@ def _cmd_simulate(args):
             f"run aborted: {traj.aborted}" if traj.aborted else None)
 
 
+def _eps_tag(eps):
+    """The shortest %e spelling of eps that reads back as eps: distinct
+    rows get distinct trace files, and 1e-2 is still 1e-02."""
+    return next(tag for tag in (f"{eps:.{p}e}" for p in range(17)) if float(tag) == eps)
+
+
 def _cmd_sweep(args):
     from .experiments import (
         ROW_KEYS,
@@ -157,7 +163,7 @@ def _cmd_sweep(args):
         if r.failed is not None:
             log.error("sweep row eps=%g failed: %s", r.eps, r.failed)
             continue
-        write_traces_csv(r, args.out / f"traces_eps{r.eps:.0e}_n{r.n}.csv")
+        write_traces_csv(r, args.out / f"traces_eps{_eps_tag(r.eps)}_n{r.n}.csv")
     ok = [r for r in records if r.failed is None and r.n == sweep.n]
     fitted = {}
     if len(ok) >= 3:

@@ -16,7 +16,8 @@ member of every group as one array program with a member axis first
 all of them, each member getting the bits of its solo step.  Groups may
 share a member (a sweep's rows share their RFT member): the batch makes
 its calls once while they keep one dt.  A failing member raises for the
-whole batch, and `_batched` alone isolates it.
+whole batch, and `_batched` alone isolates it: it makes each distinct
+call of the batch alone, so only the groups with a failing member end.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -288,10 +289,11 @@ def _batched(function, groups, member, describe=_named):
     group's results in member order.  Identical calls (`_call_key`) are
     made once, and every member that asked for one gets its result.
 
-    When the batch raises SolverError or GeometryError, each group is
-    called alone; one that fails alone too is called member by member and
-    ends with its first failure, `describe`d into `failure`, and no
-    results.  The others get the bits of the batch, their members' solo bits.
+    When the batch raises SolverError or GeometryError, each distinct call
+    is made alone, once (a batch of one call keeps the batch's exception).
+    A group with a failing member ends with the first failure in member
+    order, `describe`d into `failure`, and no results; the others get their
+    members' solo results, the bits of the batch, shared calls still shared.
     """
     members = sorted(((g, k) for g in groups for k in range(len(g.states))),
                      key=lambda gk: gk[0].force_maps[gk[1]].model != "leps")
@@ -305,22 +307,22 @@ def _batched(function, groups, member, describe=_named):
     try:
         results = dict(zip(calls, function(*zip(*calls.values()))))
     except (SolverError, GeometryError) as exc:
-        if len(groups) > 1:
-            isolated = {}
-            for g in groups:
-                isolated.update(_batched(function, [g], member, describe))
-            return isolated
-        (g,) = groups
-        if len(g.states) > 1:  # a group of one has failed as its member alone
-            for k in range(len(g.states)):
+        results = dict.fromkeys(calls, exc)
+        if len(calls) > 1:
+            for key, args in calls.items():
                 try:
-                    function(*zip(member(g, k)))
-                except (SolverError, GeometryError) as first:
-                    exc = first
-                    break
-        g.failure = describe(exc)
-        return {}
-    return {g: [results[keys[g, k]] for k in range(len(g.states))] for g in groups}
+                    (results[key],) = function(*zip(args))
+                except (SolverError, GeometryError) as failure:
+                    results[key] = failure
+    outcomes = {}
+    for g in groups:
+        got = [results[keys[g, k]] for k in range(len(g.states))]
+        failure = next((r for r in got if isinstance(r, Exception)), None)
+        if failure is None:
+            outcomes[g] = got
+        else:
+            g.failure = describe(failure)
+    return outcomes
 
 
 def _apply_policy(groups):
@@ -354,8 +356,10 @@ def lockstep(groups):
     20 of its steps and halves its dt for good when any of its states
     raises the energy flag.  A solver or geometry failure, or a dt halved
     until time stands still, ends that group early with its last good
-    states and the reason in `failure`; the other groups go on.  Groups
-    that share a state, force map and dt make its step once.
+    states and the reason in `failure`; the other groups go on.  Every
+    step taken goes to on_step, even if the resampling or dt policy after
+    it fails.  Groups that share a state, force map and dt make its step
+    once.
     """
     options = {g: [replace(g.options, time_scale=1.0 / m.log_eps if g.rescaled else 1.0)
                    for m in g.force_maps] for g in groups}
@@ -380,12 +384,9 @@ def lockstep(groups):
         _resample([g for g in stepped if g.steps % 20 == 0])
         _apply_policy([g for g in stepped if g.failure is None and g.policy_every
                        and g.steps % g.policy_every == 0])
-        running = []
         for g in stepped:
-            if g.failure is None:
-                g.on_step(g, stepping[g])
-                if g.t < g.end:
-                    running.append(g)
+            g.on_step(g, stepping[g])
+        running = [g for g in stepped if g.failure is None and g.t < g.end]
     return groups
 
 

@@ -13,12 +13,14 @@ RFT evolution does not depend on eps, so every row's RFT member is the
 RFT map of the sweep's first eps from one initial state per grid size:
 while the rows keep one dt the batch steps it once for all of them.
 With jobs > 1 the rows are split into contiguous chunks, one per worker
-process, and each chunk is such a batch with its own RFT member.
+process and at most one per usable CPU, and each chunk is such a batch
+with its own RFT member.
 """
 
 import itertools
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -184,25 +186,23 @@ def _pair(eps, start, rft, sweep, *, dt=None, table=None):
 
 
 def _study_worker(tasks):
-    """The records of a chunk of sweep rows.  Every row's RFT member is
-    the RFT map of the sweep's first eps, the same in every chunk; the
-    initial state is built once per grid size, and the rows of one grid
-    size step as one batch, which steps their shared RFT member once."""
-    starts, rows = {}, []
-    rft = rft_constants(tasks[0][1].epsilons[0])  # every task holds the same sweep
-    for eps, sweep, n in tasks:
-        if n not in starts:
-            try:
-                starts[n] = EvolutionState(initial_curve(sweep.initial_curve, n), 0.0)
-            except GeometryError as exc:
-                starts[n] = exc
-        if isinstance(starts[n], GeometryError):
-            rows.append((n, None, DiscrepancyRecord(eps=eps, n=n, failed=_named(starts[n]))))
-        else:
-            rows.append((n, *_pair(eps, starts[n], rft, sweep)))
-    for size in dict.fromkeys(n for n, *_ in rows):
-        lockstep([group for n, group, _ in rows if n == size and group is not None])
-    records = [finish if group is None else finish(group) for _, group, finish in rows]
+    """The records of a chunk of sweep rows, in task order.  Every row's
+    RFT member is the RFT map of the sweep's first eps, the same in every
+    chunk; the rows of one grid size (contiguous in a chunk) step as one
+    batch from one initial state, and all fail if that curve does."""
+    sweep = tasks[0][1]  # every task holds the same sweep
+    rft = rft_constants(sweep.epsilons[0])
+    records = []
+    for n, rows in itertools.groupby(tasks, key=lambda task: task[2]):
+        epsilons = [eps for eps, *_ in rows]
+        try:
+            start = EvolutionState(initial_curve(sweep.initial_curve, n), 0.0)
+        except GeometryError as exc:
+            records += [DiscrepancyRecord(eps=eps, n=n, failed=_named(exc)) for eps in epsilons]
+            continue
+        pairs = [_pair(eps, start, rft, sweep) for eps in epsilons]
+        lockstep([group for group, _ in pairs])
+        records += [finish(group) for group, finish in pairs]
     for r in records:
         log.info("sweep row eps=%g n=%d: steps=%d dt=%s flags=%d failure=%s",
                  r.eps, r.n, r.steps, r.dt, r.flags, r.failed)
@@ -214,13 +214,14 @@ def convergence_study(sweep, jobs=1):
 
     A failed eps row is reported with its error message; the study
     continues with the remaining rows.  jobs > 1 splits the rows into
-    that many contiguous chunks (at most one per row), each run as one
-    batch in its own worker process.
+    that many contiguous chunks, at most one per row and one per CPU this
+    process may use, each run as one batch in its own worker process.
     """
     tasks = [(eps, sweep, sweep.n) for eps in sweep.epsilons]
     if sweep.confirmation:
         tasks.append((1e-4, sweep, 1024))
-    workers = min(jobs, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
     if workers <= 1:
         return _study_worker(tasks)
     bounds = [i * len(tasks) // workers for i in range(workers + 1)]
@@ -374,22 +375,13 @@ def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096):
         raise ValueError("epsilons must be strictly decreasing")
     per_eps = {eps: _bound_suite_one_eps(eps, kmax) for eps in epsilons}
     coarse = per_eps[epsilons[0]]
-    report = {"epsilons": list(epsilons), "kmax": kmax, "suites": {}}
-
-    def gate(name, fitted, fine_values, check):
-        ok = all(check(fitted, v) for v in fine_values)
-        report["suites"][name] = {"constant": fitted, "pass": bool(ok)}
-        return ok
-
-    upper = lambda c, v: v <= SLACK * c
-    all_pass = True
+    suites = {}
     keys = [f"{name}_{family}" for family in UPPER_FAMILIES for name in MULTIPLIERS]
     for key in keys + ["lowk_diff_ratio"]:
         fitted = coarse[key]
-        fine = [per_eps[e][key] for e in epsilons[1:]]
         # High-k families may be empty (crossover beyond kmax) at fine eps.
-        fine = [v for v in fine if v > 0.0]
-        all_pass &= gate(key, fitted, fine, upper)
+        fine = [v for v in (per_eps[e][key] for e in epsilons[1:]) if v > 0.0]
+        suites[key] = {"constant": fitted, "pass": all(v <= SLACK * fitted for v in fine)}
 
     for name in MULTIPLIERS:
         lo, hi = coarse[f"{name}_sandwich_lo"], coarse[f"{name}_sandwich_hi"]
@@ -400,17 +392,15 @@ def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096):
             row = per_eps[e]
             ok &= row[f"{name}_sandwich_lo"] <= SLACK * c
             ok &= row[f"{name}_sandwich_hi"] >= c / SLACK
-        report["suites"][f"{name}_sandwich"] = {"constant": c, "pass": bool(ok)}
-        all_pass &= ok
+        suites[f"{name}_sandwich"] = {"constant": c, "pass": bool(ok)}
 
     coercivity = {eps: coercivity_ratios(eps) for eps in epsilons}
     c_fit = float(np.min(coercivity[epsilons[0]]))
     ok = c_fit > 0.0 and all(
         float(np.min(coercivity[e])) >= c_fit / SLACK for e in epsilons[1:]
     )
-    report["suites"]["coercivity"] = {"constant": c_fit, "pass": bool(ok)}
-    all_pass &= ok
+    suites["coercivity"] = {"constant": c_fit, "pass": bool(ok)}
 
-    report["per_eps"] = {format(e, ".3g"): per_eps[e] for e in epsilons}
-    report["passed"] = bool(all_pass)
-    return report
+    return {"epsilons": list(epsilons), "kmax": kmax, "suites": suites,
+            "per_eps": {format(e, ".3g"): per_eps[e] for e in epsilons},
+            "passed": all(s["pass"] for s in suites.values())}

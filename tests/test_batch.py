@@ -9,6 +9,7 @@ members leave at different iterations.
 import numpy as np
 import pytest
 
+from filament.config import RunConfig
 from filament.evolution import (
     H2,
     H_HALF,
@@ -24,6 +25,7 @@ from filament.evolution import (
     energy,
     initial_curve,
     lockstep,
+    run,
 )
 from filament.multipliers import ForceMapStack, RftConstants, build_table, rft_constants
 from filament.spectral import (
@@ -260,6 +262,23 @@ class TestGroupFailures:
             _step(failing.states[0], 1e300, failing.force_maps[0])
         assert failing.failure == str(solo.value) and failing.steps == 0
         self.assert_unaffected(other, alone)
+
+    @pytest.mark.parametrize("dt", [1e-6, None])
+    def test_group_of_one_fails_in_one_call(self, monkeypatch, dt):
+        # a run's failing step (dt given) or dt policy (dt None) is a batch
+        # of one call, whose exception is that call's: it is not made again
+        from filament import evolution
+
+        calls = []
+        for name in ("_advance", "_policy_dts"):
+            real = getattr(evolution, name)
+            monkeypatch.setattr(evolution, name, lambda *args, real=real, name=name: (
+                calls.append(name) or real(*args)))
+        config = RunConfig(model="leps", epsilon=1e-3, n=64, horizon=1e-5, dt=dt,
+                           cg_tol=1e-30, initial_curve="perturbed-circle(3,0.05)")
+        traj = run(config, initial_curve(config.initial_curve, config.n))
+        assert "tension CG stalled" in traj.aborted
+        assert calls == ["_advance" if dt else "_policy_dts"]
 
     @staticmethod
     def assert_unaffected(other, alone):

@@ -182,6 +182,34 @@ cg_tol = 1e-30
         assert read_csv(out / "diagnostics.csv")[1:] == []
         assert [p.name for p in out.glob("curve_*.csv")] == ["curve_000000.csv"]
 
+    def test_step_before_a_failed_resampling_is_written(self, tmp_path):
+        # the resampling after step 20 aborts the run: step 20 is in the
+        # manifest, diagnostics.csv and the last curve file alike
+        from filament.spectral import write_curve_csv
+        from test_batch import folded
+
+        curve = tmp_path / "folded.csv"
+        write_curve_csv(folded(64), curve)
+        config = write_config(tmp_path, f"""\
+model = rft
+epsilon = 1e-3
+n = 64
+horizon = 1e-3
+dt = 1e-8
+inextensibility_tol = 10
+snapshot_every = 7
+initial_curve = {curve}
+""")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["steps"] == 20
+        assert manifest["aborted"].startswith("GeometryError: fold-over")
+        assert [row[0] for row in read_csv(out / "diagnostics.csv")[1:]] == [
+            str(step) for step in range(1, 21)]
+        assert sorted(p.name for p in out.glob("curve_*.csv")) == [
+            f"curve_{step:06d}.csv" for step in (0, 7, 14, 20)]
+
 
 class TestTensionCheck:
     def test_circle_tension(self, tmp_path):
@@ -327,6 +355,18 @@ snapshot_every = 5
         assert sorted(written["1"]) == ["summary.csv", "traces_eps1e-02_n32.csv",
                                         "traces_eps1e-03_n32.csv", "traces_eps3e-03_n32.csv"]
         assert written["1"] == written["2"]
+
+    def test_one_trace_file_per_row(self, tmp_path):
+        # 0.012 and 0.01 are both 1e-02 to one digit; each row keeps its
+        # own traces, under the shortest spelling that reads back as its eps
+        config = write_config(tmp_path, TINY_SWEEP.replace("1e-2", "0.012, 0.01, 1e-3"),
+                              name="sweep.cfg")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        traces = {p.name: p.read_bytes() for p in out.glob("traces_*.csv")}
+        assert sorted(traces) == ["traces_eps1.2e-02_n32.csv", "traces_eps1e-02_n32.csv",
+                                  "traces_eps1e-03_n32.csv"]
+        assert len(set(traces.values())) == 3
 
     def test_one_info_line_per_row(self, tmp_path, caplog):
         ok = write_config(tmp_path, TINY_SWEEP.replace("1e-2", "1e-2, 1e-3"), name="ok.cfg")

@@ -25,6 +25,7 @@ from filament.evolution import (
 from filament.multipliers import ForceMapStack, build_table, rft_constants
 from filament.spectral import Grid, PeriodicCurve, SobolevIndex, sobolev_norm
 from filament.tension import TensionProblem, solve_tension
+from test_batch import folded
 from test_tension import velocity
 
 
@@ -259,6 +260,18 @@ class TestRunDriver:
         traj = run(config, curve)
         assert traj.aborted is not None
         assert traj.states[0].curve is curve
+
+    def test_step_before_a_failed_resampling_is_reported(self):
+        # the scheduled resampling after step 20 finds the fold-over: the
+        # run aborts with step 20 both its last diagnostics row and its
+        # last state
+        config = RunConfig(model="rft", epsilon=1e-3, n=64, horizon=1e-3, dt=1e-8,
+                           inextensibility_tol=10.0, snapshot_every=7)
+        traj = run(config, folded(64))
+        assert traj.aborted.startswith("GeometryError: fold-over")
+        assert [r.step for r in traj.diagnostics] == list(range(1, 21))
+        assert [s.diagnostics.step for s in traj.states] == [0, 7, 14, 20]
+        assert traj.states[-1].diagnostics is traj.diagnostics[-1]
 
     def test_programming_error_propagates(self, monkeypatch):
         # only solver and geometry failures abort a run

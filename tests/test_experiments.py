@@ -3,6 +3,7 @@ pairwise model comparison, and the fitted-constant protocols."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -270,9 +271,10 @@ class TestStudyDriver:
             assert a.sup_h2 == b.sup_h2
             assert a.steps == b.steps
 
-    def test_pool_no_larger_than_the_sweep(self, monkeypatch):
-        # fork starts every worker at the first submit, so an uncapped
-        # jobs=64 on three rows would fork 64 processes
+    @staticmethod
+    def record_pools(monkeypatch):
+        """The max_workers of every pool convergence_study opens; a pool's
+        workers return their chunks' eps."""
         from filament import experiments
 
         sizes = []
@@ -291,8 +293,29 @@ class TestStudyDriver:
                 return [[task[0] for task in chunk] for chunk in chunks]
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_no_larger_than_the_sweep(self, monkeypatch):
+        # fork starts every worker at the first submit, so an uncapped
+        # jobs=64 on three rows would fork 64 processes
+        sizes = self.record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         assert convergence_study(self.make_sweep(), jobs=64) == [1e-2, 3e-3, 1e-3]
         assert sizes == [3]
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_no_larger_than_the_cpus(self, monkeypatch, affinity):
+        # two usable CPUs: two workers for three rows, from the CPUs this
+        # process may run on, else from the CPU count
+        sizes = self.record_pools(monkeypatch)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert convergence_study(self.make_sweep(), jobs=64) == [1e-2, 3e-3, 1e-3]
+        assert sizes == [2]
 
     def test_confirmation_adds_fine_grid_row(self):
         sweep = SweepConfig(epsilons=(1e-2, 1e-3, 3e-4), horizon=1e-4, n=64,
@@ -371,3 +394,39 @@ class TestSharedRftMember:
         records = convergence_study(self.SWEEP)
         assert [r.steps for r in records] == [len(sizes)] * 3 and len(sizes) > 50
         assert set(sizes) == {4}
+
+    def test_failing_row_leaves_the_member_shared(self, monkeypatch):
+        # the eps = 1e-2 row's leps member fails its 12th step: the batch
+        # makes its 4 calls alone once, that row ends, and every later
+        # step makes the 2 surviving leps members and the one rft member,
+        # with the records of a sweep without that row
+        from filament import evolution
+        from filament.spectral import GeometryError
+
+        real_advance = evolution._advance
+        sizes = []
+
+        def failing_advance(states, force_maps, *args):
+            sizes.append(len(states))
+            for state, force_map in zip(states, force_maps):
+                if (force_map.model == "leps" and force_map.epsilon == 1e-2
+                        and state.diagnostics and state.diagnostics.step >= 11):
+                    raise GeometryError("injected")
+            return real_advance(states, force_maps, *args)
+
+        monkeypatch.setattr(evolution, "_advance", failing_advance)
+        sweep = self.SWEEP
+        failed, *survivors = convergence_study(sweep)
+        assert failed.failed == "injected" and failed.steps == 11
+        steps = survivors[0].steps
+        assert [r.steps for r in survivors] == [steps] * 2 and steps > 50
+        assert sizes == [4] * 11 + [4, 1, 1, 1, 1] + [3] * (steps - 12)
+        monkeypatch.setattr(evolution, "_advance", real_advance)
+        start = EvolutionState(initial_curve(sweep.initial_curve, sweep.n), 0.0)
+        rows = [_pair(eps, start, rft_constants(sweep.epsilons[0]), sweep)
+                for eps in sweep.epsilons[1:]]
+        lockstep([group for group, _ in rows])
+        for got, (group, finish) in zip(survivors, rows):
+            own = finish(group)
+            for field in dataclasses.fields(DiscrepancyRecord):
+                assert np.array_equal(getattr(got, field.name), getattr(own, field.name))
