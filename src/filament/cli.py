@@ -225,8 +225,7 @@ _COMMANDS = {
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--kmax": dict(required=True, type=_checked(count))}),
     "tension-check": ("solve the tension problem on a stored curve", _cmd_tension_check, False, {
-        "--curve": dict(required=True, type=_input_file(
-            "curve", lambda path: read_curve_csv(path)[0])),
+        "--curve": dict(required=True, type=_input_file("curve", read_curve_csv)),
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--model": dict(type=_checked(model_name), default="leps")}),
     "lemma-suite": ("multiplier bound and coercivity suites", _cmd_lemma_suite, True, {

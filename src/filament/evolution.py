@@ -232,7 +232,7 @@ def initial_curve(name, n):
         return PeriodicCurve.trefoil(n)
     if kind == "perturbed-circle":
         return PeriodicCurve.perturbed_circle(n, *args)
-    curve, _ = read_curve_csv(args[0])
+    curve = read_curve_csv(args[0])
     if curve.n != n:
         raise ValueError(f"curve file has n={curve.n}, config asks n={n}")
     return curve

@@ -17,6 +17,7 @@ process and at most one per usable CPU, and each chunk is such a batch
 with its own RFT member.
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -127,28 +128,26 @@ POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
 SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
 
 
-def _pair(eps, start, rft, sweep, *, dt=None, table=None):
-    """The lockstep group of one eps row under the SweepConfig sweep, both
-    models in rescaled time from the EvolutionState start at t = 0, and
-    the function that makes the stepped group its DiscrepancyRecord (a
-    failed one if `lockstep` ended the group early).  The models are the
-    row's table and the RFT constants rft, which in rescaled time stand
-    for RFT at every eps: rows that share start and rft share their RFT
-    member while they keep one dt.
+def _pair(table, start, rft, sweep):
+    """The lockstep group of the eps row of the MultiplierTable table under
+    the SweepConfig sweep, both models in rescaled time from the
+    EvolutionState start at t = 0, and the function that makes the stepped
+    group its DiscrepancyRecord (a failed one if `lockstep` ended the
+    group early).  The models are the table and the RFT constants rft,
+    which in rescaled time stand for RFT at every eps: rows that share
+    start and rft share their RFT member while they keep one dt.
 
     Both runs share the grid, the initial curve, and the dt schedule
     bit-for-bit; discrepancy norms are evaluated on shared snapshots
     only.  The step size follows the dt policy (dt ||G||_H2 <= 1e-2
     ||X||_H2) re-evaluated every POLICY_EVERY steps on both states and
-    taken as the minimum; a fixed dt argument disables the adaptation.
-    Growth is limited to a factor 2 per re-evaluation and capped at
-    horizon/SNAPSHOT_TARGET, which is safe because the semi-implicit
-    update is exactly stationary on the relaxed circle.
+    taken as the minimum.  Growth is limited to a factor 2 per
+    re-evaluation and capped at horizon/SNAPSHOT_TARGET, which is safe
+    because the semi-implicit update is exactly stationary on the relaxed
+    circle.
     """
     curve, horizon = start.curve, sweep.horizon
-    n = curve.n
-    if table is None:
-        table = build_table(eps, n // 2)
+    eps, n = table.epsilon, curve.n
     interval = horizon / SNAPSHOT_TARGET
     # Snapshots are taken every `stride` steps, which concentrates them
     # in the initial transient where the policy keeps dt small and the
@@ -179,28 +178,27 @@ def _pair(eps, start, rft, sweep, *, dt=None, table=None):
 
     options = StepOptions(cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
                           energy_tol_abs=1e-8 * energy(curve))
-    group = Group([start] * 2, (table, rft), dt, horizon, after_step, options,
-                  policy_every=POLICY_EVERY if dt is None else 0, dt_cap=interval,
-                  rescaled=True)
+    group = Group([start] * 2, (table, rft), None, horizon, after_step, options,
+                  policy_every=POLICY_EVERY, dt_cap=interval, rescaled=True)
     return group, finish
 
 
-def _study_worker(tasks):
-    """The records of a chunk of sweep rows, in task order.  Every row's
-    RFT member is the RFT map of the sweep's first eps, the same in every
-    chunk; the rows of one grid size (contiguous in a chunk) step as one
-    batch from one initial state, and all fail if that curve does."""
-    sweep = tasks[0][1]  # every task holds the same sweep
+def _study_worker(sweep, tasks):
+    """The records of a chunk of (eps, n) rows of the SweepConfig sweep, in
+    task order.  Every row's RFT member is the RFT map of the sweep's
+    first eps, the same in every chunk; the rows of one grid size
+    (contiguous in a chunk) step as one batch from one initial state, and
+    all fail if that curve does."""
     rft = rft_constants(sweep.epsilons[0])
     records = []
-    for n, rows in itertools.groupby(tasks, key=lambda task: task[2]):
-        epsilons = [eps for eps, *_ in rows]
+    for n, rows in itertools.groupby(tasks, key=lambda task: task[1]):
+        epsilons = [eps for eps, _ in rows]
         try:
             start = EvolutionState(initial_curve(sweep.initial_curve, n), 0.0)
         except GeometryError as exc:
             records += [DiscrepancyRecord(eps=eps, n=n, failed=_named(exc)) for eps in epsilons]
             continue
-        pairs = [_pair(eps, start, rft, sweep) for eps in epsilons]
+        pairs = [_pair(build_table(eps, n // 2), start, rft, sweep) for eps in epsilons]
         lockstep([group for group, _ in pairs])
         records += [finish(group) for group, finish in pairs]
     for r in records:
@@ -217,17 +215,18 @@ def convergence_study(sweep, jobs=1):
     that many contiguous chunks, at most one per row and one per CPU this
     process may use, each run as one batch in its own worker process.
     """
-    tasks = [(eps, sweep, sweep.n) for eps in sweep.epsilons]
+    tasks = [(eps, sweep.n) for eps in sweep.epsilons]
     if sweep.confirmation:
-        tasks.append((1e-4, sweep, 1024))
+        tasks.append((1e-4, 1024))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(tasks), cpus or 1)
     if workers <= 1:
-        return _study_worker(tasks)
+        return _study_worker(sweep, tasks)
     bounds = [i * len(tasks) // workers for i in range(workers + 1)]
     chunks = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [record for records in pool.map(_study_worker, chunks) for record in records]
+        chunk_records = pool.map(functools.partial(_study_worker, sweep), chunks)
+        return [record for records in chunk_records for record in records]
 
 
 def compensated_band(records):

@@ -14,9 +14,9 @@ coefficients and return coefficients: differentiation, band limiting
 and the multipliers are diagonal there, so each pointwise product with
 the tangent costs one irfft/rfft pair and nothing else.  L_eps costs 8
 FFT calls, L_rft 4.  A curve's X_s, X_ss and dealiased tangent come from
-one batched irfft (fill_derived); X_sss and X_ssss are never sampled, but
-enter as the products ik_pow[:, m] * coeffs.  Callers holding samples
-convert at their own boundary with to_coeffs/from_coeffs.
+one batched irfft (curves_from_samples); X_sss and X_ssss are never
+sampled, but enter as the products ik_pow[:, m] * coeffs.  Callers
+holding samples convert at their own boundary with to_coeffs/from_coeffs.
 
 Member axis: several curves on one grid step as one array program.  A
 CurveBatch holds their coefficients (m, n/2+1, 3) and tangents (m, n, 3),
@@ -140,55 +140,19 @@ def mean_inner(a, b):
 class PeriodicCurve:
     """Closed curve sampled on a power-of-two periodic grid.
 
-    Its coefficients, X_s, X_ss, tangent, speed and inext_residual come
-    from fill_derived, a curve alone being the batch of one; derived
-    quantities are cached and instances are treated as immutable.
+    Its coefficients, X_s, X_ss, dealiased tangent (the copy of X_s used
+    in every projection product), speed |X_s| and inext_residual
+    max||X_s| - 1| are plain attributes, made with it by
+    curves_from_samples: a curve alone is the batch of one.  Instances
+    are treated as immutable, and their arrays are read-only.
     """
 
     def __init__(self, samples):
-        samples = np.array(samples, dtype=float)
+        samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ValueError(f"curve samples must have shape (n, 3), got {samples.shape}")
-        n = samples.shape[0]
-        if n < 32 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 32, got {n}")
-        if not np.all(np.isfinite(samples)):
-            raise GeometryError("curve samples must be finite")
-        samples.setflags(write=False)
-        self.samples = samples
-        self.n = n
-        self.grid = Grid.of_size(n)
-        self._cache = {}
-
-    def _derived(self, key):
-        if key not in self._cache:
-            fill_derived([self])
-        return self._cache[key]
-
-    @property
-    def coeffs(self):
-        return self._derived("coeffs")
-
-    @property
-    def xs(self):
-        return self._derived("xs")
-
-    @property
-    def xss(self):
-        return self._derived("xss")
-
-    @property
-    def tangent(self):
-        """Dealiased copy of X_s used in every projection product."""
-        return self._derived("tangent")
-
-    @property
-    def speed(self):
-        return self._derived("speed")
-
-    @property
-    def inext_residual(self):
-        return self._derived("inext_residual")
+        (curve,) = curves_from_samples(samples[None])
+        vars(self).update(vars(curve))
 
     @classmethod
     def circle(cls, n):
@@ -223,33 +187,33 @@ class PeriodicCurve:
         return _dense_passes(cls(raw), 3)
 
 
-def fill_derived(curves):
-    """Cache the coefficients, X_s, X_ss, dealiased tangents, speeds |X_s|
-    and residuals max||X_s| - 1| of the curves on one grid that lack them:
-    one rfft and one irfft call (the factors of grid.stack_factor) and one
-    array expression per quantity for all of them; the only place that
-    computes these fields.  The sampled fields are read-only."""
-    curves = [c for c in curves if "tangent" not in c._cache]
-    if not curves:
-        return
-    grid = curves[0].grid
-    coeffs = to_coeffs(np.array([c.samples for c in curves]), axis=-2)
-    stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], grid.n, axis=-3)
+def curves_from_samples(samples):
+    """A PeriodicCurve for each member of samples (m, n, 3), the one place
+    that computes a curve's fields: one rfft and one irfft call (the
+    factors of grid.stack_factor) and one array expression per quantity
+    for all members.  Raises ValueError unless n is a power of two >= 32,
+    and GeometryError on non-finite samples."""
+    samples = np.array(samples, dtype=float)
+    n = samples.shape[1]
+    if n < 32 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 32, got {n}")
+    if not np.all(np.isfinite(samples)):
+        raise GeometryError("curve samples must be finite")
+    grid = Grid.of_size(n)
+    coeffs = to_coeffs(samples, axis=-2)
+    stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], n, axis=-3)
     stacks = np.ascontiguousarray(stacks.swapaxes(-2, -3))
     speeds = np.sqrt(np.sum(stacks[:, 0] ** 2, axis=-1))
     residuals = np.max(np.abs(speeds - 1.0), axis=-1).tolist()
-    stacks.setflags(write=False)
-    speeds.setflags(write=False)
-    for curve, hat, stack, speed, residual in zip(curves, coeffs, stacks, speeds, residuals):
-        curve._cache.update(coeffs=hat, speed=speed, inext_residual=residual)
-        curve._cache.update(zip(("xs", "xss", "tangent"), stack))
-
-
-def curves_from_samples(samples):
-    """A PeriodicCurve for each member of samples (m, n, 3), with its
-    derived fields filled; raises GeometryError on non-finite samples."""
-    curves = [PeriodicCurve(member) for member in samples]
-    fill_derived(curves)
+    for array in (samples, coeffs, stacks, speeds):
+        array.setflags(write=False)
+    curves = []
+    for j, residual in enumerate(residuals):
+        curve = object.__new__(PeriodicCurve)
+        curve.n, curve.grid, curve.samples, curve.coeffs = n, grid, samples[j], coeffs[j]
+        curve.xs, curve.xss, curve.tangent = stacks[j]
+        curve.speed, curve.inext_residual = speeds[j], residual
+        curves.append(curve)
     return curves
 
 
@@ -267,7 +231,6 @@ class CurveBatch:
 
     @classmethod
     def of(cls, curves):
-        fill_derived(curves)
         return cls(curves[0].grid, np.array([c.coeffs for c in curves]),
                    np.array([c.tangent for c in curves]))
 
@@ -521,10 +484,9 @@ def write_curve_csv(curve, path, *, epsilon=None, time=0.0, model=None):
 
 
 def read_curve_csv(path):
-    """Load a curve CSV; returns (curve, metadata dict or None).  Row j of
-    n must have s = j/n to within 1e-9, so rows out of order or missing
-    are rejected."""
-    path = Path(path)
+    """Load the PeriodicCurve of a curve CSV; its JSON sidecar is not read.
+    Row j of n must have s = j/n to within 1e-9, so rows out of order or
+    missing are rejected."""
     rows, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -555,9 +517,5 @@ def read_curve_csv(path):
         j = off[0]
         raise ValueError(f"line {lines[j]}: s = {float(table[j, 0])!r}, "
                          f"expected j/n = {j}/{n} = {j / n!r}")
-    meta = None
-    sidecar = path.with_suffix(".json")
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-    return PeriodicCurve(table[:, 1:]), meta
+    return PeriodicCurve(table[:, 1:])
 

@@ -439,6 +439,30 @@ class TestInputFiles:
         assert "not found" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "tension-check"])
+    @pytest.mark.parametrize("sidecar", ["not-json", "directory"])
+    def test_stray_curve_sidecar_ignored(self, tmp_path, command, sidecar):
+        # the JSON sidecar of a curve file is simulate output and is never
+        # read back, so whatever lies at its path cannot reject the curve
+        from filament.spectral import PeriodicCurve, write_curve_csv
+
+        argv, manifest = tiny_call(tmp_path, command)
+        curve = tmp_path / "curve.csv"
+        write_curve_csv(PeriodicCurve.perturbed_circle(32, 2, 0.03), curve)
+        stray = tmp_path / "curve.json"
+        stray.unlink()
+        if sidecar == "directory":
+            stray.mkdir()
+        else:
+            stray.write_text("{not json")
+        if command == "tension-check":
+            argv[argv.index("--curve") + 1] = str(curve)
+        else:
+            config = tmp_path / ("sweep.cfg" if command == "sweep" else "run.cfg")
+            config.write_text(config.read_text().replace("perturbed-circle(2,0.03)", str(curve)))
+        assert main(argv) == 0
+        assert manifest.exists()
+
     @pytest.mark.parametrize("command,case", [
         ("simulate", "bad-header"), ("simulate", "other-n"), ("simulate", "rows-swapped"),
         ("sweep", "bad-header"), ("sweep", "other-n"), ("sweep", "rows-swapped"),

@@ -26,13 +26,16 @@ from filament.multipliers import MultiplierTable, build_table, rft_constants
 from filament.spectral import PeriodicCurve, write_json
 
 
-def run_pair(eps, n, horizon, initial_name, **options):
-    """The DiscrepancyRecord of one eps row stepped alone, under the
-    sweep defaults but for n, the horizon and the initial curve; the
-    options are those of `_pair`."""
+def run_pair(eps, n, horizon, initial_name, *, dt, table=None):
+    """The DiscrepancyRecord of one eps row stepped alone with the fixed
+    step dt, under the sweep defaults but for n, the horizon and the
+    initial curve; table, when given, stands for the row's multipliers."""
     sweep = SweepConfig(epsilons=(eps,), horizon=horizon, n=n, initial_curve=initial_name)
     start = EvolutionState(initial_curve(initial_name, n), 0.0)
-    group, finish = _pair(eps, start, rft_constants(eps), sweep, **options)
+    if table is None:
+        table = build_table(eps, n // 2)
+    group, finish = _pair(table, start, rft_constants(eps), sweep)
+    group.dt, group.policy_every = dt, 0
     lockstep([group])
     return finish(group)
 
@@ -367,7 +370,8 @@ class TestSharedRftMember:
     def test_sharing_changes_no_bits(self):
         sweep = self.SWEEP
         rft = rft_constants(sweep.epsilons[0])
-        rows = [_pair(eps, EvolutionState(initial_curve(sweep.initial_curve, sweep.n), 0.0),
+        rows = [_pair(build_table(eps, sweep.n // 2),
+                      EvolutionState(initial_curve(sweep.initial_curve, sweep.n), 0.0),
                       rft, sweep) for eps in sweep.epsilons]
         lockstep([group for group, _ in rows])
         shared = convergence_study(sweep)
@@ -423,7 +427,8 @@ class TestSharedRftMember:
         assert sizes == [4] * 11 + [4, 1, 1, 1, 1] + [3] * (steps - 12)
         monkeypatch.setattr(evolution, "_advance", real_advance)
         start = EvolutionState(initial_curve(sweep.initial_curve, sweep.n), 0.0)
-        rows = [_pair(eps, start, rft_constants(sweep.epsilons[0]), sweep)
+        rows = [_pair(build_table(eps, sweep.n // 2), start,
+                      rft_constants(sweep.epsilons[0]), sweep)
                 for eps in sweep.epsilons[1:]]
         lockstep([group for group, _ in rows])
         for got, (group, finish) in zip(survivors, rows):

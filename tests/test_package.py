@@ -1,10 +1,13 @@
-"""The package layout: every module imports on its own, and the package
-root re-exports nothing, so each name is imported from its module."""
+"""The package layout: every module imports on its own, the package root
+re-exports nothing, so each name is imported from its module, and the
+declared dependencies cover what the code calls."""
 
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,13 @@ def test_root_has_no_namespace():
     public = {name for name in vars(filament) if not name.startswith("_")}
     # submodules appear as attributes once imported, and only those
     assert public <= set(MODULES)
+
+
+def test_numpy_floor_covers_numpy_2_calls():
+    # tension calls np.vecdot and experiments np.trapezoid, both new in NumPy 2.0
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    (numpy,) = [d for d in dependencies if re.match(r"numpy\b", d)]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", numpy.replace(" ", ""))
+    assert floor and tuple(map(int, floor.groups())) >= (2, 0), numpy

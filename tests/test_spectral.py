@@ -11,11 +11,13 @@ from filament import spectral
 from filament.evolution import EvolutionState, choose_dt, initial_curve, step_leps
 from filament.multipliers import build_table, rft_constants
 from filament.spectral import (
+    GeometryError,
     Grid,
     PeriodicCurve,
     SobolevIndex,
     apply_L_eps,
     apply_L_rft,
+    curves_from_samples,
     dealias,
     from_coeffs,
     mean_inner,
@@ -148,7 +150,7 @@ class TestForceToVelocityMaps:
         n = 128
         table = build_table(1e-3, n // 2)
         curve = PeriodicCurve.circle(n)
-        curve._cache["tangent"] = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
+        curve.tangent = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
         s = np.arange(n) / n
         for k in (1, 5, 20):
             f = np.zeros((n, 3))
@@ -254,6 +256,19 @@ class TestCurves:
         samples[0, 0] = np.nan
         with pytest.raises(ValueError):
             PeriodicCurve(samples)
+
+    def test_batch_checked_as_a_curve(self):
+        # one non-finite member rejects the batch, and a grid of 48 points
+        # any batch on it, with the messages PeriodicCurve gives
+        good = PeriodicCurve.circle(32).samples
+        bad = good.copy()
+        bad[3, 1] = np.inf
+        for make in (curves_from_samples, lambda samples: [PeriodicCurve(s) for s in samples]):
+            with pytest.raises(GeometryError, match=r"^curve samples must be finite$"):
+                make(np.array([good, bad, good]))
+            with pytest.raises(ValueError,
+                               match=r"^grid size must be a power of two >= 32, got 48$"):
+                make(np.zeros((2, 48, 3)))
 
     def test_perturbed_circle_reparameterized(self):
         c = PeriodicCurve.perturbed_circle(128, 3, 0.05)
@@ -410,11 +425,10 @@ class TestSerialization:
         c = PeriodicCurve.perturbed_circle(64, 2, 0.05)
         path = tmp_path / "curve.csv"
         write_curve_csv(c, path, epsilon=1e-3, time=0.25, model="leps")
-        loaded, meta = read_curve_csv(path)
+        loaded = read_curve_csv(path)
         assert np.max(np.abs(loaded.samples - c.samples)) < 1e-15
-        assert meta == {"n": 64, "epsilon": 1e-3, "time": 0.25, "model": "leps"}
         sidecar = json.loads((tmp_path / "curve.json").read_text())
-        assert sidecar["n"] == 64
+        assert sidecar == {"n": 64, "epsilon": 1e-3, "time": 0.25, "model": "leps"}
 
     def test_csv_blank_lines_skipped(self, tmp_path):
         c = PeriodicCurve.circle(32)
@@ -422,7 +436,7 @@ class TestSerialization:
         write_curve_csv(c, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n\n")
-        assert np.array_equal(read_curve_csv(path)[0].samples, c.samples)
+        assert np.array_equal(read_curve_csv(path).samples, c.samples)
 
     @pytest.mark.parametrize("row,cells", [("0.5,1,2", 3), ("0.5,1,2,3,4", 5), ("  ", 1)])
     def test_csv_row_cell_count(self, tmp_path, row, cells):
@@ -470,7 +484,7 @@ class TestSerialization:
         c = PeriodicCurve.circle(32)
         write_csv(path, ["s", "x", "y", "z"],
                   zip(np.arange(32) / 32 + 5e-10, *c.samples.T))
-        assert np.array_equal(read_curve_csv(path)[0].samples, c.samples)
+        assert np.array_equal(read_curve_csv(path).samples, c.samples)
 
     def test_csv_cells(self, tmp_path):
         # ints (numpy's too) as they are, bools as 0/1, every other cell
