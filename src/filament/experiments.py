@@ -71,6 +71,7 @@ class DiscrepancyRecord:
     int_dw: float = None
     flags: int = 0
     failed: str = None
+    mean_cg_iterations: float = None  # per step, of the leps member's tension
 
     @property
     def log_eps(self):
@@ -159,10 +160,12 @@ def _pair(table, start, rft, sweep):
     # (time, _discrepancy_row) per snapshot: a row is a few numbers, so
     # the rows of a batch keep no curves alive
     snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
+    cg_iterations = 0  # of the leps member's steps
 
     def after_step(group, dt_step):
-        nonlocal next_snap
+        nonlocal next_snap, cg_iterations
         x, y = group.states
+        cg_iterations += x.diagnostics.cg_iterations
         t = x.time
         if t >= group.end or group.steps % stride == 0 or t >= next_snap * (1.0 - 1e-12):
             snapshots.append((t, _discrepancy_row(x.curve, y.curve, table)))
@@ -170,7 +173,8 @@ def _pair(table, start, rft, sweep):
                 next_snap = next(m for m in marks if m > t * (1.0 + 1e-12))
 
     def finish(group):
-        progress = dict(dt=group.dt, steps=group.steps, flags=group.flagged)
+        progress = dict(dt=group.dt, steps=group.steps, flags=group.flagged,
+                        mean_cg_iterations=cg_iterations / group.steps if group.steps else None)
         if group.failure is not None:
             return DiscrepancyRecord(eps=eps, n=n, failed=group.failure, **progress)
         times, rows = zip(*snapshots)
@@ -279,7 +283,7 @@ SUMMARY_COLUMNS = (("eps", "eps"), ("log_eps", "log_eps"), ("sup_h2_err", "sup_h
 TRACE_COLUMNS = (("time", "times"), ("h2", "h2"), ("EW", "ew"), ("DW", "dw"),
                  ("mean_sq", "mean_sq"))
 # DiscrepancyRecord attributes of each row, failed or not, in the manifest
-ROW_KEYS = ("eps", "n", "steps", "dt", "flags", "snapshots", "failed")
+ROW_KEYS = ("eps", "n", "steps", "dt", "flags", "snapshots", "failed", "mean_cg_iterations")
 
 
 def write_summary_csv(records, path):

@@ -161,9 +161,9 @@ class ForceMapStack:
     axis: m_t, m_n rows for the leps members, which come first, and
     normal constants for the rft members.  `apply` makes the first
     tangent projection once for all members and L_eps's second one for
-    the leps members only.  The symbols of the implicit principal part
-    and of the tension preconditioner, (m, size), are m_n for leps and
-    the tangential and normal constant for rft; log_eps is (m, 1)."""
+    the leps members only.  The implicit principal part's symbol is m_n
+    (rft: the tangential constant), (m, size); the tension
+    preconditioner's is the rows m_t, m_n (rft: both constants), (2, m, size)."""
 
     def __init__(self, maps, size):
         self.maps = tuple(maps)
@@ -176,12 +176,11 @@ class ForceMapStack:
         self.kmax = size - 1
         self.mt = np.array([t.mt[:size] for t in tables]).reshape(-1, size)
         self.mn = np.array([t.mn[:size] for t in tables]).reshape(-1, size)
-        tangential = np.array([c.tangential for c in rfts])[:, None]
-        normal = np.array([c.normal for c in rfts])[:, None]
-        self.normal = normal[..., None]
-        self.log_eps = np.array([m.log_eps for m in self.maps])[:, None]
-        self.principal = np.concatenate((self.mn, np.repeat(tangential, size, axis=1)))
-        self.precond = np.concatenate((self.mn, np.repeat(normal, size, axis=1)))
+        constants = np.array([(c.tangential, c.normal) for c in rfts]).reshape(-1, 2)
+        rft_t, rft_n = np.repeat(constants.T[..., None], size, axis=2)
+        self.normal = rft_n[:, :1, None]
+        self.principal = np.concatenate((self.mn, rft_t))
+        self.precond = np.concatenate(([self.mt, self.mn], [rft_t, rft_n]), axis=1)
 
     def apply(self, curve, coeffs):
         pt = spectral.project_tangent(curve, coeffs)

@@ -12,10 +12,11 @@ positive definite on that band and is solved matrix-free by
 preconditioned conjugate gradients.  The lift maps tau samples to rfft
 coefficients and the adjoint maps coefficients back to samples, so the
 force-to-velocity map between them stays in coefficient space: one
-application of the form costs 12 FFT calls for leps and 8 for rft.  The
-preconditioner is the diagonal spectral operator
-(|log eps| + (2 pi k)^2 m_n(k))^{-1}, the inverse of the form's symbol
-on a tension mode k (for rft, m_n is the constant normal coefficient).
+application of the form costs 12 FFT calls for leps and 8 for rft.  As
+(tau X_s)_s = tau_s X_s + tau X_ss with X_ss normal to X_s, the form's
+frozen-coefficient symbol on a tension mode k is m_t(k) (2 pi k)^2 +
+m_n(k) <|X_ss|^2> (rft: the two constants; the local model's tension
+equation, Tornberg & Shelley 2004); the preconditioner is its inverse.
 
 A problem is a batch: a spectral.CurveBatch, a multipliers.ForceMapStack
 and a cg_tol per member, tau having shape (m, n); a curve alone is the
@@ -135,18 +136,14 @@ def assemble_rhs(problem):
 
 
 def _preconditioner(problem):
-    """Diagonal spectral preconditioner matched to the form's symbol.
-
-    For a tension mode k the form behaves like (2 pi k)^2 m_n(k) (plus
-    an O(|log eps|) zero-mode part), so its inverse is used as the
-    preconditioner; it reduces to the H^{1/2}-coercivity shape
-    ~ (|log eps| (1 + |k|))^{-1} at low wavenumbers but also captures
-    the 1/(eps k) flattening of the multiplier at high wavenumbers.
-    """
+    """The module docstring's diagonal per member, <|X_ss|^2> by Parseval
+    on the coefficients; a zero symbol (a zero force map) gets 0."""
     grid = problem.curve.grid
-    force_map = problem.force_map
-    diag = 1.0 / (force_map.log_eps + (2.0 * np.pi * grid.k) ** 2 * force_map.precond)
-    diag[..., grid.above_band] = 0.0
+    mt, mn = problem.force_map.precond
+    xss = grid.ik_pow[:, 2, None] * problem.curve.coeffs
+    xss_sq = np.sum(grid.weight[:, None] * np.abs(xss) ** 2, axis=(-2, -1))
+    symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq[:, None]
+    diag = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
 
     def apply(r):
         return from_coeffs(to_coeffs(r, axis=-1) * diag, grid.n, axis=-1)

@@ -86,8 +86,13 @@ class TestAgainstSolo:
         got = batched(pairs).members(index).force_map
         want = ForceMapStack([pairs[i][1] for i in index], n // 2 + 1)
         assert got.maps == want.maps and got.split == want.split == 1
-        for name in ("mt", "mn", "normal", "log_eps", "principal", "precond"):
+        for name in ("mt", "mn", "normal", "principal", "precond"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+        # the preconditioner's rows m_t, m_n: the table's, then the constants
+        table, rfts = pairs[0][1], [pairs[i][1] for i in index[1:]]
+        assert np.array_equal(got.precond[:, 0], [table.mt[:n // 2 + 1], table.mn[:n // 2 + 1]])
+        for row, constants in zip(got.precond[:, 1:].transpose(1, 0, 2), rfts):
+            assert np.all(row.T == [constants.tangential, constants.normal])
 
     def test_apply_B(self, n):
         pairs = members(n)
@@ -115,11 +120,13 @@ class TestAgainstSolo:
             assert got.residual == want.residual
             assert got.mean == want.mean
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("warm", [False, True])
     def test_zero_force_map(self, n, warm):
         # a zero right-hand side leaves the CG at its first check: tau = 0
         # in 0 iterations at residual 0, warm start or not, and the
-        # other members keep their solo bits
+        # other members keep their solo bits; the zero map's zero
+        # preconditioner symbol raises no warning
         curve = initial_curve("perturbed-circle(3,0.05)", n)
         zero = RftConstants(1e-2, 0.0, 0.0)
         start = np.ones(n) if warm else None

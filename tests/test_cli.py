@@ -325,16 +325,20 @@ snapshot_every = 5
                 assert float(traces[-1][0]) == pytest.approx(1e-5)
         assert blocks["1"] == blocks["2"]
         assert [list(b) for b in blocks["1"]] == [
-            ["eps", "n", "steps", "dt", "flags", "snapshots", "failed"]] * 2
+            ["eps", "n", "steps", "dt", "flags", "snapshots", "failed", "mean_cg_iterations"]] * 2
         assert [(b["eps"], b["n"], b["flags"], b["failed"]) for b in blocks["1"]] == [
             (1e-2, 32, 0, None), (1e-3, 32, 0, None)]
         assert all(b["steps"] > 0 and 0.0 < b["dt"] <= 1e-5 / 50 for b in blocks["1"])
+        # a mean over the whole-number iteration counts of every step
+        for b in blocks["1"]:
+            total = b["mean_cg_iterations"] * b["steps"]
+            assert total == pytest.approx(round(total), abs=1e-9) and total > 0
         failing = write_config(tmp_path, TINY_SWEEP + "cg_tol = 1e-30\n", name="failing.cfg")
         out = tmp_path / "failing"
         assert main(["sweep", "--config", failing, "--out", str(out)]) == 2
         (block,) = json.loads((out / "manifest.json").read_text())["rows"]
-        assert (block["eps"], block["steps"], block["dt"], block["snapshots"]) == (
-            1e-2, 0, None, 0)
+        assert (block["eps"], block["steps"], block["dt"], block["snapshots"],
+                block["mean_cg_iterations"]) == (1e-2, 0, None, 0, None)
         assert block["failed"].startswith("SolverError: tension CG stalled")
 
     def test_jobs_leave_the_output_unchanged(self, tmp_path):

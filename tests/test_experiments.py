@@ -152,6 +152,26 @@ class TestRunPair:
         assert record.eps == 1e-2
         assert record.n == 64
 
+    def test_mean_cg_iterations_of_the_leps_member(self):
+        # the record's mean is over the CG iterations of the leps member's
+        # steps, as its step diagnostics count them
+        sweep = SweepConfig(epsilons=(1e-2,), horizon=1e-3, n=64,
+                            initial_curve="perturbed-circle(2,0.03)")
+        start = EvolutionState(initial_curve(sweep.initial_curve, 64), 0.0)
+        group, finish = _pair(build_table(1e-2, 32), start, rft_constants(1e-2), sweep)
+        group.dt, group.policy_every = 5e-5, 0
+        counts, on_step = [], group.on_step
+
+        def count(g, dt_step):
+            counts.append([state.diagnostics.cg_iterations for state in g.states])
+            on_step(g, dt_step)
+
+        group.on_step = count
+        lockstep([group])
+        leps, rft = np.array(counts).T
+        assert len(leps) == 20
+        assert finish(group).mean_cg_iterations == np.mean(leps) != np.mean(rft)
+
     def test_zero_discrepancy_on_circle(self):
         # both dynamics hold the relaxed circle exactly
         record = run_pair(1e-2, 64, 1e-3, "circle", dt=1e-4)

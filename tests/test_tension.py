@@ -10,8 +10,8 @@ with the matrix-free FFT implementation beyond the conventions.
 import numpy as np
 import pytest
 
-from filament.evolution import force_density
-from filament.multipliers import build_table, rft_constants
+from filament.evolution import force_density, initial_curve
+from filament.multipliers import build_table, force_map_for, rft_constants
 from filament.spectral import (
     Grid,
     PeriodicCurve,
@@ -125,6 +125,20 @@ def velocity(problem, tension):
     """dX/dt = -L[Z_s], as samples."""
     zs = force_density(problem.curve, tension)
     return -from_coeffs(problem.apply_operator(zs)[0], problem.curve.n)
+
+
+def reference_preconditioner(problem):
+    """The earlier diagonal (|log eps| + (2 pi k)^2 m_n(k))^{-1}, with no
+    curvature term and m_n on the gradient term."""
+    grid = problem.curve.grid
+    log_eps = np.array([m.log_eps for m in problem.force_map.maps])[:, None]
+    diag = 1.0 / (log_eps + (TWO_PI * grid.k) ** 2 * problem.force_map.precond[1])
+    diag[..., grid.above_band] = 0.0
+
+    def apply(r):
+        return from_coeffs(to_coeffs(r, axis=-1) * diag, grid.n, axis=-1)
+
+    return apply
 
 
 # ----------------------------------------------------------------- tests
@@ -265,3 +279,24 @@ class TestSolverInterface:
         assert field.mean == 1.5
         with pytest.raises(ValueError):
             field.values[0] = 7.0
+
+
+class TestPreconditioner:
+    COLD_CASES = [(name, n, eps, model)
+                  for name in ("trefoil", "perturbed-circle(2,0.04)") for n in (256, 1024)
+                  for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6) for model in ("leps", "rft")]
+
+    def test_curvature_symbol_pays(self, monkeypatch):
+        # cold solves under the curvature-aware symbol against the
+        # reference diagonal: none slower, 20% fewer in all, same tau
+        problems = [TensionProblem(initial_curve(name, n), force_map_for(model, eps, n))
+                    for name, n, eps, model in self.COLD_CASES]
+        new = [solve_tension(p) for p in problems]
+        monkeypatch.setattr("filament.tension._preconditioner", reference_preconditioner)
+        old = [solve_tension(p) for p in problems]
+        for case, p, a, b in zip(self.COLD_CASES, problems, new, old):
+            assert a.iterations <= b.iterations, case
+            tol = p.cg_tol[0] * np.max(np.abs(b.values))
+            assert np.max(np.abs(a.values - b.values)) <= tol, case
+        total_new, total_old = (sum(t.iterations for t in ts) for ts in (new, old))
+        assert total_new <= 0.8 * total_old, (total_new, total_old)
