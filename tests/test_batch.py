@@ -180,10 +180,19 @@ class TestAgainstSolo:
     def test_resampler(self, n):
         s = np.arange(n) / n
         curves = [curve for curve, _ in members(n)[:2]]
-        # off arclength by a smooth reparameterization: the Taylor shift
+        # off arclength by a smooth reparameterization, and stepped: the
+        # preimages stay at their nodes
         curves += [PeriodicCurve(c.samples * (1.0 + 1e-4 * np.sin(2 * np.pi * s))[:, None])
                    for c in curves]
-        # far from arclength: the dense fallback
+        curves += [_step(EvolutionState(curve, 0.0), 2e-7, force_map, energy_tol_abs=1e-8,
+                         time_scale=0.2).curve for curve, force_map in members(n)[:2]]
+        # far from arclength, in one Newton batch: the preimages of the raw
+        # trefoil move up to 1 (n = 64) or 4 (n = 256) nodes, those of the
+        # ellipse other nodes by other amounts, and the gather at the moved
+        # nodes leaks into no other member
+        tube = 2.0 + np.cos(6 * np.pi * s)
+        curves.insert(3, PeriodicCurve(np.column_stack([
+            tube * np.cos(4 * np.pi * s), tube * np.sin(4 * np.pi * s), np.sin(6 * np.pi * s)])))
         curves.append(PeriodicCurve(np.column_stack([np.cos(2 * np.pi * s), 0.3 * np.sin(
             2 * np.pi * s), 0.1 * np.sin(4 * np.pi * s)])))
         for got, curve in zip(reparameterize_each(curves), curves):

@@ -297,8 +297,9 @@ def _raw_perturbed_circle(n, mode=3, amplitude=0.05):
 
 
 def _warped_circle_with_nyquist(n=64, amplitude=2e-2, nyquist=1e-3):
-    # Preimages x = n amplitude / 2 ~ 0.6 from the nodes, and an
-    # out-of-plane Nyquist mode that the interpolant keeps as a cosine.
+    # Preimages x = pi n max|delta| = n amplitude / 2 from the nodes (0.64
+    # at n = 64, 10 at n = 1024), and an out-of-plane Nyquist mode that
+    # the interpolant keeps as a cosine.
     samples = _warped_circle(n, amplitude).samples.copy()
     samples[:, 2] += nyquist * (-1.0) ** np.arange(n)
     return PeriodicCurve(samples)
@@ -314,9 +315,37 @@ def _raw_trefoil(n):
     ]))
 
 
+def _reparameterize_dense(curve):
+    """The reference resampler: Newton on the trigonometric interpolant of
+    the cumulative arclength, then dense trigonometric interpolation of X
+    at the preimages, O(n^2), for curves of any distance from arclength.
+    Modes with coefficients below double-precision resolution are dropped."""
+    n, grid = curve.n, curve.grid
+    total, shat = float(np.mean(curve.speed)), to_coeffs(curve.speed)
+    wshat = grid.weight[1:] * shat[1:]
+    keep = np.abs(wshat) > 1e-17 * max(total, 1.0)
+    kk, wshat = grid.k[1:][keep], wshat[keep]
+    anti = wshat / (TWO_PI * 1j * kk)
+    anti_sum = np.real(np.sum(anti))
+    s = np.arange(n) / n
+    targets = total * s
+    for _ in range(50):
+        phase = np.exp(TWO_PI * 1j * np.outer(s, kk))
+        f = total * s + np.real(phase @ anti) - anti_sum - targets
+        s = s - f / (total + np.real(phase @ wshat))
+        if np.max(np.abs(f)) < 1e-14 * max(total, 1.0):
+            break
+    else:
+        raise AssertionError("dense arclength Newton did not converge")
+    wcoeffs = grid.weight[:, None] * curve.coeffs
+    rows = np.max(np.abs(wcoeffs), axis=1) > 1e-17 * np.max(np.abs(wcoeffs))
+    phase = np.exp(TWO_PI * 1j * np.outer(s, grid.k[rows]))
+    return PeriodicCurve(np.real(phase @ wcoeffs[rows]) / total)
+
+
 def _dense_passes(curve, passes):
     for _ in range(passes):
-        curve = spectral._reparameterize_dense(curve)
+        curve = _reparameterize_dense(curve)
     return curve
 
 
@@ -362,58 +391,48 @@ class TestReparameterization:
         ]) * 0.01  # speed ~ 0.06 << 0.5
         with pytest.raises(ValueError, match="fold-over"):
             reparameterize_arclength(PeriodicCurve(samples))
-        with pytest.raises(ValueError, match="fold-over"):
-            spectral._reparameterize_dense(PeriodicCurve(samples))
 
-    # Taylor shift (near-arclength curves) against the dense resampler.
+    # The one resampler against the dense reference.
 
     @staticmethod
-    def _taylor_vs_dense(curve, monkeypatch):
-        dense = spectral._reparameterize_dense(curve).samples
-
-        def no_dense(curve):
-            raise AssertionError("near-arclength curve took the dense path")
-
-        monkeypatch.setattr(spectral, "_reparameterize_dense", no_dense)
-        taylor = reparameterize_arclength(curve).samples
-        return float(np.max(np.abs(taylor - dense)))
+    def _off_dense(curve):
+        return float(np.max(np.abs(
+            reparameterize_arclength(curve).samples - _reparameterize_dense(curve).samples)))
 
     @pytest.mark.parametrize("n", [128, 1024])
     @pytest.mark.parametrize(
         "name", ["perturbed-circle(2,0.04)", "perturbed-circle(3,0.05)", "trefoil"]
     )
-    def test_matches_dense_after_one_step(self, name, n, monkeypatch):
-        assert self._taylor_vs_dense(_one_step(name, n), monkeypatch) <= 1e-13
+    def test_matches_dense_after_one_step(self, name, n):
+        assert self._off_dense(_one_step(name, n)) <= 1e-13
 
     @pytest.mark.parametrize(
-        "make", [_warped_circle, _warped_circle_with_nyquist, lambda: _raw_perturbed_circle(128)],
+        "make", [_warped_circle, _warped_circle_with_nyquist, _raw_perturbed_circle],
         ids=["warp1e-5", "warp2e-2-nyquist", "raw-perturbed-circle"],
     )
-    def test_matches_dense_near_arclength(self, make, monkeypatch):
-        assert self._taylor_vs_dense(make(), monkeypatch) <= 1e-13
-
-    def test_far_from_arclength_takes_dense_path(self):
-        # The raw trefoil's preimages sit x = pi n max|delta| >> 1 from
-        # the nodes, beyond the Taylor shift's range.
-        raw = _raw_trefoil(128)
-        assert np.array_equal(
-            reparameterize_arclength(raw).samples,
-            spectral._reparameterize_dense(raw).samples,
-        )
+    def test_matches_dense_near_arclength(self, make):
+        # speeds within a few percent of the length; the Nyquist-warped
+        # circle's preimages still move to other nodes at n = 1024 (x = 10)
+        for n in (32, 128, 1024):
+            assert self._off_dense(make(n)) <= 1e-13
 
     @pytest.mark.parametrize("n", [32, 128, 1024])
-    def test_constructors_use_dense_passes(self, n):
-        assert np.array_equal(
-            PeriodicCurve.perturbed_circle(n, 3, 0.05).samples,
-            _dense_passes(_raw_perturbed_circle(n), 2).samples,
-        )
-        assert np.array_equal(
-            PeriodicCurve.trefoil(n).samples,
-            _dense_passes(_raw_trefoil(n), 3).samples,
-        )
+    def test_far_from_arclength_matches_dense(self, n):
+        # the raw trefoil's speeds span a factor 3, and its preimages move
+        # to other nodes (x = 1.6 at n = 32, 53 at n = 1024)
+        assert self._off_dense(_raw_trefoil(n)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [32, 128, 1024])
+    def test_constructors_match_dense_passes(self, n):
+        for made, raw, passes in (
+            (PeriodicCurve.perturbed_circle(n, 3, 0.05), _raw_perturbed_circle(n), 2),
+            (PeriodicCurve.trefoil(n), _raw_trefoil(n), 3),
+        ):
+            assert np.array_equal(made.samples, reparameterize_arclength(raw, passes).samples)
+            assert np.max(np.abs(made.samples - _dense_passes(raw, passes).samples)) <= 1e-13
 
     @pytest.mark.parametrize("make", [_warped_circle, lambda: _raw_trefoil(128)],
-                             ids=["taylor", "dense"])
+                             ids=["near", "far"])
     def test_newton_nonconvergence_raises(self, make, monkeypatch):
         monkeypatch.setattr(spectral, "_NEWTON_MAXITER", 1)
         with pytest.raises(ValueError, match="arclength Newton did not converge"):

@@ -6,8 +6,11 @@
 byte-identical in A and B this prints its path and:
 
 - for a CSV file, the largest relative difference of each numeric column
-  (a column found on one side only is named as such, and so is a change
-  in the number of rows or in a text cell);
+  and its largest absolute difference scaled by the column's largest
+  absolute value on either side, which tells a roundoff change from a
+  real one where the column crosses or decays to 0 (a column found on one
+  side only is named as such, and so is a change in the number of rows or
+  in a text cell);
 - for a JSON file, the relative difference of each number that differs,
   by its path in the document, the keys found on one side only and the
   lists whose lengths differ;
@@ -15,8 +18,12 @@ byte-identical in A and B this prints its path and:
 
 The relative difference of a and b is |a - b| / max(|a|, |b|): 0 for
 equal values, 1 when one side is 0, above 1 when the signs differ, inf
-when the values differ and one is not finite.  Files found in one tree only are
-listed.  The exit code is 0 when the trees are byte-identical, else 1.
+when the values differ and one is not finite.  The scaled difference of
+a column is the largest |a - b| of its rows over the largest |a| or |b|
+of its finite values: a change of 1e-16 in a column whose largest value
+is 1 reads 1e-16 wherever it is, and inf when a value that differs is
+not finite.  Files found in one tree only are listed.  The exit code is
+0 when the trees are byte-identical, else 1.
 """
 
 import csv
@@ -53,14 +60,21 @@ def compare_csv(a, b):
         lines.append(f"rows: {len(rows_a) - 1} in A, {len(rows_b) - 1} in B")
     for c in (c for c in head_a if c in head_b):
         i, j = head_a.index(c), head_b.index(c)
-        worst, text = 0.0, False
+        worst, diff, scale, text = 0.0, 0.0, 0.0, False
         for ra, rb in zip(rows_a[1:], rows_b[1:]):
             x, y = _number(ra[i]), _number(rb[j])
             if x is None or y is None:
                 text |= ra[i] != rb[j]
-            else:
-                worst = max(worst, relative(x, y))
-        lines.append(f"{c}: text differs" if text else f"{c}: max rel diff {worst:.3g}")
+                continue
+            rel = relative(x, y)
+            worst = max(worst, rel)
+            if math.isfinite(x) and math.isfinite(y):
+                diff, scale = max(diff, abs(x - y)), max(scale, abs(x), abs(y))
+            elif rel:
+                diff = math.inf
+        scaled = diff / scale if scale else diff
+        lines.append(f"{c}: text differs" if text
+                     else f"{c}: max rel diff {worst:.3g}, scaled diff {scaled:.3g}")
     return lines
 
 
