@@ -20,6 +20,7 @@ whole batch, and `_batched` alone isolates it: it makes each distinct
 call of the batch alone, so only the groups with a failing member end.
 """
 
+import logging
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -43,9 +44,12 @@ from .spectral import (
 )
 from .tension import SolverError, TensionField, TensionProblem, lift, solve_tensions
 
+log = logging.getLogger(__name__)
 H2 = SobolevIndex(2.0)
 H_HALF = SobolevIndex(0.5)
 H_HALF_HOM = SobolevIndex(0.5, homogeneous=True)
+POLICY_EVERY = 25    # steps between re-evaluations of a policy-timed dt
+HORIZON_PARTS = 50   # a policy-timed dt is at most horizon / HORIZON_PARTS
 
 
 @dataclass(frozen=True)
@@ -248,11 +252,13 @@ class Group:
     options holds the members' tolerances; lockstep sets each member's
     time_scale, 1/|log eps| of its force map when rescaled, else 1.
 
-    With policy_every > 0 the dt policy (choose_dt, minimum over the
-    members) is re-evaluated every policy_every steps, letting dt at
-    most double and capping it at dt_cap; dt None takes it from the
-    policy at the start.  `lockstep` advances the progress fields and
-    sets failure when the group ends early."""
+    The dt rule of every run and sweep row: a group given a dt keeps it;
+    one with dt None takes the dt policy (choose_dt, minimum over
+    the members) at t = 0 and again every POLICY_EVERY steps, at most
+    doubling dt each time and capped at horizon / HORIZON_PARTS.  A step
+    with an energy flag halves dt: for good when given, else a later
+    re-evaluation may double it again.  `lockstep` advances the progress
+    fields and sets failure when the group ends early."""
 
     states: list
     force_maps: tuple
@@ -260,8 +266,6 @@ class Group:
     horizon: float
     on_step: object
     options: StepOptions
-    policy_every: int = 0
-    dt_cap: float = np.inf
     rescaled: bool = False  # the policy's dt is in rescaled time
     t: float = 0.0
     steps: int = 0
@@ -331,7 +335,7 @@ def _apply_policy(groups):
     policy = _batched(_policy_dts, groups, lambda g, k: (
         g.states[k].curve, g.force_maps[k], g.options.cg_tol, g.rescaled))
     for g, dts in policy.items():
-        g.dt = min(min(dts), g.dt_cap, np.inf if g.dt is None else 2.0 * g.dt)
+        g.dt = min(min(dts), g.horizon / HORIZON_PARTS, np.inf if g.dt is None else 2.0 * g.dt)
 
 
 def _resampled(states):
@@ -352,18 +356,18 @@ def lockstep(groups):
     of the running groups in one batched step at a time; returns the
     groups.
 
-    Each group keeps its own dt, resamples its states at arclength every
-    20 of its steps and halves its dt for good when any of its states
-    raises the energy flag.  A solver or geometry failure, or a dt halved
-    until time stands still, ends that group early with its last good
-    states and the reason in `failure`; the other groups go on.  Every
-    step taken goes to on_step, even if the resampling or dt policy after
-    it fails.  Groups that share a state, force map and dt make its step
-    once.
+    Each group follows its own dt by the rule of `Group` and resamples
+    its states at arclength every 20 of its steps.  A solver or geometry
+    failure, or a dt halved until time stands still, ends that group
+    early with its last good states and the reason in `failure`; the
+    other groups go on.  Every step taken goes to on_step, even if the
+    resampling or dt policy after it fails.  Groups that share a state,
+    force map and dt make its step once.
     """
     options = {g: [replace(g.options, time_scale=1.0 / m.log_eps if g.rescaled else 1.0)
                    for m in g.force_maps] for g in groups}
-    _apply_policy([g for g in groups if g.dt is None])
+    timed = [g for g in groups if g.dt is None]
+    _apply_policy(timed)
     running = [g for g in groups if g.failure is None and g.t < g.end]
     while running:
         stepping = {}
@@ -382,8 +386,8 @@ def lockstep(groups):
                 g.flagged += 1
                 g.dt *= 0.5
         _resample([g for g in stepped if g.steps % 20 == 0])
-        _apply_policy([g for g in stepped if g.failure is None and g.policy_every
-                       and g.steps % g.policy_every == 0])
+        _apply_policy([g for g in stepped if g in timed and g.failure is None
+                       and g.steps % POLICY_EVERY == 0])
         for g in stepped:
             g.on_step(g, stepping[g])
         running = [g for g in stepped if g.failure is None and g.t < g.end]
@@ -400,8 +404,9 @@ class Trajectory:
 def run(config, initial):
     """Integrate under a RunConfig; returns a Trajectory.
 
-    Snapshots are stored every config.snapshot_every steps.  dt is
-    config.dt, else the default policy at the initial state.  A run that
+    Snapshots are stored every config.snapshot_every steps, and an info
+    line logs step, t and dt every 1,000 steps.  dt follows the rule of
+    `Group`: config.dt kept, else the dt policy re-evaluated.  A run that
     `lockstep` ends early keeps its partial trajectory.
     """
     force_map = force_map_for(config.model, config.epsilon, initial.n)
@@ -417,6 +422,8 @@ def run(config, initial):
         traj.diagnostics.append(state.diagnostics)
         if group.steps % config.snapshot_every == 0:
             traj.states.append(state)
+        if group.steps % 1000 == 0:
+            log.info("simulate step %d: t=%g dt=%g", group.steps, state.time, dt_step)
 
     (group,) = lockstep([Group(
         [state], (force_map,), config.dt, config.horizon, after_step,

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import H2, EvolutionState, Group, StepOptions, energy, initial_curve, lockstep
+from .evolution import (H2, HORIZON_PARTS, EvolutionState, Group, StepOptions, energy,
+                        initial_curve, lockstep)
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
 from .multipliers import (abs_log, build_table, eval_mn, eval_mt, lowk_rft_difference,
                           rft_constants)
@@ -125,10 +126,6 @@ def _discrepancy_record(table, n, times, rows):
     )
 
 
-POLICY_EVERY = 25     # steps between re-evaluations of the dt policy
-SNAPSHOT_TARGET = 50  # aimed-for number of comparison snapshots
-
-
 def _pair(table, start, rft, sweep):
     """The lockstep group of the eps row of the MultiplierTable table under
     the SweepConfig sweep, both models in rescaled time from the
@@ -140,16 +137,13 @@ def _pair(table, start, rft, sweep):
 
     Both runs share the grid, the initial curve, and the dt schedule
     bit-for-bit; discrepancy norms are evaluated on shared snapshots
-    only.  The step size follows the dt policy (dt ||G||_H2 <= 1e-2
-    ||X||_H2) re-evaluated every POLICY_EVERY steps on both states and
-    taken as the minimum.  Growth is limited to a factor 2 per
-    re-evaluation and capped at horizon/SNAPSHOT_TARGET, which is safe
-    because the semi-implicit update is exactly stationary on the relaxed
-    circle.
+    only.  Built with no dt, the group is policy-timed by the dt rule of
+    `Group`; its cap is safe because the semi-implicit update is exactly
+    stationary on the relaxed circle.
     """
     curve, horizon = start.curve, sweep.horizon
     eps, n = table.epsilon, curve.n
-    interval = horizon / SNAPSHOT_TARGET
+    interval = horizon / HORIZON_PARTS  # the dt cap
     # Snapshots are taken every `stride` steps, which concentrates them
     # in the initial transient where the policy keeps dt small and the
     # discrepancy actually accumulates, plus at fixed time marks (running
@@ -182,8 +176,7 @@ def _pair(table, start, rft, sweep):
 
     options = StepOptions(cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
                           energy_tol_abs=1e-8 * energy(curve))
-    group = Group([start] * 2, (table, rft), None, horizon, after_step, options,
-                  policy_every=POLICY_EVERY, dt_cap=interval, rescaled=True)
+    group = Group([start] * 2, (table, rft), None, horizon, after_step, options, rescaled=True)
     return group, finish
 
 

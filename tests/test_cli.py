@@ -163,6 +163,32 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["aborted"]
 
+    def test_info_line_every_1000_steps(self, tmp_path, caplog):
+        # FILAMENT_LOG=info logs the start line and one line per 1,000
+        # steps; the default level logs none, and the files are the same
+        config = write_config(tmp_path, """\
+model = rft
+epsilon = 1e-3
+n = 32
+horizon = 1.0005e-5
+dt = 1e-8
+initial_curve = circle
+snapshot_every = 1000
+""")
+        with caplog.at_level(logging.INFO, logger="filament"):
+            assert main(["simulate", "--config", config, "--out", str(tmp_path / "info")]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert lines == ["simulate: model=rft eps=0.001 n=32 horizon=1.0005e-05",
+                         "simulate step 1000: t=1e-05 dt=1e-08"]
+        caplog.clear()
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "quiet")]) == 0
+        assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+        names = sorted(p.name for p in (tmp_path / "info").glob("*.csv"))
+        assert names == ["curve_000000.csv", "curve_001000.csv", "curve_001001.csv",
+                         "diagnostics.csv"]
+        for name in names:
+            info, quiet = (tmp_path / out / name for out in ("info", "quiet"))
+            assert info.read_bytes() == quiet.read_bytes()
 
     def test_failed_dt_policy_aborts_with_manifest(self, tmp_path):
         # no dt: the policy's tension solve stalls, an aborted run as with dt

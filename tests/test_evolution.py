@@ -251,6 +251,30 @@ class TestRunDriver:
         traj = run(config, curve)
         assert traj.diagnostics[1].dt == pytest.approx(0.5 * traj.diagnostics[0].dt)
 
+    def test_policy_dt_is_re_evaluated(self):
+        # no dt: the policy's dt grows at the re-evaluation after step 25,
+        # stays under the cap horizon/50 and lands the run on the horizon
+        config = RunConfig(model="leps", epsilon=1e-2, n=64, horizon=2e-3,
+                           rescaled_time=True, initial_curve="perturbed-circle(3,0.05)")
+        traj = run(config, initial_curve(config.initial_curve, config.n))
+        dts = [d.dt for d in traj.diagnostics]
+        assert traj.aborted is None and len(dts) > 25
+        assert dts[25] > dts[0]
+        assert max(dts) <= config.horizon / 50
+        assert traj.states[-1].time == pytest.approx(config.horizon, rel=1e-12)
+        assert not any(d.energy_flag for d in traj.diagnostics)
+
+    def test_given_dt_is_kept(self):
+        # the dt given is kept past the re-evaluation a policy-timed run
+        # makes after step 25, though it exceeds the policy's cap
+        config = RunConfig(model="leps", epsilon=1e-2, n=64, horizon=4.05e-4, dt=1e-5,
+                           rescaled_time=True, initial_curve="perturbed-circle(3,0.05)")
+        traj = run(config, initial_curve(config.initial_curve, config.n))
+        dts = [d.dt for d in traj.diagnostics]
+        assert traj.aborted is None and len(dts) == 41
+        assert dts[:-1] == [1e-5] * 40
+        assert dts[-1] == pytest.approx(0.5e-5)
+
     def test_abort_keeps_partial_trajectory(self):
         # an unsolvable CG budget aborts the run but preserves state
         config = RunConfig(model="leps", epsilon=1e-3, n=64, horizon=1e-5,

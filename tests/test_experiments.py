@@ -35,7 +35,7 @@ def run_pair(eps, n, horizon, initial_name, *, dt, table=None):
     if table is None:
         table = build_table(eps, n // 2)
     group, finish = _pair(table, start, rft_constants(eps), sweep)
-    group.dt, group.policy_every = dt, 0
+    group.dt = dt
     lockstep([group])
     return finish(group)
 
@@ -159,7 +159,7 @@ class TestRunPair:
                             initial_curve="perturbed-circle(2,0.03)")
         start = EvolutionState(initial_curve(sweep.initial_curve, 64), 0.0)
         group, finish = _pair(build_table(1e-2, 32), start, rft_constants(1e-2), sweep)
-        group.dt, group.policy_every = 5e-5, 0
+        group.dt = 5e-5
         counts, on_step = [], group.on_step
 
         def count(g, dt_step):

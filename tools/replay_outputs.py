@@ -11,8 +11,10 @@ next to the inputs.  The seed-0 sweep is replayed a second time with
 --jobs 2 into OUT/sweep-seed0-jobs2/, which covers the sweep split over
 worker processes.  It then runs `lemma-suite` at its defaults into
 OUT/lemma-suite/, `multiplier-dump --epsilon 1e-3 --kmax 4096` into
-OUT/multiplier-dump/, and `simulate` of the rft model at n = 32, with
-the config it writes first, into OUT/simulate-rft-n32/.  Each replay
+OUT/multiplier-dump/, and two `simulate` calls at n = 32, each with the
+config it writes first: the rft model with the dt policy into
+OUT/simulate-rft-n32/, and the leps model with a fixed dt into
+OUT/simulate-leps-n32-dt/.  Each replay
 runs in a fresh interpreter with BLAS and OpenMP pinned to one thread,
 as in the benchmark.  The wall_time_s of each directory manifest
 (manifest.json) is dropped, so two replays compare whole, manifests
@@ -37,6 +39,9 @@ EXTRA_CALLS = {
     "simulate-rft-n32": (["simulate", "--config", "rft.cfg", "--out", "out/simulate"], {
         "rft.cfg": "model = rft\nepsilon = 1e-3\nn = 32\nhorizon = 2e-5\n"
                    "initial_curve = perturbed-circle(3,0.05)\n"}),
+    "simulate-leps-n32-dt": (["simulate", "--config", "leps.cfg", "--out", "out/simulate"], {
+        "leps.cfg": "model = leps\nepsilon = 1e-3\nn = 32\nhorizon = 2e-5\ndt = 2e-7\n"
+                    "initial_curve = perturbed-circle(3,0.05)\n"}),
 }
 
 # Run in the child, inside the replay directory: argv[1] is a workload
