@@ -7,9 +7,10 @@ error; any other exception propagates.  Options, config files and curve
 files are checked while the arguments are parsed, with the converters
 of `config`.  One runner serves every subcommand: it refuses to
 overwrite an existing output without --force before any work, creates
-the output directory, times the run and writes the JSON manifest
-(command, config echo, versions, wall time for directory outputs,
-results).  Logging level comes from FILAMENT_LOG (error | info | debug).
+the output directory (a file output's parent), times the run and
+writes the JSON manifest (command, config echo, versions, wall time for
+directory outputs, results).  Logging level comes from FILAMENT_LOG
+(error | info | debug).
 """
 
 import argparse
@@ -105,8 +106,7 @@ def _run(args):
     guarded = manifest if args.directory else out
     if guarded.exists() and not args.force:
         raise CliError(f"{guarded} already exists; pass --force to overwrite", 1)
-    if args.directory:
-        out.mkdir(parents=True, exist_ok=True)
+    (out if args.directory else out.parent).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     echo, results, failure = args.func(args)
     timing = {"wall_time_s": time.perf_counter() - started} if args.directory else {}
@@ -176,12 +176,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_multiplier_dump(args):
-    from .multipliers import eval_mn, eval_mt, lowk_rft_difference
+    from .multipliers import eval_mn, eval_mt, low_band, lowk_rft_difference
 
     k = np.arange(args.kmax + 1)
     mt, mn = eval_mt(args.epsilon, k), eval_mn(args.epsilon, k)
-    # the low-k differences are defined below the crossover 1/(2 pi eps)
-    low = k < 1.0 / (2.0 * np.pi * args.epsilon)
+    low = low_band(args.epsilon, k)  # where the low-k differences are defined
     diffs = np.full((2, k.size), np.nan)
     for diff, direction in zip(diffs, ("tangential", "normal")):
         diff[low] = lowk_rft_difference(args.epsilon, k[low], direction)

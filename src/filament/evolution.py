@@ -278,6 +278,7 @@ class Group:
 
 
 def _named(exc):
+    """The one failure format, '<ExceptionType>: <message>'."""
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -287,7 +288,7 @@ def _call_key(args):
     return tuple(a if isinstance(a, (float, bool, StepOptions)) else id(a) for a in args)
 
 
-def _batched(function, groups, member, describe=_named):
+def _batched(function, groups, member):
     """function called once on the members of all groups, leps members
     first; member(group, k) gives member k's arguments.  Returns each
     group's results in member order.  Identical calls (`_call_key`) are
@@ -295,8 +296,8 @@ def _batched(function, groups, member, describe=_named):
 
     When the batch raises SolverError or GeometryError, each distinct call
     is made alone, once (a batch of one call keeps the batch's exception).
-    A group with a failing member ends with the first failure in member
-    order, `describe`d into `failure`, and no results; the others get their
+    A group with a failing member ends with no results and its first
+    failure in member order, `_named`, in `failure`; the others get their
     members' solo results, the bits of the batch, shared calls still shared.
     """
     members = sorted(((g, k) for g in groups for k in range(len(g.states))),
@@ -325,7 +326,7 @@ def _batched(function, groups, member, describe=_named):
         if failure is None:
             outcomes[g] = got
         else:
-            g.failure = describe(failure)
+            g.failure = _named(failure)
     return outcomes
 
 
@@ -379,7 +380,7 @@ def lockstep(groups):
                 stepping[g] = dt_step
         # a group whose step fails keeps its last good states
         stepped = _batched(_advance, stepping, lambda g, k: (
-            g.states[k], g.force_maps[k], stepping[g], options[g][k]), describe=str)
+            g.states[k], g.force_maps[k], stepping[g], options[g][k]))
         for g, states in stepped.items():
             g.states, g.t, g.steps = states, g.t + stepping[g], g.steps + 1
             if any(s.diagnostics.energy_flag for s in states):

@@ -30,8 +30,8 @@ import numpy as np
 from .evolution import (H2, HORIZON_PARTS, EvolutionState, Group, StepOptions, energy,
                         initial_curve, lockstep)
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
-from .multipliers import (abs_log, build_table, eval_mn, eval_mt, lowk_rft_difference,
-                          rft_constants)
+from .multipliers import (abs_log, build_table, eval_mn, eval_mt, low_band,
+                          lowk_rft_difference, rft_constants)
 from .spectral import (
     GeometryError,
     PeriodicCurve,
@@ -149,8 +149,7 @@ def _pair(table, start, rft, sweep):
     # discrepancy actually accumulates, plus at fixed time marks (running
     # sums of the interval) so the quiescent tail is covered too.
     stride = 20 if sweep.snapshot_every is None else sweep.snapshot_every
-    marks = itertools.accumulate(itertools.repeat(interval))
-    next_snap = next(marks)
+    next_snap = interval
     # (time, _discrepancy_row) per snapshot: a row is a few numbers, so
     # the rows of a batch keep no curves alive
     snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
@@ -163,8 +162,8 @@ def _pair(table, start, rft, sweep):
         t = x.time
         if t >= group.end or group.steps % stride == 0 or t >= next_snap * (1.0 - 1e-12):
             snapshots.append((t, _discrepancy_row(x.curve, y.curve, table)))
-            if next_snap <= t * (1.0 + 1e-12):
-                next_snap = next(m for m in marks if m > t * (1.0 + 1e-12))
+            while next_snap <= t * (1.0 + 1e-12):
+                next_snap += interval
 
     def finish(group):
         progress = dict(dt=group.dt, steps=group.steps, flags=group.flagged,
@@ -297,7 +296,7 @@ def write_traces_csv(record, path):
 MULTIPLIERS = {"mt": eval_mt, "mn": eval_mn}
 # The upper-bound families of each multiplier, in report order.  Each is
 # the maximum of a positive ratio over the wavenumbers, 0 where its range
-# is empty (the high wavenumbers at fine eps, when the crossover lies
+# is empty (the high wavenumbers at fine eps, when the low band reaches
 # past kmax).
 UPPER_FAMILIES = ("low_over_log", "inv_low_norm", "high_times_epsk", "inv_high_over_epsk")
 
@@ -306,12 +305,11 @@ def _bound_suite_one_eps(eps, kmax):
     """Raw extremal ratios for the bound families at one eps."""
     k = np.arange(1, kmax + 1)
     log_eps = abs_log(eps)
-    crossover = 1.0 / (2.0 * math.pi * eps)
-    low = k < crossover
+    low = low_band(eps, k)
     high = ~low
     # Low-wavenumber normalization 1 + |log(eps k)|: a function of
     # eps|k| alone, so its extremal ratio is flat across the sweep,
-    # unlike |log eps| which degenerates near the crossover where the
+    # unlike |log eps| which degenerates near the band edge where the
     # multiplier is O(1).
     lowk_scale = 1.0 + np.abs(np.log(eps * k[low]))
     out = {}
@@ -375,7 +373,7 @@ def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096):
     keys = [f"{name}_{family}" for family in UPPER_FAMILIES for name in MULTIPLIERS]
     for key in keys + ["lowk_diff_ratio"]:
         fitted = coarse[key]
-        # High-k families may be empty (crossover beyond kmax) at fine eps.
+        # High-k families may be empty (low band beyond kmax) at fine eps.
         fine = [v for v in (per_eps[e][key] for e in epsilons[1:]) if v > 0.0]
         suites[key] = {"constant": fitted, "pass": all(v <= SLACK * fitted for v in fine)}
 

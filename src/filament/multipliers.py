@@ -75,17 +75,22 @@ def eval_mn(epsilon, k):
     return _eval(epsilon, k, _mn_nonzero, 1.0 / (4.0 * np.pi))
 
 
+def low_band(epsilon, k):
+    """Whether each k is a low wavenumber, |k| < 1/(2 pi eps): there
+    eps|k| < 1/(2 pi), and past it the multipliers decay like 1/(eps|k|)."""
+    return np.abs(np.asarray(k, dtype=float)) < 1.0 / (2.0 * np.pi * _validate_epsilon(epsilon))
+
+
 def lowk_rft_difference(epsilon, k, direction):
     """m(k) minus the matching RFT drag coefficient, low wavenumbers only.
 
-    Valid for |k| < 1/(2*pi*eps); the difference grows only like
+    Valid on the low band (`low_band`); the difference grows only like
     log|k|, uniformly in eps.  k = 0 gives exactly 0.
     """
     epsilon = _validate_epsilon(epsilon)
     if direction not in ("tangential", "normal"):
         raise ValueError(f"direction must be 'tangential' or 'normal', got {direction!r}")
-    ka = np.abs(np.asarray(k, dtype=float))
-    if np.any(ka >= 1.0 / (2.0 * np.pi * epsilon)):
+    if not np.all(low_band(epsilon, k)):
         raise ValueError("lowk_rft_difference requires |k| < 1/(2*pi*eps)")
     log_eps = abs_log(epsilon)
     if direction == "tangential":

@@ -24,15 +24,17 @@ batch of one.  solve_tensions runs CG on all members at once, with
 per-member step lengths and inner products (np.vecdot on contiguous
 member rows, which reproduces np.dot bitwise).  A member that converges
 leaves the batch with its iterate, so it takes exactly the iterations
-it would take alone; a member that stalls or has a NaN residual raises
-SolverError for the whole batch (evolution._batched isolates it).
+it would take alone; the preconditioner's diagonal is built once per
+solve and leaves with the members.  A member that stalls or has a NaN
+residual raises SolverError for the whole batch (evolution._batched
+isolates it).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import ForceMapStack, MultiplierTable, RftConstants
+from .multipliers import ForceMapStack
 from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
 
 
@@ -67,35 +69,26 @@ class TensionField:
                      for f in ("values", "mean", "iterations", "residual")))
 
 
-@dataclass
 class TensionProblem:
     """A CurveBatch with a ForceMapStack for `model`, or a PeriodicCurve
     with a force map or 'leps' / 'rft' and the map as `table` /
     `constants`, which become the batch of one in `curve` and `force_map`;
     cg_tol, one for all or one per member, becomes one per member."""
 
-    curve: object
-    model: object
-    table: MultiplierTable = None
-    constants: RftConstants = None
-    cg_tol: object = 1e-10
-    force_map: ForceMapStack = field(init=False, repr=False)
-
-    def __post_init__(self):
-        force_map = self.model
-        if isinstance(self.model, str):
-            given = {"leps": (self.table, "a MultiplierTable"),
-                     "rft": (self.constants, "RftConstants")}
-            if self.model not in given:
-                raise ValueError(f"model must be 'leps' or 'rft', got {self.model!r}")
-            force_map, needs = given[self.model]
-            if getattr(force_map, "model", None) != self.model:
-                raise ValueError(f"{self.model} tension problem needs {needs}")
-        if isinstance(self.curve, PeriodicCurve):
-            self.curve = CurveBatch.of([self.curve])
-            force_map = ForceMapStack([force_map], self.curve.grid.k.shape[0])
-        self.force_map = force_map
-        self.cg_tol = np.broadcast_to(np.asarray(self.cg_tol, dtype=float), (len(self.curve),))
+    def __init__(self, curve, model, table=None, constants=None, cg_tol=1e-10):
+        force_map = model
+        if isinstance(model, str):
+            given = {"leps": (table, "a MultiplierTable"), "rft": (constants, "RftConstants")}
+            if model not in given:
+                raise ValueError(f"model must be 'leps' or 'rft', got {model!r}")
+            force_map, needs = given[model]
+            if getattr(force_map, "model", None) != model:
+                raise ValueError(f"{model} tension problem needs {needs}")
+        if isinstance(curve, PeriodicCurve):
+            curve = CurveBatch.of([curve])
+            force_map = ForceMapStack([force_map], curve.grid.k.shape[0])
+        self.curve, self.force_map = curve, force_map
+        self.cg_tol = np.broadcast_to(np.asarray(cg_tol, dtype=float), (len(curve),))
 
     def apply_operator(self, coeffs):
         """The force-to-velocity map on rfft coefficients."""
@@ -136,19 +129,15 @@ def assemble_rhs(problem):
 
 
 def _preconditioner(problem):
-    """The module docstring's diagonal per member, <|X_ss|^2> by Parseval
-    on the coefficients; a zero symbol (a zero force map) gets 0."""
+    """The module docstring's diagonal on the rfft coefficients, (m, n/2+1),
+    <|X_ss|^2> by Parseval on the coefficients; a zero symbol (a zero
+    force map) gets 0."""
     grid = problem.curve.grid
     mt, mn = problem.force_map.precond
     xss = grid.ik_pow[:, 2, None] * problem.curve.coeffs
     xss_sq = np.sum(grid.weight[:, None] * np.abs(xss) ** 2, axis=(-2, -1))
     symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq[:, None]
-    diag = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
-
-    def apply(r):
-        return from_coeffs(to_coeffs(r, axis=-1) * diag, grid.n, axis=-1)
-
-    return apply
+    return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
 
 
 def solve_tension(problem, initial=None):
@@ -188,7 +177,7 @@ def solve_tensions(problem, initial=None):
     tensions = [None] * m
     members = list(range(m))  # member number of each row of the batch
     tols = problem.cg_tol.tolist()
-    precond = _preconditioner(problem)
+    diag = _preconditioner(problem)
     residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
     history = [residual]  # each iteration's residuals, over the rows it had
     iterations = 0
@@ -208,13 +197,12 @@ def solve_tensions(problem, initial=None):
                 break
             # compact the batch to the members still iterating
             members, tols = [members[j] for j in keep], [tols[j] for j in keep]
-            rhs_norm, x, r = rhs_norm[keep], x[keep], r[keep]
+            rhs_norm, x, r, diag = rhs_norm[keep], x[keep], r[keep], diag[keep]
             history = [h[keep] for h in history]
             if p is not None:
                 p, rz = p[keep], rz[keep]
             problem = problem.members(keep)
-            precond = _preconditioner(problem)
-        z = precond(r)
+        z = from_coeffs(to_coeffs(r, axis=-1) * diag, n, axis=-1)
         rz_new = np.vecdot(r, z)
         ok = [iterations < 10 * n and v > 0.0 for v in rz_new.tolist()]
         if not all(ok):

@@ -255,8 +255,8 @@ def group(n, dt, cg_tol=1e-10, **kwargs):
 
 
 class TestGroupFailures:
-    """A member that fails its step ends its own group, with the message of
-    its solo step, and leaves the other groups as they would run alone."""
+    """A member that fails its step ends its own group, with the exception
+    type and message of its solo step, and leaves the other groups as they would run alone."""
 
     @pytest.mark.parametrize("n", NS)
     def test_cg_stall(self, n):
@@ -265,7 +265,7 @@ class TestGroupFailures:
         lockstep([alone])
         with pytest.raises(SolverError) as solo:
             _step(failing.states[0], 1e-6, failing.force_maps[0], cg_tol=1e-30)
-        assert failing.failure == str(solo.value) and failing.steps == 0
+        assert failing.failure == f"SolverError: {solo.value}" and failing.steps == 0
         self.assert_unaffected(other, alone)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -276,7 +276,7 @@ class TestGroupFailures:
         lockstep([alone])
         with pytest.raises(GeometryError) as solo:
             _step(failing.states[0], 1e300, failing.force_maps[0])
-        assert failing.failure == str(solo.value) and failing.steps == 0
+        assert failing.failure == f"GeometryError: {solo.value}" and failing.steps == 0
         self.assert_unaffected(other, alone)
 
     @pytest.mark.parametrize("dt", [1e-6, None])
@@ -293,7 +293,7 @@ class TestGroupFailures:
         config = RunConfig(model="leps", epsilon=1e-3, n=64, horizon=1e-5, dt=dt,
                            cg_tol=1e-30, initial_curve="perturbed-circle(3,0.05)")
         traj = run(config, initial_curve(config.initial_curve, config.n))
-        assert "tension CG stalled" in traj.aborted
+        assert traj.aborted.startswith("SolverError: tension CG stalled")
         assert calls == ["_advance" if dt else "_policy_dts"]
 
     @staticmethod
@@ -346,8 +346,8 @@ class TestIsolatedCalls:
         failing = self.together_and_alone(self.folded_group, lambda: group(64, 1e-6), lockstep)
         with pytest.raises(GeometryError) as solo:
             _step(failing.states[1], 1e-6, failing.force_maps[1])
-        assert failing.failure == str(solo.value) and failing.steps == 0
-        assert failing.failure.startswith("fold-over")
+        assert failing.failure == f"GeometryError: {solo.value}" and failing.steps == 0
+        assert failing.failure.startswith("GeometryError: fold-over")
 
 
 def shared_groups(n, rft_state=None):
@@ -388,5 +388,5 @@ class TestSharedMember:
             _step(folded_state, 1e-6, groups[0].force_maps[1])
         for got, (alone,) in zip(groups, (lockstep([g])
                                           for g in shared_groups(64, folded_state))):
-            assert got.failure == alone.failure == str(solo.value)
+            assert got.failure == alone.failure == f"GeometryError: {solo.value}"
             assert got.steps == alone.steps == 0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from filament.cli import main
-from filament.multipliers import eval_mn, eval_mt, lowk_rft_difference
+from filament.multipliers import eval_mn, eval_mt, low_band, lowk_rft_difference
 
 
 def read_csv(path):
@@ -105,6 +105,30 @@ class TestMultiplierDump:
         assert main(["multiplier-dump", "--epsilon", "2.0", "--kmax", "4",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1 / (2 * math.pi * 40)])
+    def test_lowk_columns_nan_exactly_off_the_low_band(self, tmp_path, eps):
+        # the last eps puts the band edge on k = 40 itself (or next to it)
+        out = tmp_path / "mult.csv"
+        assert main(["multiplier-dump", "--epsilon", repr(eps), "--kmax", "256",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        low = low_band(eps, np.arange(257))
+        assert 0 < low.sum() < 257
+        for k, row in enumerate(rows):
+            assert [math.isnan(float(v)) for v in row[5:]] == [not low[k]] * 2, k
+
+
+class TestFileOutputs:
+    """A file output's missing parent directory is created before the work."""
+
+    @pytest.mark.parametrize("command", ["multiplier-dump", "tension-check"])
+    def test_missing_parent_directory_created(self, tmp_path, command):
+        argv, _ = tiny_call(tmp_path, command)
+        out = tmp_path / "nodir" / "deeper" / "out.csv"
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 0
+        assert out.is_file() and out.with_suffix(".manifest.json").is_file()
+
 
 class TestSimulate:
     def test_smoke_run(self, tmp_path):
@@ -161,7 +185,7 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["aborted"]
+        assert manifest["aborted"].startswith("SolverError: tension CG stalled")
 
     def test_info_line_every_1000_steps(self, tmp_path, caplog):
         # FILAMENT_LOG=info logs the start line and one line per 1,000

@@ -441,7 +441,7 @@ class TestSharedRftMember:
         monkeypatch.setattr(evolution, "_advance", failing_advance)
         sweep = self.SWEEP
         failed, *survivors = convergence_study(sweep)
-        assert failed.failed == "injected" and failed.steps == 11
+        assert failed.failed == "GeometryError: injected" and failed.steps == 11
         steps = survivors[0].steps
         assert [r.steps for r in survivors] == [steps] * 2 and steps > 50
         assert sizes == [4] * 11 + [4, 1, 1, 1, 1] + [3] * (steps - 12)

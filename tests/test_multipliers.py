@@ -11,6 +11,7 @@ from filament.multipliers import (
     build_table,
     eval_mn,
     eval_mt,
+    low_band,
     lowk_rft_difference,
     rft_constants,
 )
@@ -143,6 +144,23 @@ class TestRftDifference:
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             lowk_rft_difference(1e-3, 1, "sideways")
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1 / (2 * math.pi * 40)])
+    def test_rejects_exactly_off_the_low_band(self, eps):
+        k = np.arange(-300, 301)
+        low = low_band(eps, k)
+        assert np.array_equal(low, np.abs(k) < 1.0 / (2.0 * math.pi * eps))
+        assert np.array_equal(low, low[::-1]) and 0 < low.sum() < k.size
+        for kk, inside in zip(k.tolist(), low.tolist()):
+            for direction in ("tangential", "normal"):
+                if inside:
+                    assert np.isfinite(lowk_rft_difference(eps, kk, direction))
+                else:
+                    with pytest.raises(ValueError, match=r"requires \|k\|"):
+                        lowk_rft_difference(eps, kk, direction)
+        # an array with one k past the band is rejected whole
+        with pytest.raises(ValueError):
+            lowk_rft_difference(eps, k[low].tolist() + [int(k[~low][-1])], "normal")
 
     def test_eps_stability_at_fixed_k(self):
         # the difference at fixed k is eps-independent up to the

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from filament.evolution import force_density, initial_curve
-from filament.multipliers import build_table, force_map_for, rft_constants
+from filament.multipliers import ForceMapStack, build_table, force_map_for, rft_constants
 from filament.spectral import (
+    CurveBatch,
     Grid,
     PeriodicCurve,
     SobolevIndex,
@@ -134,11 +135,7 @@ def reference_preconditioner(problem):
     log_eps = np.array([m.log_eps for m in problem.force_map.maps])[:, None]
     diag = 1.0 / (log_eps + (TWO_PI * grid.k) ** 2 * problem.force_map.precond[1])
     diag[..., grid.above_band] = 0.0
-
-    def apply(r):
-        return from_coeffs(to_coeffs(r, axis=-1) * diag, grid.n, axis=-1)
-
-    return apply
+    return diag
 
 
 # ----------------------------------------------------------------- tests
@@ -274,6 +271,17 @@ class TestSolverInterface:
         with pytest.raises(ValueError):
             TensionProblem(curve, "stokes", table=build_table(1e-3, 16))
 
+    def test_problem_keeps_what_the_solve_reads(self):
+        # the model name and the map given by keyword become the batch of
+        # one's force-map stack; the arguments themselves are not kept
+        curve = PeriodicCurve.circle(32)
+        for problem in (TensionProblem(curve, "leps", table=build_table(1e-3, 16)),
+                        TensionProblem(curve, "rft", constants=rft_constants(1e-3), cg_tol=1e-8),
+                        TensionProblem(curve, rft_constants(1e-3))):
+            assert sorted(vars(problem)) == ["cg_tol", "curve", "force_map"]
+            assert len(problem.curve) == 1 and len(problem.force_map.maps) == 1
+            assert problem.cg_tol.shape == (1,)
+
     def test_field_immutable_with_mean(self):
         field = TensionField.from_values(np.arange(4.0))
         assert field.mean == 1.5
@@ -300,3 +308,25 @@ class TestPreconditioner:
             assert np.max(np.abs(a.values - b.values)) <= tol, case
         total_new, total_old = (sum(t.iterations for t in ts) for ts in (new, old))
         assert total_new <= 0.8 * total_old, (total_new, total_old)
+
+    def test_built_once_per_solve(self, monkeypatch):
+        # the members converge at different iterations and leave the
+        # batch one by one, their diagonal rows with them: the diagonal is
+        # built once, and each member still gets the bits of its solo solve
+        from filament import tension
+
+        n = 64
+        curves = [initial_curve(name, n) for name in ("trefoil", "perturbed-circle(2,0.04)", "circle")]
+        maps = [build_table(1e-3, n // 2), build_table(1e-3, n // 2), rft_constants(1e-3)]
+        solo = [solve_tension(TensionProblem(c, m)) for c, m in zip(curves, maps)]
+        built = []
+        real = tension._preconditioner
+        monkeypatch.setattr(tension, "_preconditioner",
+                            lambda problem: built.append(len(problem.curve)) or real(problem))
+        batch = tension.solve_tensions(TensionProblem(CurveBatch.of(curves),
+                                                      ForceMapStack(maps, n // 2 + 1)))
+        assert len({t.iterations for t in batch}) == 3
+        assert built == [3]
+        for got, want in zip(batch, solo):
+            assert got.iterations == want.iterations
+            assert got.values.tobytes() == want.values.tobytes()

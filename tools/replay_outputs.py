@@ -11,14 +11,16 @@ next to the inputs.  The seed-0 sweep is replayed a second time with
 --jobs 2 into OUT/sweep-seed0-jobs2/, which covers the sweep split over
 worker processes.  It then runs `lemma-suite` at its defaults into
 OUT/lemma-suite/, `multiplier-dump --epsilon 1e-3 --kmax 4096` into
-OUT/multiplier-dump/, and two `simulate` calls at n = 32, each with the
-config it writes first: the rft model with the dt policy into
-OUT/simulate-rft-n32/, and the leps model with a fixed dt into
-OUT/simulate-leps-n32-dt/.  Each replay
-runs in a fresh interpreter with BLAS and OpenMP pinned to one thread,
-as in the benchmark.  The wall_time_s of each directory manifest
-(manifest.json) is dropped, so two replays compare whole, manifests
-included, with
+OUT/multiplier-dump/, and three `simulate` calls at n = 32, each with
+the config it writes first: the rft model with the dt policy into
+OUT/simulate-rft-n32/, the leps model with a fixed dt into
+OUT/simulate-leps-n32-dt/, and the same with cg_tol = 1e-30, whose
+first tension solve stalls, into OUT/simulate-leps-n32-stall/.  A call
+must exit with its code in EXIT_CODES (0 if it has none); the script
+exits 1 if any does not.  Each replay runs in a fresh interpreter with
+BLAS and OpenMP pinned to one thread, as in the benchmark.  The
+wall_time_s of each directory manifest (manifest.json) is dropped, so
+two replays compare whole, manifests included, with
 
     diff -r OUT_A OUT_B
 """
@@ -42,7 +44,12 @@ EXTRA_CALLS = {
     "simulate-leps-n32-dt": (["simulate", "--config", "leps.cfg", "--out", "out/simulate"], {
         "leps.cfg": "model = leps\nepsilon = 1e-3\nn = 32\nhorizon = 2e-5\ndt = 2e-7\n"
                     "initial_curve = perturbed-circle(3,0.05)\n"}),
+    "simulate-leps-n32-stall": (["simulate", "--config", "stall.cfg", "--out", "out/simulate"], {
+        "stall.cfg": "model = leps\nepsilon = 1e-3\nn = 32\nhorizon = 2e-5\ndt = 2e-7\n"
+                     "cg_tol = 1e-30\ninitial_curve = perturbed-circle(3,0.05)\n"}),
 }
+# replay name: its declared exit code, for the calls that must fail
+EXIT_CODES = {"simulate-leps-n32-stall": 2}
 
 # Run in the child, inside the replay directory: argv[1] is a workload
 # name, argv[2] its seed and argv[3], if given, the --jobs value of its
@@ -89,12 +96,15 @@ def main():
     root, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
     if out.exists():
         sys.exit(f"replay_outputs.py: {out} already exists")
-    codes = [replay(root, out / f"{workload}-seed{seed}", [workload, str(seed)])
-             for workload in WORKLOADS for seed in SEEDS]
-    codes.append(replay(root, out / "sweep-seed0-jobs2", ["sweep", "0", "2"]))
-    codes += [replay(root, out / name, ["-", json.dumps(argv), json.dumps(files)])
-              for name, (argv, files) in EXTRA_CALLS.items()]
-    sys.exit(1 if any(codes) else 0)
+    replays = {f"{workload}-seed{seed}": [workload, str(seed)]
+               for workload in WORKLOADS for seed in SEEDS}
+    replays["sweep-seed0-jobs2"] = ["sweep", "0", "2"]
+    replays.update((name, ["-", json.dumps(argv), json.dumps(files)])
+                   for name, (argv, files) in EXTRA_CALLS.items())
+    wrong = [name for name, args in replays.items()
+             if replay(root, out / name, args) != EXIT_CODES.get(name, 0)]
+    if wrong:
+        sys.exit(f"replay_outputs.py: unexpected exit code from {', '.join(wrong)}")
 
 
 if __name__ == "__main__":
