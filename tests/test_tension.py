@@ -316,7 +316,8 @@ class TestPreconditioner:
         from filament import tension
 
         n = 64
-        curves = [initial_curve(name, n) for name in ("trefoil", "perturbed-circle(2,0.04)", "circle")]
+        curves = [initial_curve(name, n)
+                  for name in ("trefoil", "perturbed-circle(2,0.04)", "circle")]
         maps = [build_table(1e-3, n // 2), build_table(1e-3, n // 2), rft_constants(1e-3)]
         solo = [solve_tension(TensionProblem(c, m)) for c, m in zip(curves, maps)]
         built = []
