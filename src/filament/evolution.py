@@ -1,7 +1,8 @@
 """IMEX time stepping for the two filament evolutions.
 
-Both models evolve dX/dt = -L[(X_sss - tau X_s)_s] with tau from the
-tension solve.  The stiff linear principal part is treated implicitly:
+Both models evolve dX/dt = -L[(X_sss - tau X_s)_s], tau and this
+velocity from the tension solve, which makes all of a step's force-map
+applications.  The stiff linear principal part is treated implicitly:
 for the nonlocal model this is T_mn d_s^4 (the Fourier-diagonal
 principal part of L[d_s^4 X]); for RFT the larger tangential
 coefficient (|log eps|/2 pi) d_s^4 is taken.  Everything else is
@@ -85,12 +86,6 @@ def _energies(xss):
     return 0.5 * np.mean(np.sum(xss * xss, axis=-1), axis=-1)
 
 
-def force_density(curve, tension):
-    """rfft coefficients of Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
-    xssss = curve.grid.ik_pow[:, 4, None] * curve.coeffs
-    return xssss - lift(curve, tension.values)
-
-
 def dissipation(curve, tension):
     """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s; a list with
     one per member for a batch."""
@@ -103,9 +98,10 @@ def dissipation(curve, tension):
 
 
 def dissipation_rate(problem, tension):
-    """-dE/dt of member 0 by the energy identity: int Z_s . L[Z_s] ds."""
-    n = problem.curve.n
-    zs = force_density(problem.curve, tension)
+    """-dE/dt of member 0 by the energy identity: int Z_s . L[Z_s] ds,
+    Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
+    curve, n = problem.curve, problem.curve.n
+    zs = curve.grid.ik_pow[:, 4, None] * curve.coeffs - lift(curve, tension.values)
     return mean_inner(from_coeffs(zs[0], n), from_coeffs(problem.apply_operator(zs)[0], n))
 
 
@@ -114,13 +110,6 @@ def implicit_symbol(grid, force_map):
     lam = force_map.principal * (TWO_PI * grid.k) ** 4
     lam[..., -1] = 0.0
     return lam
-
-
-def _explicit_forcing(problem, tension, lam):
-    """rfft coefficients of G = dX/dt + (implicit part applied to X)
-    = -L[Z_s] + T_lam X."""
-    zs = force_density(problem.curve, tension)
-    return lam[..., None] * problem.curve.coeffs - problem.apply_operator(zs)
 
 
 def choose_dt(curve, force_map, cg_tol=1e-10, rescaled=False):
@@ -136,13 +125,13 @@ def choose_dt(curve, force_map, cg_tol=1e-10, rescaled=False):
 def _forcing(curves, force_maps, cg_tols, warm):
     """The tension solve and explicit forcing of the curves as one batch
     (leps members first): each member's TensionField, and the batched
-    problem, implicit symbol and forcing coefficients."""
+    problem, implicit symbol and coefficients of G = dX/dt + T_lam X."""
     grid = curves[0].grid
     problem = TensionProblem(CurveBatch.of(curves), ForceMapStack(force_maps, grid.k.shape[0]),
                              cg_tol=cg_tols)
-    tensions = solve_tensions(problem, warm)
+    tensions, velocity = solve_tensions(problem, warm)
     lam = implicit_symbol(grid, problem.force_map)
-    return tensions, problem, lam, _explicit_forcing(problem, TensionField.stack(tensions), lam)
+    return tensions, problem, lam, lam[..., None] * problem.curve.coeffs + velocity
 
 
 def _policy_dts(curves, force_maps, cg_tols, rescaled):

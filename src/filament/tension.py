@@ -27,7 +27,11 @@ leaves the batch with its iterate, so it takes exactly the iterations
 it would take alone; the preconditioner's diagonal is built once per
 solve and leaves with the members.  A member that stalls or has a NaN
 residual raises SolverError for the whole batch (evolution._batched
-isolates it).
+isolates it).  The solve also returns the velocity -(L[X_ssss] -
+L[(tau X_s)_s]) from its own force-map outputs: the right-hand side's
+L[X_ssss], and (L being linear) L[(tau X_s)_s] as the warm start's plus
+alpha_i L[(p_i X_s)_s] of each iteration, as CG tracks A x (Hestenes &
+Stiefel 1952).
 """
 
 from dataclasses import dataclass
@@ -117,15 +121,17 @@ def lift_adjoint(curve, coeffs):
 
 
 def apply_B(problem, tau):
-    """Riesz representative of phi -> B(tau, phi) on the band."""
-    return lift_adjoint(problem.curve, problem.apply_operator(lift(problem.curve, tau)))
+    """Riesz representative of phi -> B(tau, phi) on the band, and the
+    force-map output L[(tau X_s)_s] (rfft coefficients) it lifts back."""
+    l_tau = problem.apply_operator(lift(problem.curve, tau))
+    return lift_adjoint(problem.curve, l_tau), l_tau
 
 
 def assemble_rhs(problem):
-    """Riesz representative of phi -> int L[X_ssss] . (phi X_s)_s ds."""
+    """Riesz representative of phi -> int L[X_ssss] . (phi X_s)_s ds, and L[X_ssss]."""
     curve = problem.curve
-    xssss = curve.grid.ik_pow[:, 4, None] * curve.coeffs
-    return lift_adjoint(curve, problem.apply_operator(xssss))
+    l_xssss = problem.apply_operator(curve.grid.ik_pow[:, 4, None] * curve.coeffs)
+    return lift_adjoint(curve, l_xssss), l_xssss
 
 
 def _preconditioner(problem):
@@ -149,32 +155,34 @@ def solve_tension(problem, initial=None):
     CG breaks down before: a residual left with only out-of-band
     roundoff has r.z = 0 and cannot be reduced further.
     """
-    (tension,) = solve_tensions(problem, None if initial is None else [initial])
+    (tension,), _ = solve_tensions(problem, None if initial is None else [initial])
     return tension
 
 
 def solve_tensions(problem, initial=None):
     """solve_tension for every member of a batched problem: a list with
-    each member's TensionField; raises the SolverError of the first
-    member to stall.  initial is None, or holds a warm start per member
-    (None for a cold one)."""
+    each member's TensionField, and the members' velocities (module
+    docstring; rfft coefficients), in member order; raises the SolverError
+    of the first member to stall.  initial is None, or holds a warm start
+    per member (None for a cold one)."""
     n, m = problem.curve.n, len(problem.curve)
-    rhs = assemble_rhs(problem)
+    rhs, l_rhs = assemble_rhs(problem)
     rhs_norm = np.sqrt(np.vecdot(rhs, rhs))
     # a zero right-hand side has the solution 0: it starts cold and its
     # residual reads 0, so it leaves the batch at the first check
     zero = rhs_norm == 0.0
     rhs_norm[zero] = 1.0
-    x = np.zeros((m, n))
+    x, lx = np.zeros((m, n)), np.zeros_like(l_rhs)  # lx = L[(x X_s)_s]
     r = rhs
     if initial is not None and any(v is not None for v in initial):
         cold = np.array([v is None for v in initial]) | zero
         x = dealias(np.array([np.zeros(n) if v is None else v for v in initial], dtype=float),
                     axis=-1)
         x[cold] = 0.0
-        r = rhs - apply_B(problem, x)
-        r[cold] = rhs[cold]
-    tensions = [None] * m
+        bx, lx = apply_B(problem, x)
+        r = rhs - bx
+        r[cold], lx[cold] = rhs[cold], 0.0
+    tensions, velocity = [None] * m, np.empty_like(l_rhs)
     members = list(range(m))  # member number of each row of the batch
     tols = problem.cg_tol.tolist()
     diag = _preconditioner(problem)
@@ -192,12 +200,14 @@ def solve_tensions(problem, initial=None):
                 if not g:
                     tensions[members[j]] = TensionField.from_values(
                         x[j].copy(), iterations, float(residual[j]))
+                    velocity[members[j]] = lx[j] - l_rhs[j]
             keep = [j for j, g in enumerate(going) if g]
             if not keep:
                 break
             # compact the batch to the members still iterating
             members, tols = [members[j] for j in keep], [tols[j] for j in keep]
-            rhs_norm, x, r, diag = rhs_norm[keep], x[keep], r[keep], diag[keep]
+            rhs_norm, x, r, diag, l_rhs, lx = (
+                a[keep] for a in (rhs_norm, x, r, diag, l_rhs, lx))
             history = [h[keep] for h in history]
             if p is not None:
                 p, rz = p[keep], rz[keep]
@@ -209,18 +219,19 @@ def solve_tensions(problem, initial=None):
             raise _stalled(history, iterations, ok.index(False))
         p = z if p is None else z + (rz_new / rz)[:, None] * p
         rz = rz_new
-        bp = apply_B(problem, p)
+        bp, lp = apply_B(problem, p)
         pbp = np.vecdot(p, bp)
         ok = [v > 0.0 for v in pbp.tolist()]
         if not all(ok):  # p.Bp underflowed: the iterate cannot move
             raise _stalled(history, iterations, ok.index(False))
         alpha = (rz / pbp)[:, None]
         x = x + alpha * p
+        lx = lx + alpha[..., None] * lp
         r = r - alpha * bp
         residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
         history.append(residual)
         iterations += 1
-    return tensions
+    return tensions, velocity
 
 
 def _stalled(history, iterations, row):

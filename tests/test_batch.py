@@ -97,7 +97,7 @@ class TestAgainstSolo:
     def test_apply_B(self, n):
         pairs = members(n)
         tau = dealias(np.random.default_rng(n + 1).standard_normal((len(pairs), n)), axis=-1)
-        got = apply_B(batched(pairs), tau)
+        got = apply_B(batched(pairs), tau)[0]
         for member, (curve, force_map), values in zip(got, pairs, tau):
             want = lift_adjoint(curve, apply_L(curve, force_map, lift(curve, values)))
             assert np.array_equal(member, want)
@@ -105,17 +105,19 @@ class TestAgainstSolo:
     @pytest.mark.parametrize("warm", [False, True])
     def test_cg_solve(self, n, warm):
         pairs = members(n)
-        solo = [solve_tension(TensionProblem(curve, force_map)) for curve, force_map in pairs]
+        solo = [solve_tensions(TensionProblem(curve, force_map)) for curve, force_map in pairs]
         initial = None
         if warm:  # warm starts off the solution, one member cold
             noise = np.random.default_rng(n + 2).standard_normal((len(pairs), n))
-            initial = [t.values * (1.0 + 1e-3 * e) for t, e in zip(solo, noise)]
+            initial = [t.values * (1.0 + 1e-3 * e) for ((t,), _), e in zip(solo, noise)]
             initial[2] = None
-            solo = [solve_tension(TensionProblem(curve, force_map), start)
+            solo = [solve_tensions(TensionProblem(curve, force_map), [start])
                     for (curve, force_map), start in zip(pairs, initial)]
-        assert len({t.iterations for t in solo}) > 1
-        for got, want in zip(solve_tensions(batched(pairs), initial), solo):
+        assert len({t.iterations for (t,), _ in solo}) > 1
+        tensions, velocities = solve_tensions(batched(pairs), initial)
+        for got, velocity, ((want,), (want_velocity,)) in zip(tensions, velocities, solo):
             assert np.array_equal(got.values, want.values)
+            assert np.array_equal(velocity, want_velocity)
             assert got.iterations == want.iterations
             assert got.residual == want.residual
             assert got.mean == want.mean
@@ -132,7 +134,8 @@ class TestAgainstSolo:
         start = np.ones(n) if warm else None
         pairs = members(n)
         pairs.insert(3, (curve, zero))  # among the rft members
-        batch = solve_tensions(batched(pairs), [start if m is zero else None for _, m in pairs])
+        batch, _ = solve_tensions(batched(pairs),
+                                  [start if m is zero else None for _, m in pairs])
         for got in (solve_tension(TensionProblem(curve, zero), start), batch[3]):
             assert got.values.tobytes() == np.zeros(n).tobytes()
             assert (got.iterations, got.residual, got.mean) == (0, 0.0, 0.0)
@@ -228,11 +231,11 @@ def test_problem_alone_is_a_batch_of_one(model, n):
     coeffs = to_coeffs(np.random.default_rng(n).standard_normal((3, n, 3)), axis=-2)
     tau = dealias(np.random.default_rng(n + 1).standard_normal((3, n)), axis=-1)
     pairs = [(alone.apply_operator(coeffs[1:2]), batch.apply_operator(coeffs)),
-             (apply_B(alone, tau[1]), apply_B(batch, tau)),
-             (assemble_rhs(alone), assemble_rhs(batch))]
+             *zip(apply_B(alone, tau[1]), apply_B(batch, tau)),
+             *zip(assemble_rhs(alone), assemble_rhs(batch))]
     for got, want in pairs:
         assert got.shape[0] == 1 and got[0].tobytes() == want[1].tobytes()
-    got, want = solve_tension(alone), solve_tensions(batch)[1]
+    got, want = solve_tension(alone), solve_tensions(batch)[0][1]
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.iterations, got.residual, got.mean) == (
         want.iterations, want.residual, want.mean)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from filament import spectral, tension
-from filament.evolution import _explicit_forcing, implicit_symbol
-from filament.multipliers import build_table, rft_constants
+from filament.evolution import _forcing
+from filament.multipliers import ForceMapStack, build_table, rft_constants
 from filament.spectral import (
     Grid,
     PeriodicCurve,
@@ -25,7 +25,7 @@ from filament.spectral import (
     project_tangent,
     to_coeffs,
 )
-from filament.tension import TensionProblem, apply_B, assemble_rhs, solve_tension
+from filament.tension import TensionProblem, apply_B, assemble_rhs
 
 EPS = 1e-3
 RTOL = 1e-12
@@ -177,16 +177,15 @@ class TestAgainstReference:
         curve = fresh(name, n)
         problem = make_problem(curve, model)
         tau = dealias(np.random.default_rng(n + 2).standard_normal(n))
-        assert_close(apply_B(problem, tau), ref_apply_B(curve, model, tau))
-        assert_close(assemble_rhs(problem), ref_assemble_rhs(curve, model))
+        assert_close(apply_B(problem, tau)[0], ref_apply_B(curve, model, tau))
+        assert_close(assemble_rhs(problem)[0], ref_assemble_rhs(curve, model))
 
     @pytest.mark.parametrize("name,n,model", CASES)
     def test_explicit_forcing(self, name, n, model):
         curve = fresh(name, n)
-        problem = make_problem(curve, model)
-        lam = implicit_symbol(curve.grid, problem.force_map)
-        tau = solve_tension(problem)
-        got = from_coeffs(_explicit_forcing(problem, tau, lam)[0], n)
+        operator, _ = ref_operator(curve, model)
+        (tau,), _, lam, ghat = _forcing([curve], [operator], [1e-10], None)
+        got = from_coeffs(ghat[0], n)
         assert_close(got, ref_explicit_forcing(curve, model, tau.values, lam[0]))
 
 
@@ -222,3 +221,34 @@ class TestFftBudget:
         curve = fresh("perturbed-circle", 64)
         curve.coeffs, curve.xs, curve.xss, curve.tangent
         assert fft_calls[0] == 2  # rfft of the samples, one batched irfft
+
+
+class TestForceMapBudget:
+    """A step's forcing applies the force map once for the tension
+    solve's right-hand side and once per application of B: its velocity
+    is the solve's, with no application of its own."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_forcing(self, monkeypatch, warm):
+        n = 64
+        curves = [fresh("trefoil", n), fresh("perturbed-circle", n), fresh("trefoil", n)]
+        maps = [build_table(EPS, n // 2), rft_constants(EPS), rft_constants(1e-6)]
+        initial = None
+        if warm:  # one member warm, the others cold
+            (start, _, _), *_ = _forcing(curves, maps, [1e-10] * 3, None)
+            initial = [start.values * 1.001, None, None]
+        calls = {"apply": 0, "apply_B": 0}
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(ForceMapStack, "apply", counted("apply", ForceMapStack.apply))
+        monkeypatch.setattr(tension, "apply_B", counted("apply_B", tension.apply_B))
+        tensions, *_ = _forcing(curves, maps, [1e-10] * 3, initial)
+        # a batched B application per iteration of the slowest member, and
+        # one for the warm start
+        assert calls["apply_B"] == max(t.iterations for t in tensions) + warm
+        assert calls["apply"] == 1 + calls["apply_B"]

@@ -14,7 +14,6 @@ from filament.evolution import (
     dissipation,
     dissipation_rate,
     energy,
-    force_density,
     implicit_symbol,
     initial_curve,
     run,

@@ -10,7 +10,7 @@ with the matrix-free FFT implementation beyond the conventions.
 import numpy as np
 import pytest
 
-from filament.evolution import force_density, initial_curve
+from filament.evolution import initial_curve
 from filament.multipliers import ForceMapStack, build_table, force_map_for, rft_constants
 from filament.spectral import (
     CurveBatch,
@@ -31,6 +31,7 @@ from filament.tension import (
     lift,
     lift_adjoint,
     solve_tension,
+    solve_tensions,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -122,6 +123,11 @@ def make_problem(curve, model, epsilon, **kwargs):
     return TensionProblem(curve, "rft", constants=rft_constants(epsilon), **kwargs)
 
 
+def force_density(curve, tension):
+    """rfft coefficients of Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
+    return curve.grid.ik_pow[:, 4, None] * curve.coeffs - lift(curve, tension.values)
+
+
 def velocity(problem, tension):
     """dX/dt = -L[Z_s], as samples."""
     zs = force_density(problem.curve, tension)
@@ -147,8 +153,8 @@ class TestOperatorStructure:
         curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
         problem = make_problem(curve, model, 1e-3)
         a, b = band_noise(64, 1), band_noise(64, 2)
-        lhs = float(np.dot(a, apply_B(problem, b)[0]))
-        rhs = float(np.dot(b, apply_B(problem, a)[0]))
+        lhs = float(np.dot(a, apply_B(problem, b)[0][0]))
+        rhs = float(np.dot(b, apply_B(problem, a)[0][0]))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
     @pytest.mark.parametrize("model", ["leps", "rft"])
@@ -157,7 +163,7 @@ class TestOperatorStructure:
         problem = make_problem(curve, model, 1e-3)
         for seed in range(10):
             tau = band_noise(64, 10 + seed)
-            assert float(np.dot(tau, apply_B(problem, tau)[0])) > 0.0
+            assert float(np.dot(tau, apply_B(problem, tau)[0][0])) > 0.0
 
     def test_lift_adjoint_is_exact_adjoint(self):
         curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
@@ -186,7 +192,7 @@ class TestDenseOracle:
         _, lift_m, adjoint_m = dense_operators(curve, "leps", 1e-2)
         lmap, _, _ = dense_operators(curve, "leps", 1e-2)
         dense_rhs = adjoint_m @ lmap @ xssss(curve).reshape(-1)
-        assert np.max(np.abs(dense_rhs - assemble_rhs(problem))) < 1e-8
+        assert np.max(np.abs(dense_rhs - assemble_rhs(problem)[0])) < 1e-8
 
     def test_dense_B_matches_matrix_free_apply(self):
         curve = PeriodicCurve.perturbed_circle(32, 2, 0.04)
@@ -194,7 +200,7 @@ class TestDenseOracle:
         lmap, lift_m, adjoint_m = dense_operators(curve, "rft", 1e-2)
         b = adjoint_m @ lmap @ lift_m
         tau = band_noise(32, 7)
-        assert np.max(np.abs(b @ tau - apply_B(problem, tau))) < 1e-10
+        assert np.max(np.abs(b @ tau - apply_B(problem, tau)[0])) < 1e-10
 
 
 class TestCircle:
@@ -212,6 +218,43 @@ class TestCircle:
         a = solve_tension(problem)
         b = solve_tension(problem, initial=band_noise(64, 9) * 10.0)
         assert np.max(np.abs(a.values - b.values)) < 1e-7
+
+
+class TestSolveVelocity:
+    """The velocity solve_tensions returns, taken from the force-map
+    outputs of its own right-hand side and B applications, against the
+    direct -L[X_ssss - (tau X_s)_s] of each member's tension."""
+
+    @staticmethod
+    def members(n):
+        """(curve, force map) pairs, leps members first."""
+        trefoil, circle = initial_curve("trefoil", n), PeriodicCurve.circle(n)
+        mode3 = initial_curve("perturbed-circle(3,0.05)", n)
+        mode2 = initial_curve("perturbed-circle(2,0.04)", n)
+        return [(trefoil, build_table(1e-2, n // 2)), (mode3, build_table(1e-6, n // 2)),
+                (circle, build_table(1e-6, n // 2)), (mode2, rft_constants(1e-2)),
+                (trefoil, rft_constants(1e-6)), (circle, rft_constants(1e-2))]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_matches_direct_velocity(self, n, warm):
+        pairs = self.members(n)
+        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]),
+                                 ForceMapStack([m for _, m in pairs], n // 2 + 1))
+        initial = None
+        if warm:  # warm starts off the solution, one member cold
+            tensions, _ = solve_tensions(problem)
+            noise = np.random.default_rng(n).standard_normal((len(pairs), n))
+            initial = [t.values * (1.0 + 1e-3 * e) for t, e in zip(tensions, noise)]
+            initial[1] = None
+        tensions, got = solve_tensions(problem, initial)
+        # members leave the batch at different iterations, so a member's
+        # row moves as the batch compacts
+        assert len({t.iterations for t in tensions}) > 2
+        _, l_xssss = assemble_rhs(problem)
+        for j, ((curve, force_map), tau) in enumerate(zip(pairs, tensions)):
+            want = -TensionProblem(curve, force_map).apply_operator(force_density(curve, tau))[0]
+            assert np.max(np.abs(got[j] - want)) <= 1e-12 * np.max(np.abs(l_xssss[j])), j
 
 
 class TestConstraintEnforcement:
@@ -324,8 +367,8 @@ class TestPreconditioner:
         real = tension._preconditioner
         monkeypatch.setattr(tension, "_preconditioner",
                             lambda problem: built.append(len(problem.curve)) or real(problem))
-        batch = tension.solve_tensions(TensionProblem(CurveBatch.of(curves),
-                                                      ForceMapStack(maps, n // 2 + 1)))
+        batch, _ = tension.solve_tensions(TensionProblem(CurveBatch.of(curves),
+                                                         ForceMapStack(maps, n // 2 + 1)))
         assert len({t.iterations for t in batch}) == 3
         assert built == [3]
         for got, want in zip(batch, solo):
