@@ -1,16 +1,17 @@
 """Command-line entry point.
 
 Subcommands: simulate, sweep, multiplier-dump, tension-check,
-lemma-suite.  Exit codes: 0 success, 1 validation error (arguments,
-config or curve file) or refused overwrite, 2 solver, geometry or file
-error; any other exception propagates.  Options, config files and curve
-files are checked while the arguments are parsed, with the converters
-of `config`.  One runner serves every subcommand: it refuses to
-overwrite an existing output without --force before any work, creates
-the output directory (a file output's parent), times the run and
-writes the JSON manifest (command, config echo, versions, wall time for
-directory outputs, results).  Logging level comes from FILAMENT_LOG
-(error | info | debug).
+lemma-suite.  Every input is checked once, while the arguments are
+parsed, by the converters of `config`; a config's initial curve is
+built then at each of its grid sizes.  Exit codes: 0 success, 1 a
+failed input check or a refused overwrite (nothing is written), 2 a
+solver, geometry or file error (after the manifest for a failed
+simulate run or sweep row); any other exception propagates.  One
+runner serves every subcommand: it refuses to overwrite an existing
+output without --force before any work, creates the output directory
+(a file output's parent), times the run and writes the JSON manifest
+(command, config echo, versions, wall time for directory outputs,
+results).  Logging level comes from FILAMENT_LOG (error | info | debug).
 """
 
 import argparse
@@ -23,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, curve_spec,
-                     model_name, parse_config, parse_sweep_config)
+from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, parse_config,
+                     parse_sweep_config)
 from .evolution import initial_curve
+from .multipliers import check_model
 from .spectral import GeometryError, read_curve_csv, write_csv, write_curve_csv, write_json
 from .tension import SolverError
 
@@ -87,14 +89,10 @@ def _input_file(kind, read):
 
 
 def _config_file(parse, sizes):
-    """An argparse type that loads a config file with parse; a CSV initial
-    curve is read too, and must have each n in sizes(config)."""
+    """An argparse type: the config read by parse, and its initial curve at each n in sizes."""
     def read(path):
         config = parse(path.read_text())
-        if curve_spec(config.initial_curve)[0] == "csv":
-            for n in sizes(config):
-                initial_curve(config.initial_curve, n)
-        return config
+        return config, [initial_curve(config.initial_curve, n) for n in sizes(config)]
     return _input_file("config", read)
 
 
@@ -124,8 +122,7 @@ def _run(args):
 def _cmd_simulate(args):
     from .evolution import run, write_diagnostics_csv
 
-    config = args.config
-    curve = initial_curve(config.initial_curve, config.n)
+    config, (curve,) = args.config
     log.info("simulate: model=%s eps=%g n=%d horizon=%g",
              config.model, config.epsilon, config.n, config.horizon)
     traj = run(config, curve)
@@ -156,7 +153,7 @@ def _cmd_sweep(args):
         write_traces_csv,
     )
 
-    sweep = args.config
+    sweep, _ = args.config  # each worker builds its rows' initial curves
     records = convergence_study(sweep, jobs=args.jobs)
     write_summary_csv(records, args.out / "summary.csv")
     for r in records:
@@ -218,7 +215,7 @@ _COMMANDS = {
         "--config": dict(required=True, type=_config_file(parse_config, lambda c: (c.n,)))}),
     "sweep": ("eps-sweep comparison of the two models", _cmd_sweep, True, {
         "--config": dict(required=True, type=_config_file(
-            parse_sweep_config, lambda c: (c.n, 1024) if c.confirmation else (c.n,))),
+            parse_sweep_config, lambda c: dict.fromkeys(n for _, n in c.rows()))),
         "--jobs": dict(type=_checked(count), default=1)}),
     "multiplier-dump": ("tabulate the multipliers to CSV", _cmd_multiplier_dump, False, {
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
@@ -226,7 +223,7 @@ _COMMANDS = {
     "tension-check": ("solve the tension problem on a stored curve", _cmd_tension_check, False, {
         "--curve": dict(required=True, type=_input_file("curve", read_curve_csv)),
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
-        "--model": dict(type=_checked(model_name), default="leps")}),
+        "--model": dict(type=_checked(check_model), default="leps")}),
     "lemma-suite": ("multiplier bound and coercivity suites", _cmd_lemma_suite, True, {
         "--epsilons": dict(type=_checked(aspect_ratios), default="1e-2,1e-3,1e-4,1e-5"),
         "--kmax": dict(type=_checked(count), default=4096)}),

@@ -4,16 +4,21 @@ Config files are UTF-8 text, one `key = value` per line, `#` comments.
 Parsing reports every problem at once (unknown keys, bad or out-of-range
 values, duplicates), each tagged with its line number.
 
-Each input rule is one converter that takes the raw text and returns the
-value or raises ValueError.  A config field's annotation is its
-converter, so `simulate` and `sweep` keys of the same name follow the
-same rule, and the command line uses the same converters for its
-options.
+Each input rule is one converter from the raw text to the value,
+raising ValueError; eps, grid size and model take the rules of the
+modules whose arithmetic needs them.  A field's annotation is its
+converter, so keys of the same name in `simulate` and `sweep` follow
+one rule, which the command line's options use too.
 """
 
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .multipliers import check_epsilon, check_model
+from .spectral import check_grid_size
+
+ENERGY_TOL = 1e-8  # a step raising the energy by more than this times E(0) is flagged
 
 
 class ConfigError(ValueError):
@@ -38,18 +43,9 @@ def count(raw):
     return value
 
 
-def power_of_two(raw):
-    value = int(raw)
-    if value < 32 or value & (value - 1):
-        raise ValueError(f"must be a power of two >= 32, got {value!r}")
-    return value
-
-
 def aspect_ratio(raw):
-    value = float(raw)
-    if not 0.0 < value <= 0.1:
-        raise ValueError(f"must lie in (0, 0.1], got {value!r}")
-    return value
+    """eps where the multipliers are defined, capped at 0.1: a slender filament."""
+    return check_epsilon(float(raw), cap=0.1)
 
 
 def aspect_ratios(raw):
@@ -60,12 +56,6 @@ def aspect_ratios(raw):
     if any(a <= b for a, b in zip(values, values[1:])):
         raise ValueError(f"must be strictly decreasing, got {values}")
     return values
-
-
-def model_name(raw):
-    if raw not in ("leps", "rft"):
-        raise ValueError(f"must be 'leps' or 'rft', got {raw!r}")
-    return raw
 
 
 def curve_spec(raw):
@@ -107,16 +97,16 @@ def boolean(raw):
 
 @dataclass
 class RunConfig:
-    model: model_name = None
+    model: check_model = None
     epsilon: aspect_ratio = None
-    n: power_of_two = None
+    n: check_grid_size = None
     horizon: positive = None
     dt: positive = None
     rescaled_time: boolean = False
     initial_curve: curve_name = "circle"
     inextensibility_tol: positive = 1e-6
     cg_tol: positive = 1e-10
-    energy_tol: positive = 1e-8
+    energy_tol: positive = ENERGY_TOL
     snapshot_every: count = 20
 
 
@@ -124,12 +114,16 @@ class RunConfig:
 class SweepConfig:
     epsilons: aspect_ratios = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     horizon: positive = 0.5
-    n: power_of_two = 256
+    n: check_grid_size = 256
     initial_curve: curve_name = "perturbed-circle(3,0.05)"
     snapshot_every: count = None
     cg_tol: positive = 1e-10
     inextensibility_tol: positive = 1e-6
     confirmation: boolean = False  # extra n=1024 run at eps=1e-4
+
+    def rows(self):
+        """The (eps, n) of each row: every eps at n, then the confirmation's."""
+        return [(eps, self.n) for eps in self.epsilons] + [(1e-4, 1024)] * self.confirmation
 
 
 def _parse(text, cls, required):

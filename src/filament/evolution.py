@@ -50,6 +50,7 @@ H2 = SobolevIndex(2.0)
 H_HALF = SobolevIndex(0.5)
 H_HALF_HOM = SobolevIndex(0.5, homogeneous=True)
 POLICY_EVERY = 25    # steps between re-evaluations of a policy-timed dt
+RESAMPLE_EVERY = 20  # steps between arclength resamplings of a group
 HORIZON_PARTS = 50   # a policy-timed dt is at most horizon / HORIZON_PARTS
 
 
@@ -217,14 +218,10 @@ def step_rft(state, dt, constants, **options):
 
 
 def initial_curve(name, n):
-    """Curve corpus lookup: circle, perturbed-circle(mode,amp), trefoil, or CSV path."""
+    """The curve a `curve_spec` name asks for on n points: PeriodicCurve's or its file's."""
     kind, *args = curve_spec(name)
-    if kind == "circle":
-        return PeriodicCurve.circle(n)
-    if kind == "trefoil":
-        return PeriodicCurve.trefoil(n)
-    if kind == "perturbed-circle":
-        return PeriodicCurve.perturbed_circle(n, *args)
+    if kind != "csv":
+        return getattr(PeriodicCurve, kind.replace("-", "_"))(n, *args)
     curve = read_curve_csv(args[0])
     if curve.n != n:
         raise ValueError(f"curve file has n={curve.n}, config asks n={n}")
@@ -347,12 +344,12 @@ def lockstep(groups):
     groups.
 
     Each group follows its own dt by the rule of `Group` and resamples
-    its states at arclength every 20 of its steps.  A solver or geometry
-    failure, or a dt halved until time stands still, ends that group
-    early with its last good states and the reason in `failure`; the
-    other groups go on.  Every step taken goes to on_step, even if the
-    resampling or dt policy after it fails.  Groups that share a state,
-    force map and dt make its step once.
+    its states at arclength every RESAMPLE_EVERY of its steps.  A solver
+    or geometry failure, or a dt halved until time stands still, ends
+    that group early with its last good states and the reason in
+    `failure`; the other groups go on.  Every step taken goes to on_step,
+    even if the resampling or dt policy after it fails.  Groups that
+    share a state, force map and dt make its step once.
     """
     options = {g: [replace(g.options, time_scale=1.0 / m.log_eps if g.rescaled else 1.0)
                    for m in g.force_maps] for g in groups}
@@ -375,7 +372,7 @@ def lockstep(groups):
             if any(s.diagnostics.energy_flag for s in states):
                 g.flagged += 1
                 g.dt *= 0.5
-        _resample([g for g in stepped if g.steps % 20 == 0])
+        _resample([g for g in stepped if g.steps % RESAMPLE_EVERY == 0])
         _apply_policy([g for g in stepped if g in timed and g.failure is None
                        and g.steps % POLICY_EVERY == 0])
         for g in stepped:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ENERGY_TOL
 from .evolution import (H2, HORIZON_PARTS, EvolutionState, Group, StepOptions, energy,
                         initial_curve, lockstep)
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
@@ -174,7 +175,7 @@ def _pair(table, start, rft, sweep):
         return replace(_discrepancy_record(table, n, times, rows), **progress)
 
     options = StepOptions(cg_tol=sweep.cg_tol, inext_tol=sweep.inextensibility_tol,
-                          energy_tol_abs=1e-8 * energy(curve))
+                          energy_tol_abs=ENERGY_TOL * energy(curve))
     group = Group([start] * 2, (table, rft), None, horizon, after_step, options, rescaled=True)
     return group, finish
 
@@ -211,9 +212,7 @@ def convergence_study(sweep, jobs=1):
     that many contiguous chunks, at most one per row and one per CPU this
     process may use, each run as one batch in its own worker process.
     """
-    tasks = [(eps, sweep.n) for eps in sweep.epsilons]
-    if sweep.confirmation:
-        tasks.append((1e-4, 1024))
+    tasks = sweep.rows()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(tasks), cpus or 1)
     if workers <= 1:

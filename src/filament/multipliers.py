@@ -9,10 +9,12 @@ For wavenumber k != 0 and x = 2*pi*eps*|k|,
 with K_j = K_j(x).  The zero modes are |log eps|/(2 pi) and
 |log eps|/(4 pi).  Both ratios are homogeneous in the K's (degree 2
 over degree 2, and 3 over 3), so evaluating with the exponentially
-scaled functions e^x K_j(x) cancels the e^{-x} decay exactly and the
-formulas remain well conditioned arbitrarily far past the underflow
-threshold of the raw Bessel values; no separate asymptotic branch is
-needed.
+scaled functions e^x K_j(x) cancels the e^{-x} decay exactly: for large
+x the formulas stay well conditioned far past the underflow of the raw
+Bessel values.  For small x they overflow (K1^2 K2 ~ 2/x^4 in m_n at
+x = 2 pi eps from eps ~ 1e-78, K1^2 in m_t from ~1e-155), so eps must
+lie in [EPSILON_MIN, 1) = [1e-70, 1), checked once per call by
+check_epsilon; at 1e-70 m_t and m_n agree with 50-digit mpmath to 3e-16.
 
 The table and the RFT constants are the data of the two models, with
 |log eps| and the model name.  ForceMapStack is the one force map: the
@@ -27,16 +29,21 @@ import numpy as np
 from . import spectral
 from .bessel import bessel_k_scaled
 
+EPSILON_MIN = 1e-70  # the smallest eps taken (module docstring)
+
 
 def abs_log(epsilon):
     """|log eps|, the one spelling of it in the package."""
     return float(abs(np.log(epsilon)))
 
 
-def _validate_epsilon(epsilon):
-    if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    return float(epsilon)
+def check_epsilon(epsilon, cap=None):
+    """epsilon as a float, if in [EPSILON_MIN, 1) and <= cap; else ValueError."""
+    epsilon = float(epsilon)
+    if not EPSILON_MIN <= epsilon < 1.0 or cap is not None and not epsilon <= cap:
+        top = "1)" if cap is None else f"{cap:g}]"
+        raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, {top}, got {epsilon!r}")
+    return epsilon
 
 
 def _mt_nonzero(x):
@@ -55,30 +62,35 @@ def _mn_nonzero(x):
     return num / den
 
 
-def _eval(epsilon, k, nonzero, zero_mode):
-    epsilon = _validate_epsilon(epsilon)
+# direction: its multiplier at k != 0, and d of its RFT coefficient and zero mode |log eps|/(d pi)
+_DIRECTIONS = {"tangential": (_mt_nonzero, 2.0), "normal": (_mn_nonzero, 4.0)}
+
+
+def _eval(epsilon, k, direction):
+    """The multiplier of direction at a checked eps."""
+    nonzero, d = _DIRECTIONS[direction]
     ka = np.abs(np.asarray(k, dtype=float))
     out = np.empty_like(ka)
     nz = ka > 0
     out[nz] = nonzero(2.0 * np.pi * epsilon * ka[nz])
-    out[~nz] = zero_mode * abs_log(epsilon)
+    out[~nz] = 1.0 / (d * np.pi) * abs_log(epsilon)
     return out if np.ndim(k) else float(out)
 
 
 def eval_mt(epsilon, k):
     """Tangential multiplier m_t(k); depends on |k| only."""
-    return _eval(epsilon, k, _mt_nonzero, 1.0 / (2.0 * np.pi))
+    return _eval(check_epsilon(epsilon), k, "tangential")
 
 
 def eval_mn(epsilon, k):
     """Normal multiplier m_n(k); depends on |k| only."""
-    return _eval(epsilon, k, _mn_nonzero, 1.0 / (4.0 * np.pi))
+    return _eval(check_epsilon(epsilon), k, "normal")
 
 
 def low_band(epsilon, k):
     """Whether each k is a low wavenumber, |k| < 1/(2 pi eps): there
     eps|k| < 1/(2 pi), and past it the multipliers decay like 1/(eps|k|)."""
-    return np.abs(np.asarray(k, dtype=float)) < 1.0 / (2.0 * np.pi * _validate_epsilon(epsilon))
+    return np.abs(np.asarray(k, dtype=float)) < 1.0 / (2.0 * np.pi * check_epsilon(epsilon))
 
 
 def lowk_rft_difference(epsilon, k, direction):
@@ -87,17 +99,12 @@ def lowk_rft_difference(epsilon, k, direction):
     Valid on the low band (`low_band`); the difference grows only like
     log|k|, uniformly in eps.  k = 0 gives exactly 0.
     """
-    epsilon = _validate_epsilon(epsilon)
-    if direction not in ("tangential", "normal"):
+    if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be 'tangential' or 'normal', got {direction!r}")
-    if not np.all(low_band(epsilon, k)):
+    if not np.all(low_band(epsilon, k)):  # checks eps
         raise ValueError("lowk_rft_difference requires |k| < 1/(2*pi*eps)")
-    log_eps = abs_log(epsilon)
-    if direction == "tangential":
-        out = eval_mt(epsilon, k) - log_eps / (2.0 * np.pi)
-    else:
-        out = eval_mn(epsilon, k) - log_eps / (4.0 * np.pi)
-    return out
+    epsilon = float(epsilon)
+    return _eval(epsilon, k, direction) - abs_log(epsilon) / (_DIRECTIONS[direction][1] * np.pi)
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,9 @@ class RftConstants:
 
 
 def rft_constants(epsilon):
-    epsilon = _validate_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     log_eps = abs_log(epsilon)
-    return RftConstants(epsilon, log_eps / (2.0 * np.pi), log_eps / (4.0 * np.pi))
+    return RftConstants(epsilon, *(log_eps / (d * np.pi) for _, d in _DIRECTIONS.values()))
 
 
 @dataclass(frozen=True)
@@ -154,11 +161,11 @@ class MultiplierTable:
 
 
 def build_table(epsilon, kmax):
-    epsilon = _validate_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax!r}")
     k = np.arange(kmax + 1)
-    return MultiplierTable(epsilon, int(kmax), eval_mt(epsilon, k), eval_mn(epsilon, k))
+    return MultiplierTable(epsilon, int(kmax), *(_eval(epsilon, k, d) for d in _DIRECTIONS))
 
 
 class ForceMapStack:
@@ -200,10 +207,13 @@ class ForceMapStack:
         return out
 
 
+def check_model(model):
+    """model, if it names a model ('leps' or 'rft'); else ValueError."""
+    if model not in ("leps", "rft"):
+        raise ValueError(f"model must be 'leps' or 'rft', got {model!r}")
+    return model
+
+
 def force_map_for(model, epsilon, n):
     """The force map of model 'leps' or 'rft' at eps on an n-point grid."""
-    if model == "leps":
-        return build_table(epsilon, n // 2)
-    if model == "rft":
-        return rft_constants(epsilon)
-    raise ValueError(f"model must be 'leps' or 'rft', got {model!r}")
+    return build_table(epsilon, n // 2) if check_model(model) == "leps" else rft_constants(epsilon)

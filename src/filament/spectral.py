@@ -137,6 +137,14 @@ def mean_inner(a, b):
     return float(np.mean(np.sum(a * b, axis=-1) if a.ndim == 2 else a * b))
 
 
+def check_grid_size(n):
+    """n as an int, if it is a curve's grid size, a power of two >= 32."""
+    n = int(n)
+    if n < 32 or n & (n - 1):
+        raise ValueError(f"grid size must be a power of two >= 32, got {n}")
+    return n
+
+
 class PeriodicCurve:
     """Closed curve sampled on a power-of-two periodic grid.
 
@@ -191,12 +199,10 @@ def curves_from_samples(samples):
     """A PeriodicCurve for each member of samples (m, n, 3), the one place
     that computes a curve's fields: one rfft and one irfft call (the
     factors of grid.stack_factor) and one array expression per quantity
-    for all members.  Raises ValueError unless n is a power of two >= 32,
-    and GeometryError on non-finite samples."""
+    for all members.  Raises check_grid_size's ValueError, and
+    GeometryError on non-finite samples."""
     samples = np.array(samples, dtype=float)
-    n = samples.shape[1]
-    if n < 32 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 32, got {n}")
+    n = check_grid_size(samples.shape[1])
     if not np.all(np.isfinite(samples)):
         raise GeometryError("curve samples must be finite")
     grid = Grid.of_size(n)

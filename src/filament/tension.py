@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import ForceMapStack
+from .multipliers import ForceMapStack, check_model
 from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
 
 
@@ -82,12 +82,9 @@ class TensionProblem:
     def __init__(self, curve, model, table=None, constants=None, cg_tol=1e-10):
         force_map = model
         if isinstance(model, str):
-            given = {"leps": (table, "a MultiplierTable"), "rft": (constants, "RftConstants")}
-            if model not in given:
-                raise ValueError(f"model must be 'leps' or 'rft', got {model!r}")
-            force_map, needs = given[model]
+            force_map = table if check_model(model) == "leps" else constants
             if getattr(force_map, "model", None) != model:
-                raise ValueError(f"{model} tension problem needs {needs}")
+                raise ValueError(f"{model} tension problem needs a {model} force map")
         if isinstance(curve, PeriodicCurve):
             curve = CurveBatch.of([curve])
             force_map = ForceMapStack([force_map], curve.grid.k.shape[0])

@@ -520,10 +520,11 @@ class TestInputFiles:
     @pytest.mark.parametrize("command,case", [
         ("simulate", "bad-header"), ("simulate", "other-n"), ("simulate", "rows-swapped"),
         ("sweep", "bad-header"), ("sweep", "other-n"), ("sweep", "rows-swapped"),
-        ("sweep", "confirmation")])
+        ("sweep", "confirmation"), ("simulate", "fold-over"), ("simulate", "newton-nan"),
+        ("sweep", "fold-over"), ("sweep", "newton-nan")])
     def test_csv_initial_curve_checked_with_config(self, tmp_path, capsys, command, case):
-        # a CSV initial curve is read with the config: no run, no output
-        # (the sweep's confirmation row needs n = 1024)
+        # every initial curve is built with the config, a CSV one read:
+        # no run, no output (the sweep's confirmation row needs n = 1024)
         from filament.spectral import PeriodicCurve, write_curve_csv
 
         curve = tmp_path / "curve.csv"
@@ -535,8 +536,10 @@ class TestInputFiles:
         if case == "rows-swapped":
             lines[5], lines[6] = lines[6], lines[5]
             curve.write_text("".join(lines))
+        # corpus curves that pass the name check but cannot be built at n = 32
+        corpus = {"fold-over": "perturbed-circle(2,5)", "newton-nan": "perturbed-circle(3,1e300)"}
         text = {"simulate": GOOD_CONFIG, "sweep": TINY_SWEEP}[command]
-        text = text.replace("perturbed-circle(2,0.03)", str(curve))
+        text = text.replace("perturbed-circle(2,0.03)", corpus.get(case, str(curve)))
         if case == "confirmation":
             text += "confirmation = true\n"
         config = write_config(tmp_path, text)
@@ -545,7 +548,9 @@ class TestInputFiles:
         want = {"bad-header": "unexpected curve CSV header",
                 "other-n": "curve file has n=64, config asks n=32",
                 "confirmation": "curve file has n=32, config asks n=1024",
-                "rows-swapped": "line 6: s = 0.15625, expected j/n = 4/32 = 0.125"}[case]
+                "rows-swapped": "line 6: s = 0.15625, expected j/n = 4/32 = 0.125",
+                "fold-over": "fold-over: min |X_s| <= 0.5",
+                "newton-nan": "arclength Newton did not converge in 50 iterations"}[case]
         assert f"bad config file: {want}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -645,14 +650,34 @@ class TestArgumentErrors:
         assert main(["multiplier-dump", "--epsilon", "1e-2"]) == 1
         assert "--kmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "multiplier-dump", "tension-check",
+                                         "lemma-suite"])
+    def test_epsilon_below_the_multipliers_domain_exit_1(self, tmp_path, capsys, command):
+        # at eps = 1e-80 m_n overflows: every command refuses it while the
+        # arguments are parsed, with no traceback and no output
+        argv, manifest = tiny_call(tmp_path, command)
+        if command in ("simulate", "sweep"):
+            config = tmp_path / ("sweep.cfg" if command == "sweep" else "run.cfg")
+            config.write_text(config.read_text().replace("1e-2", "1e-80"))
+        else:
+            flag = "--epsilons" if command == "lemma-suite" else "--epsilon"
+            argv[argv.index(flag) + 1] = "1e-2,1e-80" if command == "lemma-suite" else "1e-80"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "epsilon must lie in [1e-70, 0.1], got 1e-80" in err
+        assert "Traceback" not in err
+        assert not manifest.exists()
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command", ["multiplier-dump", "tension-check"])
     def test_epsilon_takes_the_config_rule(self, tmp_path, capsys, command):
-        # --epsilon accepts what the config's epsilon accepts, (0, 0.1]
+        # --epsilon accepts what the config's epsilon accepts, [1e-70, 0.1]
         argv, manifest = tiny_call(tmp_path, command)
         at = argv.index("--epsilon") + 1
         argv[at] = "0.5"
         assert main(argv) == 1
-        assert "argument --epsilon: must lie in (0, 0.1], got 0.5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --epsilon: epsilon must lie in [1e-70, 0.1], got 0.5" in err
         assert not manifest.exists()
         argv[at] = "0.1"
         assert main(argv) == 0

@@ -67,6 +67,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("override,fragment", [
         ("model = stokes", "model"),
         ("epsilon = 0.5", "epsilon"),
+        ("epsilon = 1e-80", "epsilon must lie in [1e-70, 0.1], got 1e-80"),
+        ("epsilon = 0", "epsilon must lie in [1e-70, 0.1], got 0.0"),
         ("n = 48", "power of two"),
         ("n = 16", "power of two"),
         ("horizon = -1", "horizon"),
@@ -82,6 +84,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert fragment in str(err.value)
+
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "rescaled_time\n")
+        assert "line 5: expected 'key = value', got 'rescaled_time'" in str(err.value)
 
     def test_all_errors_reported_at_once(self):
         with pytest.raises(ConfigError) as err:
@@ -124,11 +131,19 @@ class TestSweepConfig:
             parse_sweep_config("epsilons = 0.5, 1e-3\n")
 
     def test_epsilons_follow_the_epsilon_rule(self):
-        # each entry in (0, 0.1], as `epsilon` of a simulate config
+        # each entry in [1e-70, 0.1], as `epsilon` of a simulate config
         assert parse_sweep_config("epsilons = 0.1, 0.01, 0.001\n").epsilons == (0.1, 0.01, 0.001)
         with pytest.raises(ConfigError) as err:
             parse_sweep_config("epsilons = 0.2, 0.01\n")
-        assert "line 1: bad value for 'epsilons': must lie in (0, 0.1], got 0.2" in str(err.value)
+        assert ("line 1: bad value for 'epsilons': epsilon must lie in [1e-70, 0.1], got 0.2"
+                in str(err.value))
+
+    def test_rows(self):
+        # every eps at n, then the confirmation row eps = 1e-4 at n = 1024
+        config = parse_sweep_config("epsilons = 1e-2, 1e-3\nn = 64\n")
+        assert config.rows() == [(1e-2, 64), (1e-3, 64)]
+        config = parse_sweep_config("epsilons = 1e-2\nconfirmation = true\n")
+        assert config.rows() == [(1e-2, 256), (1e-4, 1024)]
 
     def test_as_dict_round_trip(self):
         config = parse_sweep_config("n = 64\nhorizon = 0.25\n")

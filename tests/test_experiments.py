@@ -253,6 +253,16 @@ class TestStudyDriver:
         assert all(r.failed is not None for r in records)
         assert all(r.failed.strip() for r in records)  # message, not blank
 
+    def test_unbuildable_initial_curve_fails_every_row(self):
+        # a library caller that skips the CLI's check still gets failed
+        # rows, not an exception
+        sweep = SweepConfig(epsilons=(1e-2, 1e-3), horizon=1e-4, n=32,
+                            initial_curve="perturbed-circle(2,5)")
+        records = convergence_study(sweep)
+        assert [(r.eps, r.n) for r in records] == [(1e-2, 32), (1e-3, 32)]
+        assert all(r.failed.startswith("GeometryError: fold-over") for r in records)
+        assert all(r.steps == 0 for r in records)
+
     def test_programming_error_propagates(self, monkeypatch):
         # only solver and geometry failures become failed rows
         from filament import evolution

@@ -6,11 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 
+from filament import multipliers
 from filament.multipliers import (
+    EPSILON_MIN,
+    ForceMapStack,
     MultiplierTable,
     build_table,
+    check_epsilon,
     eval_mn,
     eval_mt,
+    force_map_for,
     low_band,
     lowk_rft_difference,
     rft_constants,
@@ -73,12 +78,43 @@ class TestZeroModeAndSymmetry:
         b = eval_mn(1e-4, np.arange(1, 100))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1, 1e-80, 9.99e-71, np.nan, np.inf])
     def test_epsilon_domain(self, bad):
         with pytest.raises(ValueError):
             eval_mt(bad, 1)
         with pytest.raises(ValueError):
             eval_mn(bad, 1)
+
+    def test_epsilon_domain_edges(self):
+        # [EPSILON_MIN, 1): finite and positive at the lower edge, where
+        # m_n would overflow a few decades further down
+        assert EPSILON_MIN == 1e-70
+        k = np.array([0, 1, 1000, 4096])
+        for m in (eval_mt(1e-70, k), eval_mn(1e-70, k)):
+            assert np.all(np.isfinite(m)) and np.all(m > 0.0)
+        assert eval_mt(1e-70, 1) == pytest.approx(mpmath_mt(1e-70, 1), rel=1e-15)
+        assert eval_mn(1e-70, 1) == pytest.approx(mpmath_mn(1e-70, 1), rel=1e-15)
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[1e-70, 1\), got 1.0$"):
+            rft_constants(1.0)
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[1e-70, 0.1\], got 0.2$"):
+            check_epsilon(0.2, cap=0.1)
+        assert check_epsilon(0.1, cap=0.1) == 0.1
+
+    @pytest.mark.parametrize("entry", [
+        lambda eps: eval_mt(eps, np.arange(9)), lambda eps: eval_mn(eps, np.arange(9)),
+        lambda eps: low_band(eps, np.arange(9)),
+        lambda eps: lowk_rft_difference(eps, np.arange(9), "normal"), rft_constants,
+        lambda eps: build_table(eps, 8), lambda eps: force_map_for("leps", eps, 32),
+        lambda eps: force_map_for("rft", eps, 32),
+    ], ids=["eval_mt", "eval_mn", "low_band", "lowk_rft_difference", "rft_constants",
+            "build_table", "force_map_for-leps", "force_map_for-rft"])
+    def test_each_entry_checks_epsilon_once(self, monkeypatch, entry):
+        calls = []
+        check = multipliers.check_epsilon
+        monkeypatch.setattr(multipliers, "check_epsilon",
+                            lambda *a, **kw: calls.append(a) or check(*a, **kw))
+        entry(1e-3)
+        assert calls == [(1e-3,)]
 
 
 class TestExtendedPrecisionOracle:
@@ -237,3 +273,19 @@ class TestTable:
         mt[3] = -1.0
         assert table.mt[3] == t.mt[3]
         assert not table.mt.flags.writeable and not table.mn.flags.writeable
+
+
+class TestForceMaps:
+    def test_force_map_for_checks_the_model(self):
+        with pytest.raises(ValueError, match=r"^model must be 'leps' or 'rft', got 'stokes'$"):
+            force_map_for("stokes", 1e-3, 32)
+        assert force_map_for("leps", 1e-3, 32).kmax == 16
+        assert force_map_for("rft", 1e-3, 32) == rft_constants(1e-3)
+
+    def test_stack_takes_the_leps_members_first(self):
+        with pytest.raises(ValueError, match="leps members of a force-map stack come first"):
+            ForceMapStack([rft_constants(1e-3), build_table(1e-3, 16)], 17)
+
+    def test_stack_needs_tables_over_the_spectrum(self):
+        with pytest.raises(ValueError, match="multiplier table shorter than the resolved spectrum"):
+            ForceMapStack([build_table(1e-3, 8)], 17)

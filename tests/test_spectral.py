@@ -162,6 +162,11 @@ class TestForceToVelocityMaps:
             out = apply_to_samples(apply_L_eps, curve, table, g)
             assert np.max(np.abs(out - table.mn[k] * g)) < 1e-10 * table.mn[k]
 
+    def test_table_must_cover_the_spectrum(self):
+        curve = PeriodicCurve.circle(32)
+        with pytest.raises(ValueError, match="multiplier table shorter than the resolved spectrum"):
+            apply_L_eps(curve, build_table(1e-3, 8), to_coeffs(curve.xss))
+
     def test_self_adjoint(self):
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
         table = build_table(1e-3, 64)
@@ -250,6 +255,29 @@ class TestCurves:
             PeriodicCurve(np.zeros((48, 3)))
         with pytest.raises(ValueError):
             PeriodicCurve(np.zeros((16, 3)))
+
+    @pytest.mark.parametrize("shape", [(32,), (32, 2), (1, 32, 3)])
+    def test_sample_shape_validated(self, shape):
+        with pytest.raises(ValueError, match=r"^curve samples must have shape \(n, 3\), got"):
+            PeriodicCurve(np.zeros(shape))
+
+    @pytest.mark.parametrize("mode", [0, -2, 1.5])
+    def test_perturbation_mode_validated(self, mode):
+        with pytest.raises(ValueError, match="^perturbation mode must be a positive integer"):
+            PeriodicCurve.perturbed_circle(32, mode, 0.05)
+
+    @pytest.mark.parametrize("n", [0, 2, 7])
+    def test_grid_needs_an_even_size_of_at_least_4(self, n):
+        with pytest.raises(ValueError, match=rf"^grid size must be even and >= 4, got {n}$"):
+            Grid(n)
+
+    def test_one_grid_size_rule(self):
+        # the config's `n` and a curve's samples take the same rule
+        assert spectral.check_grid_size("64") == 64
+        for n in ("48", "16"):
+            with pytest.raises(ValueError,
+                               match=rf"^grid size must be a power of two >= 32, got {n}$"):
+                spectral.check_grid_size(n)
 
     def test_nonfinite_rejected(self):
         samples = PeriodicCurve.circle(32).samples.copy()
