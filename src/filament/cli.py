@@ -201,9 +201,9 @@ def _cmd_tension_check(args):
 def _cmd_lemma_suite(args):
     from .experiments import lemma_suite
 
-    report = lemma_suite(args.epsilons, args.kmax)
+    report = lemma_suite(**{k: v for k, v in vars(args).items() if k in ("epsilons", "kmax")})
     write_json(args.out / "lemma_report.json", report)
-    return ({"epsilons": list(args.epsilons), "kmax": args.kmax},
+    return ({"epsilons": report["epsilons"], "kmax": report["kmax"]},
             {"fitted_constants": {k: v["constant"] for k, v in report["suites"].items()},
              "passed": report["passed"]},
             None if report["passed"] else "lemma suite failed; see lemma_report.json")
@@ -225,8 +225,9 @@ _COMMANDS = {
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--model": dict(type=_checked(check_model), default="leps")}),
     "lemma-suite": ("multiplier bound and coercivity suites", _cmd_lemma_suite, True, {
-        "--epsilons": dict(type=_checked(aspect_ratios), default="1e-2,1e-3,1e-4,1e-5"),
-        "--kmax": dict(type=_checked(count), default=4096)}),
+        # an option left out takes lemma_suite's default
+        "--epsilons": dict(type=_checked(aspect_ratios), default=argparse.SUPPRESS),
+        "--kmax": dict(type=_checked(count), default=argparse.SUPPRESS)}),
 }
 
 

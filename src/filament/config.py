@@ -18,7 +18,10 @@ from pathlib import Path
 from .multipliers import check_epsilon, check_model
 from .spectral import check_grid_size
 
-ENERGY_TOL = 1e-8  # a step raising the energy by more than this times E(0) is flagged
+ENERGY_TOL = 1e-8    # a step raising the energy by more than this times E(0) is flagged
+CG_TOL = 1e-10       # relative residual at which the tension CG stops
+INEXT_TOL = 1e-6     # a step's curve is resampled when max ||X_s| - 1| > INEXT_TOL / 2
+SNAPSHOT_EVERY = 20  # steps between the snapshots of a run or a sweep row
 
 
 class ConfigError(ValueError):
@@ -48,14 +51,19 @@ def aspect_ratio(raw):
     return check_epsilon(float(raw), cap=0.1)
 
 
+def strictly_decreasing(values):
+    """values as a tuple, if each is below the one before it."""
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"must be strictly decreasing, got {tuple(values)}")
+    return tuple(values)
+
+
 def aspect_ratios(raw):
     """A strictly decreasing comma-separated list of aspect ratios."""
     values = tuple(aspect_ratio(p) for p in raw.split(",") if p.strip())
     if not values:
         raise ValueError("must be a nonempty comma-separated list")
-    if any(a <= b for a, b in zip(values, values[1:])):
-        raise ValueError(f"must be strictly decreasing, got {values}")
-    return values
+    return strictly_decreasing(values)
 
 
 def curve_spec(raw):
@@ -104,10 +112,10 @@ class RunConfig:
     dt: positive = None
     rescaled_time: boolean = False
     initial_curve: curve_name = "circle"
-    inextensibility_tol: positive = 1e-6
-    cg_tol: positive = 1e-10
+    inextensibility_tol: positive = INEXT_TOL
+    cg_tol: positive = CG_TOL
     energy_tol: positive = ENERGY_TOL
-    snapshot_every: count = 20
+    snapshot_every: count = SNAPSHOT_EVERY
 
 
 @dataclass
@@ -116,9 +124,9 @@ class SweepConfig:
     horizon: positive = 0.5
     n: check_grid_size = 256
     initial_curve: curve_name = "perturbed-circle(3,0.05)"
-    snapshot_every: count = None
-    cg_tol: positive = 1e-10
-    inextensibility_tol: positive = 1e-6
+    snapshot_every: count = SNAPSHOT_EVERY
+    cg_tol: positive = CG_TOL
+    inextensibility_tol: positive = INEXT_TOL
     confirmation: boolean = False  # extra n=1024 run at eps=1e-4
 
     def rows(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import curve_spec
+from .config import CG_TOL, INEXT_TOL, curve_spec
 from .multipliers import ForceMapStack, MultiplierTable, RftConstants, force_map_for
 from .spectral import (
     CurveBatch,
@@ -52,6 +52,7 @@ H_HALF_HOM = SobolevIndex(0.5, homogeneous=True)
 POLICY_EVERY = 25    # steps between re-evaluations of a policy-timed dt
 RESAMPLE_EVERY = 20  # steps between arclength resamplings of a group
 HORIZON_PARTS = 50   # a policy-timed dt is at most horizon / HORIZON_PARTS
+TIME_RTOL = 1e-12    # times this close, relative to the later one, count as equal
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def dissipation_rate(problem, tension):
     Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
     curve, n = problem.curve, problem.curve.n
     zs = curve.grid.ik_pow[:, 4, None] * curve.coeffs - lift(curve, tension.values)
-    return mean_inner(from_coeffs(zs[0], n), from_coeffs(problem.apply_operator(zs)[0], n))
+    return mean_inner(from_coeffs(zs[0], n), from_coeffs(problem.force_map.apply(curve, zs)[0], n))
 
 
 def implicit_symbol(grid, force_map):
@@ -113,7 +114,7 @@ def implicit_symbol(grid, force_map):
     return lam
 
 
-def choose_dt(curve, force_map, cg_tol=1e-10, rescaled=False):
+def choose_dt(curve, force_map, cg_tol=CG_TOL, rescaled=False):
     """Default step size: dt ||G||_H2 <= 1e-2 ||X||_H2 at the initial state.
 
     With rescaled=True the bound is applied to the |log eps|-rescaled
@@ -150,8 +151,8 @@ class StepOptions:
     time_scale converts it to native model time (`lockstep` sets it from
     Group.rescaled)."""
 
-    cg_tol: float = 1e-10
-    inext_tol: float = 1e-6
+    cg_tol: float = CG_TOL
+    inext_tol: float = INEXT_TOL
     energy_tol_abs: float = np.inf
     time_scale: float = 1.0
 
@@ -220,8 +221,9 @@ def step_rft(state, dt, constants, **options):
 def initial_curve(name, n):
     """The curve a `curve_spec` name asks for on n points: PeriodicCurve's or its file's."""
     kind, *args = curve_spec(name)
-    if kind != "csv":
-        return getattr(PeriodicCurve, kind.replace("-", "_"))(n, *args)
+    if kind != "csv":  # a corpus curve that overflows is refused by its error alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            return getattr(PeriodicCurve, kind.replace("-", "_"))(n, *args)
     curve = read_curve_csv(args[0])
     if curve.n != n:
         raise ValueError(f"curve file has n={curve.n}, config asks n={n}")
@@ -232,7 +234,7 @@ def initial_curve(name, n):
 class Group:
     """Members stepped with one shared dt: a run is a group of one, a
     sweep row its two models.  The group runs from t = 0 while
-    t < end = horizon (1 - 1e-12), its last step shortened to land on the
+    t < end = horizon (1 - TIME_RTOL), its last step shortened to land on the
     horizon; after each step lockstep calls on_step(group, dt_step), so a
     callback reads the group without holding it (no reference cycle).
     options holds the members' tolerances; lockstep sets each member's
@@ -260,7 +262,7 @@ class Group:
 
     @property
     def end(self):
-        return self.horizon * (1.0 - 1e-12)
+        return self.horizon * (1.0 - TIME_RTOL)
 
 
 def _named(exc):

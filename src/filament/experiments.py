@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ENERGY_TOL
-from .evolution import (H2, HORIZON_PARTS, EvolutionState, Group, StepOptions, energy,
-                        initial_curve, lockstep)
+from .config import ENERGY_TOL, strictly_decreasing
+from .evolution import (H2, HORIZON_PARTS, TIME_RTOL, EvolutionState, Group, StepOptions,
+                        energy, initial_curve, lockstep)
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
 from .multipliers import (abs_log, build_table, eval_mn, eval_mt, low_band,
                           lowk_rft_difference, rft_constants)
@@ -149,8 +149,7 @@ def _pair(table, start, rft, sweep):
     # in the initial transient where the policy keeps dt small and the
     # discrepancy actually accumulates, plus at fixed time marks (running
     # sums of the interval) so the quiescent tail is covered too.
-    stride = 20 if sweep.snapshot_every is None else sweep.snapshot_every
-    next_snap = interval
+    stride, next_snap = sweep.snapshot_every, interval
     # (time, _discrepancy_row) per snapshot: a row is a few numbers, so
     # the rows of a batch keep no curves alive
     snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
@@ -161,9 +160,9 @@ def _pair(table, start, rft, sweep):
         x, y = group.states
         cg_iterations += x.diagnostics.cg_iterations
         t = x.time
-        if t >= group.end or group.steps % stride == 0 or t >= next_snap * (1.0 - 1e-12):
+        if t >= group.end or group.steps % stride == 0 or t >= next_snap * (1.0 - TIME_RTOL):
             snapshots.append((t, _discrepancy_row(x.curve, y.curve, table)))
-            while next_snap <= t * (1.0 + 1e-12):
+            while next_snap <= t * (1.0 + TIME_RTOL):
                 next_snap += interval
 
     def finish(group):
@@ -359,13 +358,11 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
 def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096):
     """All multiplier bound suites plus the coercivity random-field test.
 
-    Constants are fitted on the coarsest eps (first entry) and the same
-    values must bound the finer rows with 10% slack.  Returns a report
-    dict with fitted constants and pass flags.
+    epsilons must be strictly decreasing: constants are fitted on the
+    coarsest eps (first entry) and must bound the finer rows with 10%
+    slack.  Returns a report dict with fitted constants and pass flags.
     """
-    epsilons = tuple(epsilons)
-    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
+    epsilons = strictly_decreasing(epsilons)
     per_eps = {eps: _bound_suite_one_eps(eps, kmax) for eps in epsilons}
     coarse = per_eps[epsilons[0]]
     suites = {}

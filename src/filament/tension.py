@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CG_TOL
 from .multipliers import ForceMapStack, check_model
 from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
 
@@ -79,7 +80,7 @@ class TensionProblem:
     `constants`, which become the batch of one in `curve` and `force_map`;
     cg_tol, one for all or one per member, becomes one per member."""
 
-    def __init__(self, curve, model, table=None, constants=None, cg_tol=1e-10):
+    def __init__(self, curve, model, table=None, constants=None, cg_tol=CG_TOL):
         force_map = model
         if isinstance(model, str):
             force_map = table if check_model(model) == "leps" else constants
@@ -90,10 +91,6 @@ class TensionProblem:
             force_map = ForceMapStack([force_map], curve.grid.k.shape[0])
         self.curve, self.force_map = curve, force_map
         self.cg_tol = np.broadcast_to(np.asarray(cg_tol, dtype=float), (len(curve),))
-
-    def apply_operator(self, coeffs):
-        """The force-to-velocity map on rfft coefficients."""
-        return self.force_map.apply(self.curve, coeffs)
 
     def members(self, index):
         """The batched problem of the selected members (ascending, so the
@@ -120,14 +117,14 @@ def lift_adjoint(curve, coeffs):
 def apply_B(problem, tau):
     """Riesz representative of phi -> B(tau, phi) on the band, and the
     force-map output L[(tau X_s)_s] (rfft coefficients) it lifts back."""
-    l_tau = problem.apply_operator(lift(problem.curve, tau))
+    l_tau = problem.force_map.apply(problem.curve, lift(problem.curve, tau))
     return lift_adjoint(problem.curve, l_tau), l_tau
 
 
 def assemble_rhs(problem):
     """Riesz representative of phi -> int L[X_ssss] . (phi X_s)_s ds, and L[X_ssss]."""
     curve = problem.curve
-    l_xssss = problem.apply_operator(curve.grid.ik_pow[:, 4, None] * curve.coeffs)
+    l_xssss = problem.force_map.apply(curve, curve.grid.ik_pow[:, 4, None] * curve.coeffs)
     return lift_adjoint(curve, l_xssss), l_xssss
 
 

@@ -76,7 +76,7 @@ class TestAgainstSolo:
         # unfiltered noise reaches the modes above the cutoff and Nyquist
         coeffs = to_coeffs(np.random.default_rng(n).standard_normal((len(pairs), n, 3)), axis=-2)
         problem = batched(pairs)
-        got = problem.apply_operator(coeffs)
+        got = problem.force_map.apply(problem.curve, coeffs)
         for member, (curve, force_map), field in zip(got, pairs, coeffs):
             assert np.array_equal(member, apply_L(curve, force_map, field))
 
@@ -230,7 +230,8 @@ def test_problem_alone_is_a_batch_of_one(model, n):
                      (circle, rft_constants(1e-4))])
     coeffs = to_coeffs(np.random.default_rng(n).standard_normal((3, n, 3)), axis=-2)
     tau = dealias(np.random.default_rng(n + 1).standard_normal((3, n)), axis=-1)
-    pairs = [(alone.apply_operator(coeffs[1:2]), batch.apply_operator(coeffs)),
+    pairs = [(alone.force_map.apply(alone.curve, coeffs[1:2]),
+              batch.force_map.apply(batch.curve, coeffs)),
              *zip(apply_B(alone, tau[1]), apply_B(batch, tau)),
              *zip(assemble_rhs(alone), assemble_rhs(batch))]
     for got, want in pairs:

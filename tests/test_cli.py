@@ -334,6 +334,20 @@ class TestLemmaSuiteCommand:
         assert manifest["passed"]
         assert "coercivity" in manifest["fitted_constants"]
 
+    def test_defaults_are_the_library_defaults(self, tmp_path, monkeypatch):
+        # with neither option the command runs lemma_suite() and echoes
+        # what its report says, whatever its defaults are
+        from filament import experiments
+        from filament.spectral import write_json
+
+        monkeypatch.setattr(experiments.lemma_suite, "__defaults__", ((1e-2, 1e-3), 64))
+        out = tmp_path / "suite"
+        assert main(["lemma-suite", "--out", str(out)]) == 0
+        write_json(tmp_path / "want.json", experiments.lemma_suite())
+        assert (out / "lemma_report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["epsilons"], manifest["kmax"]) == ([1e-2, 1e-3], 64)
+
     def test_bad_epsilon_order_exit_1(self, tmp_path, capsys):
         assert main(["lemma-suite", "--epsilons", "1e-3,1e-2",
                      "--out", str(tmp_path / "s")]) == 1
@@ -390,6 +404,22 @@ snapshot_every = 5
         assert (block["eps"], block["steps"], block["dt"], block["snapshots"],
                 block["mean_cg_iterations"]) == (1e-2, 0, None, 0, None)
         assert block["failed"].startswith("SolverError: tension CG stalled")
+
+    def test_default_stride_is_echoed(self, tmp_path):
+        # the manifest echoes the stride the rows take: over this horizon
+        # the policy's steps are shorter than the time marks' interval, so
+        # a row has fewer snapshots than steps
+        rows = {}
+        for name, line in (("default", ""), ("stated", "snapshot_every = 20\n")):
+            config = write_config(tmp_path, TINY_SWEEP.replace("1e-5", "3e-3") + line,
+                                  name=f"{name}.cfg")
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config"]["snapshot_every"] == 20
+            rows[name] = manifest["rows"]
+        assert rows["default"] == rows["stated"]
+        (row,) = rows["default"]
+        assert 0 < row["snapshots"] < row["steps"]
 
     def test_jobs_leave_the_output_unchanged(self, tmp_path):
         # --jobs 2 steps the rows in two chunks, each one batch; every CSV

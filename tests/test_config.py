@@ -1,8 +1,13 @@
 """Tests for key=value config parsing and validation."""
 
+import inspect
+
 import pytest
 
 from filament.config import (
+    CG_TOL,
+    INEXT_TOL,
+    SNAPSHOT_EVERY,
     ConfigError,
     RunConfig,
     SweepConfig,
@@ -10,6 +15,9 @@ from filament.config import (
     parse_config,
     parse_sweep_config,
 )
+from filament.evolution import StepOptions, choose_dt, initial_curve
+from filament.multipliers import build_table
+from filament.tension import TensionProblem
 
 MINIMAL = "model = leps\nepsilon = 1e-3\nn = 64\nhorizon = 0.1\n"
 
@@ -174,3 +182,15 @@ class TestInitialCurve:
                 parse(text + f"initial_curve = {name}\n")
             assert "bad value for 'initial_curve'" in str(err.value)
             assert fragment in str(err.value)
+
+
+def test_each_default_has_one_home():
+    # every holder of a tolerance or stride default takes the one constant
+    assert (CG_TOL, INEXT_TOL, SNAPSHOT_EVERY) == (1e-10, 1e-6, 20)
+    for config in (RunConfig(), SweepConfig()):
+        assert config.cg_tol is CG_TOL and config.inextensibility_tol is INEXT_TOL
+        assert config.snapshot_every == SNAPSHOT_EVERY
+    assert StepOptions().cg_tol is CG_TOL and StepOptions().inext_tol is INEXT_TOL
+    assert inspect.signature(choose_dt).parameters["cg_tol"].default is CG_TOL
+    problem = TensionProblem(initial_curve("circle", 32), build_table(1e-2, 16))
+    assert problem.cg_tol.tolist() == [CG_TOL]

@@ -62,8 +62,10 @@ class TestLemmaSuite:
         )
 
     def test_epsilons_must_decrease(self):
-        with pytest.raises(ValueError):
+        # the rule of the config's and the command line's epsilon lists
+        with pytest.raises(ValueError) as err:
             lemma_suite((1e-3, 1e-2), kmax=64)
+        assert str(err.value) == "must be strictly decreasing, got (0.001, 0.01)"
 
     def test_report_serializes(self, tmp_path):
         report = lemma_suite((1e-2, 1e-3), kmax=64)
