@@ -195,7 +195,7 @@ def _cmd_tension_check(args):
     write_csv(args.out, ["s", "tau"], zip(np.arange(curve.n) / curve.n, tau.values))
     # a sidecar manifest lists everything it reports ahead of the versions
     return ({"epsilon": args.epsilon, "model": args.model, "n": curve.n,
-             "mean_tau": tau.mean, "cg_iterations": tau.iterations}, {}, None)
+             "mean_tau": float(np.mean(tau.values)), "cg_iterations": tau.iterations}, {}, None)
 
 
 def _cmd_lemma_suite(args):

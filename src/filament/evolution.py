@@ -13,12 +13,13 @@ A model enters only as its force map (see multipliers).  One loop,
 `lockstep`, steps groups of members: a run is a group of one, a sweep
 row the two models side by side with one dt.  Each step advances every
 member of every group as one array program with a member axis first
-(`_advance`): one batched tension solve, forcing and implicit update for
-all of them, each member getting the bits of its solo step.  Groups may
-share a member (a sweep's rows share their RFT member): the batch makes
-its calls once while they keep one dt.  A failing member raises for the
-whole batch, and `_batched` alone isolates it: it makes each distinct
-call of the batch alone, so only the groups with a failing member end.
+(`_advance`): one batched tension solve, forcing, implicit update and
+diagnostics (from the stacked tau samples) for all of them, each member
+getting the bits of its solo step.  Groups may share a member (a sweep's
+rows share their RFT member): the batch makes its calls once while they
+keep one dt.  A failing member raises for the whole batch, and
+`_batched` alone isolates it: it makes each distinct call of the batch
+alone, so only the groups with a failing member end.
 """
 
 import logging
@@ -88,12 +89,12 @@ def _energies(xss):
     return 0.5 * np.mean(np.sum(xss * xss, axis=-1), axis=-1)
 
 
-def dissipation(curve, tension):
-    """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s; a list with
-    one per member for a batch."""
+def dissipation(curve, tau):
+    """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s, from tau
+    samples; a list with one per member for a batch."""
     grid = curve.grid
     xsss = grid.ik_pow[:, 3, None] * curve.coeffs
-    product = to_coeffs(curve.tangent * tension.values[..., None], axis=-2)
+    product = to_coeffs(curve.tangent * tau[..., None], axis=-2)
     product[..., grid.above_band, :] = 0.0
     norm = sobolev_norm_coeffs(xsss - product, H_HALF_HOM, axis=-2)
     return norm ** 2 if xsss.ndim == 2 else [v ** 2 for v in norm.tolist()]
@@ -176,9 +177,9 @@ def _advance(states, force_maps, dts, options):
     for j, curve in zip(off, reparameterize_each([curves[j] for j in off])):
         curves[j] = curve
     # diagnostics, one array expression per quantity for all members
-    tension = TensionField.stack(tensions)
-    dissipations = dissipation(CurveBatch.of(curves), tension)
-    h12 = sobolev_norm_coeffs(to_coeffs(tension.values, axis=-1), H_HALF, axis=-1).tolist()
+    tau = np.array([t.values for t in tensions])
+    dissipations = dissipation(CurveBatch.of(curves), tau)
+    h12 = sobolev_norm_coeffs(to_coeffs(tau, axis=-1), H_HALF, axis=-1).tolist()
     energies = _energies(np.array([c.xss for c in curves])).tolist()
     new_states = []
     for j, (state, curve, e_new) in enumerate(zip(states, curves, energies)):
@@ -221,9 +222,8 @@ def step_rft(state, dt, constants, **options):
 def initial_curve(name, n):
     """The curve a `curve_spec` name asks for on n points: PeriodicCurve's or its file's."""
     kind, *args = curve_spec(name)
-    if kind != "csv":  # a corpus curve that overflows is refused by its error alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            return getattr(PeriodicCurve, kind.replace("-", "_"))(n, *args)
+    if kind != "csv":
+        return getattr(PeriodicCurve, kind.replace("-", "_"))(n, *args)
     curve = read_curve_csv(args[0])
     if curve.n != n:
         raise ValueError(f"curve file has n={curve.n}, config asks n={n}")

@@ -185,7 +185,6 @@ class ForceMapStack:
             raise ValueError("the leps members of a force-map stack come first")
         if any(t.kmax + 1 < size for t in tables):
             raise ValueError("multiplier table shorter than the resolved spectrum")
-        self.kmax = size - 1
         self.mt = np.array([t.mt[:size] for t in tables]).reshape(-1, size)
         self.mn = np.array([t.mn[:size] for t in tables]).reshape(-1, size)
         constants = np.array([(c.tangential, c.normal) for c in rfts]).reshape(-1, 2)

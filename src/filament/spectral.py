@@ -200,16 +200,20 @@ def curves_from_samples(samples):
     that computes a curve's fields: one rfft and one irfft call (the
     factors of grid.stack_factor) and one array expression per quantity
     for all members.  Raises check_grid_size's ValueError, and
-    GeometryError on non-finite samples."""
+    GeometryError on non-finite samples or fields that overflow (a speed
+    that is not finite)."""
     samples = np.array(samples, dtype=float)
     n = check_grid_size(samples.shape[1])
     if not np.all(np.isfinite(samples)):
         raise GeometryError("curve samples must be finite")
     grid = Grid.of_size(n)
-    coeffs = to_coeffs(samples, axis=-2)
-    stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], n, axis=-3)
-    stacks = np.ascontiguousarray(stacks.swapaxes(-2, -3))
-    speeds = np.sqrt(np.sum(stacks[:, 0] ** 2, axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        coeffs = to_coeffs(samples, axis=-2)
+        stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], n, axis=-3)
+        stacks = np.ascontiguousarray(stacks.swapaxes(-2, -3))
+        speeds = np.sqrt(np.sum(stacks[:, 0] ** 2, axis=-1))
+    if not np.all(np.isfinite(speeds)):
+        raise GeometryError("curve fields overflow: a speed is not finite")
     residuals = np.max(np.abs(speeds - 1.0), axis=-1).tolist()
     for array in (samples, coeffs, stacks, speeds):
         array.setflags(write=False)
@@ -270,7 +274,7 @@ def apply_L_eps(curve, table, coeffs, pt=None):
     b = T_mn (I - P) f: two projections, the first skipped when pt holds
     P f already."""
     size = curve.grid.k.shape[0]
-    if table.kmax + 1 < size:
+    if table.mt.shape[-1] < size:
         raise ValueError("multiplier table shorter than the resolved spectrum")
     if pt is None:
         pt = project_tangent(curve, coeffs)

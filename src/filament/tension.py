@@ -26,12 +26,12 @@ member rows, which reproduces np.dot bitwise).  A member that converges
 leaves the batch with its iterate, so it takes exactly the iterations
 it would take alone; the preconditioner's diagonal is built once per
 solve and leaves with the members.  A member that stalls or has a NaN
-residual raises SolverError for the whole batch (evolution._batched
-isolates it).  The solve also returns the velocity -(L[X_ssss] -
-L[(tau X_s)_s]) from its own force-map outputs: the right-hand side's
-L[X_ssss], and (L being linear) L[(tau X_s)_s] as the warm start's plus
-alpha_i L[(p_i X_s)_s] of each iteration, as CG tracks A x (Hestenes &
-Stiefel 1952).
+residual raises SolverError, its message giving the member's last
+residual, for the whole batch (evolution._batched isolates it).  The
+solve also returns the velocity -(L[X_ssss] - L[(tau X_s)_s]) from its
+own force-map outputs: the right-hand side's L[X_ssss], and (L being
+linear) L[(tau X_s)_s] as the warm start's plus alpha_i L[(p_i X_s)_s]
+of each iteration, as CG tracks A x (Hestenes & Stiefel 1952).
 """
 
 from dataclasses import dataclass
@@ -44,20 +44,16 @@ from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
 
 
 class SolverError(RuntimeError):
-    """Conjugate-gradient failure; carries the relative residual history."""
-
-    def __init__(self, message, residuals):
-        super().__init__(message)
-        self.residuals = list(residuals)
+    """Conjugate-gradient failure; the message gives the final relative
+    residual and the iteration count."""
 
 
 @dataclass(frozen=True)
 class TensionField:
-    """Scalar Lagrange multiplier samples on the curve's grid (with a
-    member axis first for a batch, see `stack`)."""
+    """Scalar Lagrange multiplier samples on the curve's grid, with the
+    CG iterations and final relative residual of the solve that found them."""
 
     values: np.ndarray
-    mean: float
     iterations: int = 0
     residual: float = 0.0
 
@@ -65,13 +61,7 @@ class TensionField:
     def from_values(cls, values, iterations=0, residual=0.0):
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
-        return cls(values, float(np.mean(values)), iterations, residual)
-
-    @classmethod
-    def stack(cls, tensions):
-        """The tensions of a batch's members as one field, member axis first."""
-        return cls(*(np.array([getattr(t, f) for t in tensions])
-                     for f in ("values", "mean", "iterations", "residual")))
+        return cls(values, iterations, residual)
 
 
 class TensionProblem:
@@ -144,10 +134,10 @@ def solve_tension(problem, initial=None):
     """Preconditioned CG for B tau = rhs on a batch of one; returns a
     TensionField.
 
-    Raises SolverError (with the residual history) if the relative
-    residual does not reach problem.cg_tol within 10 n iterations, or if
-    CG breaks down before: a residual left with only out-of-band
-    roundoff has r.z = 0 and cannot be reduced further.
+    Raises SolverError if the relative residual does not reach
+    problem.cg_tol within 10 n iterations, or if CG breaks down before: a
+    residual left with only out-of-band roundoff has r.z = 0 and cannot
+    be reduced further.
     """
     (tension,), _ = solve_tensions(problem, None if initial is None else [initial])
     return tension
@@ -181,7 +171,6 @@ def solve_tensions(problem, initial=None):
     tols = problem.cg_tol.tolist()
     diag = _preconditioner(problem)
     residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
-    history = [residual]  # each iteration's residuals, over the rows it had
     iterations = 0
     p = rz = None
     # The checks read the rows through tolist(), a tenth of the cost of a
@@ -200,9 +189,8 @@ def solve_tensions(problem, initial=None):
                 break
             # compact the batch to the members still iterating
             members, tols = [members[j] for j in keep], [tols[j] for j in keep]
-            rhs_norm, x, r, diag, l_rhs, lx = (
-                a[keep] for a in (rhs_norm, x, r, diag, l_rhs, lx))
-            history = [h[keep] for h in history]
+            rhs_norm, residual, x, r, diag, l_rhs, lx = (
+                a[keep] for a in (rhs_norm, residual, x, r, diag, l_rhs, lx))
             if p is not None:
                 p, rz = p[keep], rz[keep]
             problem = problem.members(keep)
@@ -210,29 +198,24 @@ def solve_tensions(problem, initial=None):
         rz_new = np.vecdot(r, z)
         ok = [iterations < 10 * n and v > 0.0 for v in rz_new.tolist()]
         if not all(ok):
-            raise _stalled(history, iterations, ok.index(False))
+            raise _stalled(residual, iterations, ok.index(False))
         p = z if p is None else z + (rz_new / rz)[:, None] * p
         rz = rz_new
         bp, lp = apply_B(problem, p)
         pbp = np.vecdot(p, bp)
         ok = [v > 0.0 for v in pbp.tolist()]
         if not all(ok):  # p.Bp underflowed: the iterate cannot move
-            raise _stalled(history, iterations, ok.index(False))
+            raise _stalled(residual, iterations, ok.index(False))
         alpha = (rz / pbp)[:, None]
         x = x + alpha * p
         lx = lx + alpha[..., None] * lp
         r = r - alpha * bp
         residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
-        history.append(residual)
         iterations += 1
     return tensions, velocity
 
 
-def _stalled(history, iterations, row):
-    """The SolverError of the given row of the batch."""
-    residuals = [float(h[row]) for h in history]
-    return SolverError(
-        f"tension CG stalled at relative residual {residuals[-1]:.3e} "
-        f"after {iterations} iterations",
-        residuals,
-    )
+def _stalled(residual, iterations, row):
+    """The SolverError of the given row of the batch's residuals."""
+    return SolverError(f"tension CG stalled at relative residual {float(residual[row]):.3e} "
+                       f"after {iterations} iterations")

@@ -524,6 +524,26 @@ class TestInputFiles:
         assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "tension-check"])
+    def test_curve_whose_fields_overflow_exit_1(self, tmp_path, capsys, command):
+        # a finite curve file whose speeds overflow is refused on reading,
+        # without numpy warnings: no solve, no output
+        from filament.spectral import PeriodicCurve, write_csv
+
+        curve = tmp_path / "huge.csv"
+        write_csv(curve, ["s", "x", "y", "z"],
+                  zip(np.arange(32) / 32, *(1e300 * PeriodicCurve.circle(32).samples).T))
+        out = tmp_path / ("out.csv" if command == "tension-check" else "out")
+        if command == "tension-check":
+            argv = ["--curve", str(curve), "--epsilon", "1e-2"]
+        else:
+            text = {"simulate": GOOD_CONFIG, "sweep": TINY_SWEEP}[command]
+            argv = ["--config", write_config(tmp_path, text.replace(
+                "perturbed-circle(2,0.03)", str(curve)))]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert "curve fields overflow: a speed is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "tension-check"])
     @pytest.mark.parametrize("sidecar", ["not-json", "directory"])
     def test_stray_curve_sidecar_ignored(self, tmp_path, command, sidecar):
         # the JSON sidecar of a curve file is simulate output and is never
@@ -566,7 +586,8 @@ class TestInputFiles:
         if case == "rows-swapped":
             lines[5], lines[6] = lines[6], lines[5]
             curve.write_text("".join(lines))
-        # corpus curves that pass the name check but cannot be built at n = 32
+        # corpus curves that pass the name check but cannot be built at n = 32:
+        # one folds over, the other overflows its fields
         corpus = {"fold-over": "perturbed-circle(2,5)", "newton-nan": "perturbed-circle(3,1e300)"}
         text = {"simulate": GOOD_CONFIG, "sweep": TINY_SWEEP}[command]
         text = text.replace("perturbed-circle(2,0.03)", corpus.get(case, str(curve)))
@@ -580,7 +601,7 @@ class TestInputFiles:
                 "confirmation": "curve file has n=32, config asks n=1024",
                 "rows-swapped": "line 6: s = 0.15625, expected j/n = 4/32 = 0.125",
                 "fold-over": "fold-over: min |X_s| <= 0.5",
-                "newton-nan": "arclength Newton did not converge in 50 iterations"}[case]
+                "newton-nan": "curve fields overflow: a speed is not finite"}[case]
         assert f"bad config file: {want}" in capsys.readouterr().err
         assert not out.exists()
 

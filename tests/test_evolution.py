@@ -50,14 +50,14 @@ class TestEnergyFunctionals:
         curve = PeriodicCurve.circle(128)
         problem = make_problem(curve, "leps", 1e-3)
         tau = solve_tension(problem)
-        assert dissipation(curve, tau) < 1e-12
+        assert dissipation(curve, tau.values) < 1e-12
         assert np.max(np.abs(velocity(problem, tau))) < 1e-6
 
     def test_dissipation_positive_off_equilibrium(self):
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
         problem = make_problem(curve, "leps", 1e-3)
         tau = solve_tension(problem)
-        assert dissipation(curve, tau) > 1e-3
+        assert dissipation(curve, tau.values) > 1e-3
         assert dissipation_rate(problem, tau) > 0.0
 
 

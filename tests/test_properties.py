@@ -4,22 +4,30 @@ example budget so that the suite stays deterministic.
 Every eps the config accepts gives finite positive multipliers; any
 config text and option values give exit code 0, 1 or 2 from the CLI,
 never a traceback, with no output on exit 1 and a manifest on a
-simulate or sweep exit 2; a curve CSV reads back bit for bit.
+simulate or sweep exit 2; a curve CSV reads back bit for bit.  On
+random band-limited curves, a batch of members (both models, any
+accepted eps, cold and warm starts) gets the bits of each member's solo
+tension solve and step, and a step gives finite samples or raises
+SolverError or GeometryError.
 """
 
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from filament.cli import main
-from filament.config import RunConfig, SweepConfig, aspect_ratio
-from filament.multipliers import eval_mn, eval_mt
-from filament.spectral import PeriodicCurve, read_curve_csv, write_curve_csv
+from filament.config import CG_TOL, RunConfig, SweepConfig, aspect_ratio
+from filament.evolution import EvolutionState, StepOptions, _advance, _step
+from filament.multipliers import ForceMapStack, eval_mn, eval_mt, force_map_for
+from filament.spectral import (CurveBatch, GeometryError, PeriodicCurve, read_curve_csv,
+                               write_curve_csv)
+from filament.tension import SolverError, TensionField, TensionProblem, solve_tensions
 
 
 def budget(examples):
@@ -159,3 +167,106 @@ def test_curve_csv_round_trip_is_bit_exact(samples):
         write_curve_csv(curve, path)
         back = read_curve_csv(path)
     assert back.samples.tobytes() == curve.samples.tobytes()
+
+
+N = 32  # grid size of the stepping properties
+
+
+@st.composite
+def band_limited_curve(draw):
+    """The unit-length circle plus random modes 1..4 in each coordinate
+    (amplitude up to 0.01/k, 0.03/k or 0.1/k), as PeriodicCurve takes it:
+    near arclength or far from it, and some folding over."""
+    size = draw(st.sampled_from([0.01, 0.03, 0.1]))
+    modes = size * draw(arrays(np.float64, (4, 2, 3), elements=st.floats(-1.0, 1.0)))
+    phase = 2 * np.pi * np.arange(N) / N
+    samples = PeriodicCurve.circle(N).samples.copy()
+    for k, (a, b) in enumerate(modes, start=1):
+        samples += (np.cos(k * phase)[:, None] * a + np.sin(k * phase)[:, None] * b) / k
+    return PeriodicCurve(samples)
+
+
+@st.composite
+def member(draw):
+    """(curve, force map, warm start or None, dt, StepOptions) of one
+    batch member: either model, eps in the accepted domain [1e-70, 0.1],
+    a cold or warm start, native or rescaled time, and a CG tolerance
+    that is met or one that stalls (1e-30)."""
+    force_map = force_map_for(draw(st.sampled_from(["leps", "rft"])),
+                              10.0 ** draw(st.floats(-70.0, -1.0)), N)
+    warm = draw(st.none() | arrays(np.float64, N, elements=st.floats(-50.0, 10.0)))
+    rescaled = draw(st.booleans())
+    options = StepOptions(cg_tol=draw(st.sampled_from([CG_TOL] * 4 + [1e-30])),
+                          time_scale=1.0 / force_map.log_eps if rescaled else 1.0)
+    dt = 10.0 ** draw(st.floats(-8.0, -5.0))
+    return draw(band_limited_curve()), force_map, warm, dt, options
+
+
+def start(curve, warm):
+    """The state of curve at t = 0, warm (if not None) its lagged tension."""
+    return EvolutionState(curve, 0.0, None if warm is None else TensionField.from_values(warm))
+
+
+def outcomes(function, calls):
+    """function's result on each call, or the SolverError or GeometryError
+    it raised."""
+    results = []
+    for args in calls:
+        try:
+            results.append(function(*args))
+        except (SolverError, GeometryError) as exc:
+            results.append(exc)
+    return results
+
+
+@budget(30)
+@given(st.lists(member(), min_size=1, max_size=4))
+def test_batched_tension_solve_equals_solo(members):
+    members.sort(key=lambda m: m[1].model != "leps")  # a batch takes leps members first
+    curves, maps, warm, _, options = zip(*members)
+    tols = [o.cg_tol for o in options]
+    solo = outcomes(solve_tensions, [(TensionProblem(c, m, cg_tol=tol), [w])
+                                     for c, m, w, tol in zip(curves, maps, warm, tols)])
+    batch = TensionProblem(CurveBatch.of(curves), ForceMapStack(maps, N // 2 + 1), cg_tol=tols)
+    failures = [str(r) for r in solo if isinstance(r, SolverError)]
+    if failures:  # the batch raises a failing member's error
+        with pytest.raises(SolverError) as err:
+            solve_tensions(batch, warm)
+        assert str(err.value) in failures
+        return
+    tensions, velocities = solve_tensions(batch, warm)
+    for got, velocity, ((want,), (want_velocity,)) in zip(tensions, velocities, solo):
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(velocity, want_velocity)
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
+@budget(30)
+@given(st.lists(member(), min_size=1, max_size=4))
+def test_batched_step_equals_solo(members):
+    members.sort(key=lambda m: m[1].model != "leps")
+    curves, maps, warm, dts, options = zip(*members)
+    states = list(map(start, curves, warm))
+    solo = outcomes(lambda state, dt, m, o: _step(state, dt, m, **asdict(o)),
+                    zip(states, dts, maps, options))
+    failures = [repr(r) for r in solo if isinstance(r, Exception)]
+    if failures:  # the batch raises a failing member's error
+        with pytest.raises((SolverError, GeometryError)) as err:
+            _advance(states, maps, dts, options)
+        assert repr(err.value) in failures
+        return
+    for got, want in zip(_advance(states, maps, dts, options), solo):
+        assert np.array_equal(got.curve.samples, want.curve.samples)
+        assert np.array_equal(got.tension.values, want.tension.values)
+        assert np.array_equal(astuple(got.diagnostics), astuple(want.diagnostics))
+
+
+@budget(40)
+@given(member())
+def test_step_gives_finite_samples_or_raises(one):
+    curve, force_map, warm, dt, options = one
+    try:
+        new = _step(start(curve, warm), dt, force_map, **asdict(options))
+    except (SolverError, GeometryError):
+        return
+    assert np.all(np.isfinite(new.curve.samples))

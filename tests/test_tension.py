@@ -7,6 +7,8 @@ tension system, and solves it directly — a code path sharing nothing
 with the matrix-free FFT implementation beyond the conventions.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -282,13 +284,16 @@ class TestConstraintEnforcement:
 
 
 class TestSolverInterface:
-    def test_solver_error_carries_history(self):
+    def test_solver_error_gives_final_residual(self):
         curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
         problem = make_problem(curve, "leps", 1e-3, cg_tol=1e-30)
         with pytest.raises(SolverError) as err:
             solve_tension(problem)
-        assert len(err.value.residuals) >= 2
-        assert err.value.residuals[0] > 0.0
+        residual, iterations = re.fullmatch(
+            r"tension CG stalled at relative residual (\S+) after (\d+) iterations",
+            str(err.value)).groups()
+        assert float(residual) > 0.0
+        assert int(iterations) >= 1
 
     def test_step_length_breakdown_is_a_stall(self):
         # far past convergence p.Bp underflows to 0: a stall, not a
@@ -302,9 +307,8 @@ class TestSolverInterface:
         # a NaN residual is not below the tolerance: no NaN tension
         # comes back as converged
         problem = TensionProblem(PeriodicCurve.trefoil(64), build_table(1e-2, 32))
-        with pytest.raises(SolverError, match="stalled") as err:
+        with pytest.raises(SolverError, match="stalled at relative residual nan "):
             solve_tension(problem, np.full(64, np.nan))
-        assert np.isnan(err.value.residuals[-1])
 
     def test_problem_validation(self):
         curve = PeriodicCurve.circle(32)
@@ -326,9 +330,8 @@ class TestSolverInterface:
             assert len(problem.curve) == 1 and len(problem.force_map.maps) == 1
             assert problem.cg_tol.shape == (1,)
 
-    def test_field_immutable_with_mean(self):
+    def test_field_immutable(self):
         field = TensionField.from_values(np.arange(4.0))
-        assert field.mean == 1.5
         with pytest.raises(ValueError):
             field.values[0] = 7.0
 

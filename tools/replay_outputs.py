@@ -15,7 +15,10 @@ OUT/multiplier-dump/, and three `simulate` calls at n = 32, each with
 the config it writes first: the rft model with the dt policy into
 OUT/simulate-rft-n32/, the leps model with a fixed dt into
 OUT/simulate-leps-n32-dt/, and the same with cg_tol = 1e-30, whose
-first tension solve stalls, into OUT/simulate-leps-n32-stall/.  A call
+first tension solve stalls, into OUT/simulate-leps-n32-stall/.  Last,
+a `sweep` at n = 64 with `confirmation = true` (eps = 1e-2, 1e-3, 1e-4
+and the n = 1024 row, a second grid size and a second batch) goes into
+OUT/sweep-confirmation/.  A call
 must exit with its code in EXIT_CODES (0 if it has none); the script
 exits 1 if any does not.  Each replay runs in a fresh interpreter with
 BLAS and OpenMP pinned to one thread, as in the benchmark.  The
@@ -47,6 +50,9 @@ EXTRA_CALLS = {
     "simulate-leps-n32-stall": (["simulate", "--config", "stall.cfg", "--out", "out/simulate"], {
         "stall.cfg": "model = leps\nepsilon = 1e-3\nn = 32\nhorizon = 2e-5\ndt = 2e-7\n"
                      "cg_tol = 1e-30\ninitial_curve = perturbed-circle(3,0.05)\n"}),
+    "sweep-confirmation": (["sweep", "--config", "confirm.cfg", "--out", "out/sweep"], {
+        "confirm.cfg": "epsilons = 1e-2, 1e-3, 1e-4\nn = 64\nhorizon = 2e-4\n"
+                       "confirmation = true\n"}),
 }
 # replay name: its declared exit code, for the calls that must fail
 EXIT_CODES = {"simulate-leps-n32-stall": 2}
