@@ -11,10 +11,13 @@ runner serves every subcommand: it refuses to overwrite an existing
 output without --force before any work, creates the output directory
 (a file output's parent), times the run and writes the JSON manifest
 (command, config echo, versions, wall time for directory outputs,
-results).  Logging level comes from FILAMENT_LOG (error | info | debug).
+results).  The argument parser holds no per-call state, so it is built
+once per process and reused by every call of main.  Logging level comes
+from FILAMENT_LOG (error | info | debug).
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -92,7 +95,8 @@ def _config_file(parse, sizes):
     """An argparse type: the config read by parse, and its initial curve at each n in sizes."""
     def read(path):
         config = parse(path.read_text())
-        return config, [initial_curve(config.initial_curve, n) for n in sizes(config)]
+        return config, [initial_curve(config.initial_curve, n, config.inextensibility_tol)
+                        for n in sizes(config)]
     return _input_file("config", read)
 
 
@@ -231,6 +235,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="filament",
                      description="Inextensible filament dynamics toolkit")

@@ -219,14 +219,20 @@ def step_rft(state, dt, constants, **options):
     return _step(state, dt, constants, **options)
 
 
-def initial_curve(name, n):
-    """The curve a `curve_spec` name asks for on n points: PeriodicCurve's or its file's."""
+def initial_curve(name, n, inext_tol=INEXT_TOL):
+    """The curve a `curve_spec` name asks for on n points: PeriodicCurve's or its file's.
+    A file's curve must have length 1 to within inext_tol, the length to
+    which resampling rescales every stepped curve."""
     kind, *args = curve_spec(name)
     if kind != "csv":
         return getattr(PeriodicCurve, kind.replace("-", "_"))(n, *args)
     curve = read_curve_csv(args[0])
     if curve.n != n:
         raise ValueError(f"curve file has n={curve.n}, config asks n={n}")
+    length = float(np.mean(curve.speed))
+    if not abs(length - 1.0) <= inext_tol:
+        raise ValueError(f"curve file has length {length!r}, not 1 to within "
+                         f"inextensibility_tol = {inext_tol!r}")
     return curve
 
 

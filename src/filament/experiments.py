@@ -190,7 +190,8 @@ def _study_worker(sweep, tasks):
     for n, rows in itertools.groupby(tasks, key=lambda task: task[1]):
         epsilons = [eps for eps, _ in rows]
         try:
-            start = EvolutionState(initial_curve(sweep.initial_curve, n), 0.0)
+            curve = initial_curve(sweep.initial_curve, n, sweep.inextensibility_tol)
+            start = EvolutionState(curve, 0.0)
         except GeometryError as exc:
             records += [DiscrepancyRecord(eps=eps, n=n, failed=_named(exc)) for eps in epsilons]
             continue

@@ -29,6 +29,7 @@ GeometryError of one member is raised for the whole batch.
 """
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -418,12 +419,20 @@ def _cell_format(value):
 
 def write_csv(path, header, rows):
     """Every CSV file of the package, lines ending in CRLF as csv.writer
-    ends them.  The cells are numbers and never need quoting, so a row is
-    written by one %-format."""
+    ends them.  The cells are numbers and never need quoting, so the body
+    is one %-format over all cells: rows may differ in length and cell
+    types, and each tuple of cell types gets its row format once."""
+    formats, lines, cells = {}, [], []
+    for row in rows:
+        key = tuple(map(type, row))
+        line = formats.get(key)
+        if line is None:
+            line = formats[key] = ",".join(map(_cell_format, row)) + "\r\n"
+        lines.append(line)
+        cells += row
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for row in rows:
-            fh.write(",".join(map(_cell_format, row)) % tuple(row) + "\r\n")
+        fh.write("".join(lines) % tuple(cells))
 
 
 def write_json(path, payload):
@@ -443,6 +452,8 @@ def write_curve_csv(curve, path, *, epsilon=None, time=0.0, model=None):
 
 def read_curve_csv(path):
     """Load the PeriodicCurve of a curve CSV; its JSON sidecar is not read.
+    Every cell is converted by float(), so a cell reads as exactly what
+    float() makes of it, and a cell it refuses is reported with its line.
     Row j of n must have s = j/n to within 1e-9, so rows out of order or
     missing are rejected."""
     rows, lines = [], []
@@ -459,9 +470,10 @@ def read_curve_csv(path):
                                  f"got {len(row)}")
             rows.append(row)
             lines.append(reader.line_num)
-    # numpy converts each cell with float(), in one call for the file
+    # each cell goes through float(), in one C-level pass for the file
     try:
-        table = np.array(rows, dtype=float).reshape(-1, 4)
+        table = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
+                            count=4 * len(rows)).reshape(-1, 4)
     except ValueError:  # name the line of the first cell that is not a number
         for row, line in zip(rows, lines):
             try:

@@ -147,6 +147,22 @@ class TestSimulate:
         curves = sorted(out.glob("curve_*.csv"))
         assert curves  # snapshots written
 
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-3"])
+    def test_snapshots_reload_as_initial_curves(self, tmp_path, tol):
+        # every snapshot passes the initial-curve check under the run's own
+        # tolerance: each step's curve is resampled to length 1 once its
+        # speeds stray more than half the tolerance from 1
+        from filament.evolution import initial_curve
+
+        text = GOOD_CONFIG.replace("horizon = 2e-6", "horizon = 1e-5")
+        config = write_config(tmp_path, text + f"inextensibility_tol = {tol}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        snapshots = sorted(out.glob("curve_*.csv"))
+        assert len(snapshots) == 11
+        for path in snapshots:
+            assert initial_curve(str(path), 32, float(tol)).n == 32
+
     def test_refuses_rerun_without_force(self, tmp_path):
         config = write_config(tmp_path, GOOD_CONFIG)
         out = tmp_path / "run"
@@ -571,11 +587,12 @@ class TestInputFiles:
         ("simulate", "bad-header"), ("simulate", "other-n"), ("simulate", "rows-swapped"),
         ("sweep", "bad-header"), ("sweep", "other-n"), ("sweep", "rows-swapped"),
         ("sweep", "confirmation"), ("simulate", "fold-over"), ("simulate", "newton-nan"),
-        ("sweep", "fold-over"), ("sweep", "newton-nan")])
+        ("sweep", "fold-over"), ("sweep", "newton-nan"), ("simulate", "wrong-length"),
+        ("sweep", "wrong-length")])
     def test_csv_initial_curve_checked_with_config(self, tmp_path, capsys, command, case):
         # every initial curve is built with the config, a CSV one read:
         # no run, no output (the sweep's confirmation row needs n = 1024)
-        from filament.spectral import PeriodicCurve, write_curve_csv
+        from filament.spectral import PeriodicCurve, write_csv, write_curve_csv
 
         curve = tmp_path / "curve.csv"
         write_curve_csv(PeriodicCurve.circle(64 if case == "other-n" else 32), curve,
@@ -586,6 +603,11 @@ class TestInputFiles:
         if case == "rows-swapped":
             lines[5], lines[6] = lines[6], lines[5]
             curve.write_text("".join(lines))
+        # a circle of length 1e-3, which no step could keep: the resampler
+        # rescales every stepped curve to length 1
+        small = PeriodicCurve(1e-3 * PeriodicCurve.circle(32).samples)
+        if case == "wrong-length":
+            write_csv(curve, ["s", "x", "y", "z"], zip(np.arange(32) / 32, *small.samples.T))
         # corpus curves that pass the name check but cannot be built at n = 32:
         # one folds over, the other overflows its fields
         corpus = {"fold-over": "perturbed-circle(2,5)", "newton-nan": "perturbed-circle(3,1e300)"}
@@ -601,9 +623,44 @@ class TestInputFiles:
                 "confirmation": "curve file has n=32, config asks n=1024",
                 "rows-swapped": "line 6: s = 0.15625, expected j/n = 4/32 = 0.125",
                 "fold-over": "fold-over: min |X_s| <= 0.5",
-                "newton-nan": "curve fields overflow: a speed is not finite"}[case]
+                "newton-nan": "curve fields overflow: a speed is not finite",
+                "wrong-length": f"curve file has length {float(np.mean(small.speed))!r}, "
+                                "not 1 to within inextensibility_tol = 1e-06"}[case]
         assert f"bad config file: {want}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    """main reuses one parser: no call sees another call's options."""
+
+    def test_option_left_out_takes_its_default(self, tmp_path):
+        argv, manifest = tiny_call(tmp_path, "tension-check")
+        assert main([*argv, "--model", "rft"]) == 0
+        assert json.loads(manifest.read_text())["model"] == "rft"
+        assert main([*argv, "--force"]) == 0
+        assert json.loads(manifest.read_text())["model"] == "leps"
+
+    def test_suppressed_option_stays_unset(self, tmp_path, monkeypatch):
+        from filament import experiments
+
+        monkeypatch.setattr(experiments.lemma_suite, "__defaults__", ((1e-2, 1e-3), 64))
+        out = tmp_path / "suite"
+        assert main(["lemma-suite", "--kmax", "8", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["kmax"] == 8
+        assert main(["lemma-suite", "--out", str(out), "--force"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["kmax"] == 64
+
+    def test_parse_error_between_good_calls(self, tmp_path, capsys):
+        argv, manifest = tiny_call(tmp_path, "tension-check")
+        out = tmp_path / "out.csv"
+        assert main(argv) == 0
+        first = out.read_bytes()
+        bad = [*argv, "--model", "stokes", "--force"]
+        assert main(bad) == 1
+        assert "--model" in capsys.readouterr().err
+        assert main([*argv, "--force"]) == 0
+        assert out.read_bytes() == first
+        assert json.loads(manifest.read_text())["model"] == "leps"
 
 
 class TestRunner:

@@ -196,6 +196,24 @@ class TestInitialCurveParsing:
         with pytest.raises(ValueError):
             initial_curve(str(path), 128)
 
+    @pytest.mark.parametrize("scale,tol,accepted", [
+        (1 + 4e-7, 1e-6, True), (1 + 2e-6, 1e-6, False), (1 - 2e-6, 1e-6, False),
+        (1 + 2e-6, 1e-5, True), (1e-3, 1e-6, False)])
+    def test_csv_length_within_tolerance(self, tmp_path, scale, tol, accepted):
+        # a file's curve has length 1 to within the tolerance, the length
+        # to which resampling rescales every stepped curve
+        from filament.spectral import write_csv
+
+        path = tmp_path / "c.csv"
+        write_csv(path, ["s", "x", "y", "z"],
+                  zip(np.arange(64) / 64, *(scale * PeriodicCurve.circle(64).samples).T))
+        if accepted:
+            assert initial_curve(str(path), 64, tol).n == 64
+        else:
+            with pytest.raises(ValueError, match=r"^curve file has length [0-9.e-]+, not 1 "
+                                                 rf"to within inextensibility_tol = {tol!r}$"):
+                initial_curve(str(path), 64, tol)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             initial_curve("helix", 64)

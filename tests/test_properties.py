@@ -4,13 +4,16 @@ example budget so that the suite stays deterministic.
 Every eps the config accepts gives finite positive multipliers; any
 config text and option values give exit code 0, 1 or 2 from the CLI,
 never a traceback, with no output on exit 1 and a manifest on a
-simulate or sweep exit 2; a curve CSV reads back bit for bit.  On
+simulate or sweep exit 2; a curve CSV reads back bit for bit, and the
+CSV writer and reader give the bytes, bits and messages of the per-row
+writer and the np.array reader they replaced.  On
 random band-limited curves, a batch of members (both models, any
 accepted eps, cold and warm starts) gets the bits of each member's solo
 tension solve and step, and a step gives finite samples or raises
 SolverError or GeometryError.
 """
 
+import csv
 import tempfile
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -25,8 +28,8 @@ from filament.cli import main
 from filament.config import CG_TOL, RunConfig, SweepConfig, aspect_ratio
 from filament.evolution import EvolutionState, StepOptions, _advance, _step
 from filament.multipliers import ForceMapStack, eval_mn, eval_mt, force_map_for
-from filament.spectral import (CurveBatch, GeometryError, PeriodicCurve, read_curve_csv,
-                               write_curve_csv)
+from filament.spectral import (CurveBatch, GeometryError, PeriodicCurve, _cell_format,
+                               read_curve_csv, write_csv, write_curve_csv)
 from filament.tension import SolverError, TensionField, TensionProblem, solve_tensions
 
 
@@ -167,6 +170,134 @@ def test_curve_csv_round_trip_is_bit_exact(samples):
         write_curve_csv(curve, path)
         back = read_curve_csv(path)
     assert back.samples.tobytes() == curve.samples.tobytes()
+
+
+def write_csv_per_row(path, header, rows):
+    """The per-row CSV writer that write_csv replaced: the reference of its bytes."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for row in rows:
+            fh.write(",".join(map(_cell_format, row)) % tuple(row) + "\r\n")
+
+
+def read_curve_csv_np_array(path):
+    """The curve reader that read_curve_csv replaced, converting the cells
+    with one np.array call: the reference of its bits and messages."""
+    rows, lines = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if [h.strip() for h in header] != ["s", "x", "y", "z"]:
+            raise ValueError(f"unexpected curve CSV header: {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"line {reader.line_num}: expected 4 columns s,x,y,z, "
+                                 f"got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+    try:
+        table = np.array(rows, dtype=float).reshape(-1, 4)
+    except ValueError:
+        for row, line in zip(rows, lines):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+        raise
+    n = len(table)
+    off = np.flatnonzero(~(np.abs(table[:, 0] - np.arange(n) / n) <= 1e-9)).tolist()
+    if off:
+        j = off[0]
+        raise ValueError(f"line {lines[j]}: s = {float(table[j, 0])!r}, "
+                         f"expected j/n = {j}/{n} = {j / n!r}")
+    return PeriodicCurve(table[:, 1:])
+
+
+NUMBER = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+CELL = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                 st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), NUMBER,
+                 NUMBER.map(np.float64))
+
+
+@budget(150)
+@given(st.lists(st.lists(CELL, max_size=6).flatmap(lambda row: st.sampled_from([row, tuple(row)])),
+                max_size=12))
+@example([[7, np.int64(-3)], (True, False), [float("nan"), -np.inf, 5e-324, np.float64(-1e-310)],
+          [], [1.0]])
+def test_csv_writer_equals_per_row_writer(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_csv(got, ["a", "b"], rows)
+        write_csv_per_row(want, ["a", "b"], rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+DIGITS = [str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"),
+          str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")]
+SPACES = ["", " ", "\t", "  ", "\u2003"]
+SPECIAL = ["nan", "inf", "-inf", "+Infinity", "abc", "", "1.0.0", "1__0", "0x1p-2", ' "0.5"']
+
+
+def spelled(value, style):
+    """value as a cell spelled by the bits of style: repr or %.17g, a +
+    sign, an underscore between two digits, non-ASCII digits, spaces
+    around and quotes around those."""
+    text = repr(value) if style & 1 else "%.17g" % value
+    if style & 2 and not text.startswith("-"):
+        text = "+" + text
+    if style & 4:
+        at = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+        if at:
+            i = at[(style >> 9) % len(at)]
+            text = text[:i] + "_" + text[i:]
+    if style & 8:
+        text = text.translate(DIGITS[(style >> 4) & 1])
+    text = SPACES[(style >> 6) % 5] + text + SPACES[(style >> 9) % 5]
+    return f'"{text}"' if style & 32 else text
+
+
+@st.composite
+def curve_file_text(draw):
+    """The text of a 32-point circle's curve file with random cell
+    spellings, blank lines, line endings, and maybe a ragged row or a
+    cell that is no number."""
+    n = 32
+    table = np.column_stack([np.arange(n) / n, PeriodicCurve.circle(n).samples]).tolist()
+    styles = draw(st.lists(st.integers(0, 2 ** 12 - 1), min_size=4 * n, max_size=4 * n))
+    lines = [",".join(spelled(v, styles[4 * j + i]) for i, v in enumerate(row))
+             for j, row in enumerate(table)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    edit = draw(st.sampled_from([None, None, "ragged", "special"]))
+    if edit is not None:
+        j = draw(st.integers(0, len(lines) - 1))
+        cells = lines[j].split(",")
+        if edit == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(SPECIAL))
+        lines[j] = ",".join(cells)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([draw(st.sampled_from(["s,x,y,z", " s , x , y , z"])), *lines]) + eol
+
+
+def read_outcome(read, path):
+    """The samples' bytes read from path, or the type and message of the refusal."""
+    try:
+        return read(path).samples.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@budget(150)
+@given(curve_file_text())
+def test_curve_reader_equals_np_array_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_outcome(read_curve_csv, path) == read_outcome(read_curve_csv_np_array, path)
 
 
 N = 32  # grid size of the stepping properties

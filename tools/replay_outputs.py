@@ -15,10 +15,12 @@ OUT/multiplier-dump/, and three `simulate` calls at n = 32, each with
 the config it writes first: the rft model with the dt policy into
 OUT/simulate-rft-n32/, the leps model with a fixed dt into
 OUT/simulate-leps-n32-dt/, and the same with cg_tol = 1e-30, whose
-first tension solve stalls, into OUT/simulate-leps-n32-stall/.  Last,
+first tension solve stalls, into OUT/simulate-leps-n32-stall/.  Then
 a `sweep` at n = 64 with `confirmation = true` (eps = 1e-2, 1e-3, 1e-4
 and the n = 1024 row, a second grid size and a second batch) goes into
-OUT/sweep-confirmation/.  A call
+OUT/sweep-confirmation/.  Last, `tension-check` on a curve file written
+as a person might write it (HAND_CURVE), which covers the reader's edge
+cases, goes into OUT/tension-check-hand/.  A call
 must exit with its code in EXIT_CODES (0 if it has none); the script
 exits 1 if any does not.  Each replay runs in a fresh interpreter with
 BLAS and OpenMP pinned to one thread, as in the benchmark.  The
@@ -29,6 +31,7 @@ two replays compare whole, manifests included, with
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +39,12 @@ from pathlib import Path
 
 WORKLOADS = ("sweep", "simulate_n1024", "tension_check")
 SEEDS = (0, 1)
+# The circle of length 1 at n = 32 as a curve file a person might write:
+# LF line endings, spaces around the cells, signed cells and one blank line.
+HAND_CURVE = "s , x , y , z\n" + "".join(
+    f" {j / 32} , {math.cos(math.pi * j / 16) / (2 * math.pi):+.6f} ,"
+    f" {math.sin(math.pi * j / 16) / (2 * math.pi):+.6f} , 0\n" + "\n" * (j == 15)
+    for j in range(32))
 # name: (CLI call, {input file: its text})
 EXTRA_CALLS = {
     "lemma-suite": (["lemma-suite", "--out", "out"], {}),
@@ -53,6 +62,8 @@ EXTRA_CALLS = {
     "sweep-confirmation": (["sweep", "--config", "confirm.cfg", "--out", "out/sweep"], {
         "confirm.cfg": "epsilons = 1e-2, 1e-3, 1e-4\nn = 64\nhorizon = 2e-4\n"
                        "confirmation = true\n"}),
+    "tension-check-hand": (["tension-check", "--curve", "hand.csv", "--epsilon", "1e-3",
+                            "--out", "out/tau.csv"], {"hand.csv": HAND_CURVE}),
 }
 # replay name: its declared exit code, for the calls that must fail
 EXIT_CODES = {"simulate-leps-n32-stall": 2}
