@@ -225,7 +225,9 @@ _COMMANDS = {
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--kmax": dict(required=True, type=_checked(count))}),
     "tension-check": ("solve the tension problem on a stored curve", _cmd_tension_check, False, {
-        "--curve": dict(required=True, type=_input_file("curve", read_curve_csv)),
+        # read_curve_csv is looked up per call, so a rebinding of the name reaches it
+        "--curve": dict(required=True,
+                        type=_input_file("curve", lambda path: read_curve_csv(path))),
         "--epsilon": dict(required=True, type=_checked(aspect_ratio)),
         "--model": dict(type=_checked(check_model), default="leps")}),
     "lemma-suite": ("multiplier bound and coercivity suites", _cmd_lemma_suite, True, {

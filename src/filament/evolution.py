@@ -84,28 +84,30 @@ def energy(curve):
 
 
 def _energies(xss):
-    """energy of each member from X_ss samples (..., n, 3), member axes
+    """energy of each member from X_ss samples (..., 3, n), member axes
     first; a member gets the bits of its solo energy."""
-    return 0.5 * np.mean(np.sum(xss * xss, axis=-1), axis=-1)
+    return 0.5 * np.mean(np.sum(xss * xss, axis=-2), axis=-1)
 
 
 def dissipation(curve, tau):
     """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s, from tau
     samples; a list with one per member for a batch."""
     grid = curve.grid
-    xsss = grid.ik_pow[:, 3, None] * curve.coeffs
-    product = to_coeffs(curve.tangent * tau[..., None], axis=-2)
-    product[..., grid.above_band, :] = 0.0
-    norm = sobolev_norm_coeffs(xsss - product, H_HALF_HOM, axis=-2)
-    return norm ** 2 if xsss.ndim == 2 else [v ** 2 for v in norm.tolist()]
+    xsss = grid.ik_pow[3] * curve.coeffs
+    product = to_coeffs(curve.tangent * tau[..., None, :], axis=-1)
+    product[..., grid.above_band] = 0.0
+    batch = xsss.ndim == 3
+    norm = sobolev_norm_coeffs(xsss - product, H_HALF_HOM, batch=batch)
+    return [v ** 2 for v in norm.tolist()] if batch else norm ** 2
 
 
 def dissipation_rate(problem, tension):
     """-dE/dt of member 0 by the energy identity: int Z_s . L[Z_s] ds,
     Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
     curve, n = problem.curve, problem.curve.n
-    zs = curve.grid.ik_pow[:, 4, None] * curve.coeffs - lift(curve, tension.values)
-    return mean_inner(from_coeffs(zs[0], n), from_coeffs(problem.force_map.apply(curve, zs)[0], n))
+    zs = curve.grid.ik_pow[4] * curve.coeffs - lift(curve, tension.values)
+    return mean_inner(from_coeffs(zs[0], n, axis=-1),
+                      from_coeffs(problem.force_map.apply(curve, zs)[0], n, axis=-1))
 
 
 def implicit_symbol(grid, force_map):
@@ -134,14 +136,14 @@ def _forcing(curves, force_maps, cg_tols, warm):
                              cg_tol=cg_tols)
     tensions, velocity = solve_tensions(problem, warm)
     lam = implicit_symbol(grid, problem.force_map)
-    return tensions, problem, lam, lam[..., None] * problem.curve.coeffs + velocity
+    return tensions, problem, lam, lam[:, None] * problem.curve.coeffs + velocity
 
 
 def _policy_dts(curves, force_maps, cg_tols, rescaled):
     """choose_dt for every member (leps members first) as one batch."""
     _, problem, _, ghat = _forcing(curves, force_maps, cg_tols, None)
-    dts = (1e-2 * sobolev_norm_coeffs(problem.curve.coeffs, H2, axis=-2)
-           / sobolev_norm_coeffs(ghat, H2, axis=-2))
+    dts = (1e-2 * sobolev_norm_coeffs(problem.curve.coeffs, H2, batch=True)
+           / sobolev_norm_coeffs(ghat, H2, batch=True))
     return [float(dt * force_map.log_eps if scaled else dt)
             for dt, force_map, scaled in zip(dts.tolist(), force_maps, rescaled)]
 
@@ -169,9 +171,9 @@ def _advance(states, force_maps, dts, options):
         [s.curve for s in states], force_maps, [o.cg_tol for o in options],
         [None if s.tension is None else s.tension.values for s in states])
     dt_native = np.array([dt * o.time_scale for dt, o in zip(dts, options)])[:, None, None]
-    new_hat = (problem.curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[..., None])
-    new_hat[..., -1, :] = 0.0
-    curves = curves_from_samples(from_coeffs(new_hat, problem.curve.n, axis=-2))
+    new_hat = (problem.curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[:, None])
+    new_hat[..., -1] = 0.0
+    curves = curves_from_samples(from_coeffs(new_hat, problem.curve.n, axis=-1))
     off = [j for j, curve in enumerate(curves)
            if curve.inext_residual > 0.5 * options[j].inext_tol]
     for j, curve in zip(off, reparameterize_each([curves[j] for j in off])):
@@ -179,7 +181,7 @@ def _advance(states, force_maps, dts, options):
     # diagnostics, one array expression per quantity for all members
     tau = np.array([t.values for t in tensions])
     dissipations = dissipation(CurveBatch.of(curves), tau)
-    h12 = sobolev_norm_coeffs(to_coeffs(tau, axis=-1), H_HALF, axis=-1).tolist()
+    h12 = sobolev_norm_coeffs(to_coeffs(tau, axis=-1), H_HALF, batch=True).tolist()
     energies = _energies(np.array([c.xss for c in curves])).tolist()
     new_states = []
     for j, (state, curve, e_new) in enumerate(zip(states, curves, energies)):

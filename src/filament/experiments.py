@@ -40,9 +40,9 @@ from .spectral import (
     apply_L_eps,
     dealias,
     from_coeffs,
+    grid_major,
     mean_inner,
     project_tangent,
-    sobolev_norm,
     sobolev_norm_coeffs,
     to_coeffs,
     write_csv,
@@ -106,13 +106,12 @@ def _discrepancy_row(cx, cy, table):
     size = grid.k.shape[0]
     w_hat = cx.coeffs - cy.coeffs
     wss = cx.xss - cy.xss
-    wssss = grid.ik_pow[:, 4, None] * w_hat
+    wssss = grid.ik_pow[4] * w_hat
     pt = project_tangent(cx, wssss)
-    power = (table.mt[:size, None] * np.abs(pt) ** 2
-             + table.mn[:size, None] * np.abs(wssss - pt) ** 2)
+    power = table.mt[:size] * np.abs(pt) ** 2 + table.mn[:size] * np.abs(wssss - pt) ** 2
     return (sobolev_norm_coeffs(w_hat, H2), sobolev_norm_coeffs(w_hat, H72_HOM),
-            mean_inner(wss, wss), float(np.sum(grid.weight[:, None] * power)),
-            float(np.sum(np.mean(cx.samples - cy.samples, axis=0) ** 2)))
+            mean_inner(wss, wss), float(np.sum(grid_major(grid.weight * power))),
+            float(np.sum(np.mean(grid_major(cx.samples.T - cy.samples.T), axis=0) ** 2)))
 
 
 def _discrepancy_record(table, n, times, rows):
@@ -349,9 +348,9 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
     rng = np.random.default_rng(seed)
     ratios = np.empty(n_fields)
     for i in range(n_fields):
-        f = dealias(rng.standard_normal((grid_n, 3)))
-        f /= sobolev_norm(f, H_MINUS_HALF)
-        lf = from_coeffs(apply_L_eps(curve, table, to_coeffs(f)), grid_n)
+        f = dealias(np.ascontiguousarray(rng.standard_normal((grid_n, 3)).T), axis=-1)
+        f /= sobolev_norm_coeffs(to_coeffs(f, axis=-1), H_MINUS_HALF)
+        lf = from_coeffs(apply_L_eps(curve, table, to_coeffs(f, axis=-1)), grid_n, axis=-1)
         ratios[i] = mean_inner(f, lf) / log_eps
     return ratios
 

@@ -171,11 +171,13 @@ def build_table(epsilon, kmax):
 class ForceMapStack:
     """The force maps of a batch's members as one force map with a member
     axis: m_t, m_n rows for the leps members, which come first, and
-    normal constants for the rft members.  `apply` makes the first
-    tangent projection once for all members and L_eps's second one for
-    the leps members only.  The implicit principal part's symbol is m_n
-    (rft: the tangential constant), (m, size); the tension
-    preconditioner's is the rows m_t, m_n (rft: both constants), (2, m, size)."""
+    normal constants for the rft members.  `apply` takes coefficients
+    (m, 3, size), components first, and makes the first tangent
+    projection once for all members and L_eps's second one for the leps
+    members only; a row of m_t or m_n broadcasts over a member's three
+    component rows.  The implicit principal part's symbol is m_n (rft:
+    the tangential constant), (m, size); the tension preconditioner's is
+    the rows m_t, m_n (rft: both constants), (2, m, size)."""
 
     def __init__(self, maps, size):
         self.maps = tuple(maps)

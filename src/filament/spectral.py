@@ -15,17 +15,26 @@ and the multipliers are diagonal there, so each pointwise product with
 the tangent costs one irfft/rfft pair and nothing else.  L_eps costs 8
 FFT calls, L_rft 4.  A curve's X_s, X_ss and dealiased tangent come from
 one batched irfft (curves_from_samples); X_sss and X_ssss are never
-sampled, but enter as the products ik_pow[:, m] * coeffs.  Callers
+sampled, but enter as the products ik_pow[m] * coeffs.  Callers
 holding samples convert at their own boundary with to_coeffs/from_coeffs.
 
+Layout: vector fields are stored component-first, the grid last: a
+curve's coefficients are (3, n/2+1) and its X_s, X_ss and tangent
+(3, n), so every FFT of the package runs along a C-contiguous last
+axis (a scalar field is (n,)).  Only PeriodicCurve.samples is grid-major,
+(n, 3), a transposed view of the stored samples.  The per-point product
+over the components is pointwise_dot; sums over the components alone
+add them in order 0, 1, 2 (np.sum along the component axis), and sums
+over the components and the grid together go through grid_major.
+
 Member axis: several curves on one grid step as one array program.  A
-CurveBatch holds their coefficients (m, n/2+1, 3) and tangents (m, n, 3),
+CurveBatch holds their coefficients (m, 3, n/2+1) and tangents (m, 3, n),
 member axis first, and the projection and force maps take a batch
-wherever they take a curve: the grid is axis -2 of a vector field and
-axis -1 of a scalar one, so every FFT call transforms all members at
-once.  Each member's columns go through the same arithmetic as alone,
-so a batch gives every member the bits of its solo computation, and a
-GeometryError of one member is raised for the whole batch.
+wherever they take a curve: the grid is the last axis of every field,
+so every FFT call transforms all members at once.  Each member's rows
+go through the same arithmetic as alone, so a batch gives every member
+the bits of its solo computation, and a GeometryError of one member is
+raised for the whole batch.
 """
 
 import csv
@@ -63,13 +72,14 @@ class Grid:
         self.weight[0] = 1.0
         self.weight[-1] = 1.0
         # the symbol of d/ds, Nyquist mode zeroed as on every
-        # differentiation, its powers 0..4, and its band-limited copy
+        # differentiation, its powers 0..4 (row m the m-th), and its
+        # band-limited copy
         self.ik = TWO_PI * 1j * self.k
         self.ik[-1] = 0.0
-        self.ik_pow = np.stack([self.ik ** m for m in range(5)], axis=1)
+        self.ik_pow = np.stack([self.ik ** m for m in range(5)])
         self.band_ik = np.where(self.band, self.ik, 0.0)
-        # factors of a curve's derivative stack X_s, X_ss, tangent
-        self.stack_factor = np.column_stack((self.ik_pow[:, 1:3], self.band_ik))
+        # factors of a curve's derivative stack X_s, X_ss, tangent, one row each
+        self.stack_factor = np.vstack((self.ik_pow[1:3], self.band_ik))
 
     @staticmethod
     def of_size(n):
@@ -108,20 +118,21 @@ class SobolevIndex:
 
 
 def sobolev_norm(values, index):
-    """Spectral Sobolev norm; homogeneous indices drop the k = 0 mode."""
-    return sobolev_norm_coeffs(to_coeffs(values), index)
+    """Spectral Sobolev norm of samples on grid axis 0, a scalar (n,) or a
+    grid-major vector field (n, 3); homogeneous indices drop the k = 0 mode."""
+    return sobolev_norm_coeffs(to_coeffs(values).T, index)
 
 
-def sobolev_norm_coeffs(coeffs, index, axis=0):
+def sobolev_norm_coeffs(coeffs, index, batch=False):
     """sobolev_norm of the field with rfft-layout coefficients coeffs on
-    the given grid axis; an axis after it holds vector components.  Axes
-    before it are members, and the result is then an array of norms, each
-    with the bits of the member's solo norm (one pairwise sum per row)."""
-    axis %= coeffs.ndim
-    grid = Grid.of_size(2 * (coeffs.shape[axis] - 1))
+    the last axis, the components of a vector field on the axis before it.
+    With batch, the first axis holds members and the result is an array
+    of norms, each with the bits of the member's solo norm (one pairwise
+    sum per row)."""
+    grid = Grid.of_size(2 * (coeffs.shape[-1] - 1))
     power = np.abs(coeffs) ** 2
-    if power.ndim > axis + 1:
-        power = power.sum(axis=-1)
+    if power.ndim > 1 + batch:
+        power = power.sum(axis=-2)
     if index.homogeneous:
         k = grid.k.copy()
         k[0] = 1.0  # placeholder; the k = 0 weight is zeroed below
@@ -130,12 +141,31 @@ def sobolev_norm_coeffs(coeffs, index, axis=0):
     else:
         w = (1.0 + grid.k ** 2) ** index.order
     norm = np.sqrt(np.sum(grid.weight * w * power, axis=-1))
-    return norm if axis else float(norm)
+    return norm if batch else float(norm)
+
+
+def pointwise_dot(a, b):
+    """a . b at each grid point of vector fields (..., 3, n), summed as
+    (a0 b0 + a2 b2) + a1 b1: the order in which
+    np.einsum("...ij,...ij->...i") sums C-contiguous grid-major
+    (..., n, 3) fields, which the projections keep so their bits match
+    that form."""
+    return ((a[..., 0, :] * b[..., 0, :] + a[..., 2, :] * b[..., 2, :])
+            + a[..., 1, :] * b[..., 1, :])
+
+
+def grid_major(values):
+    """A C-contiguous grid-major (..., n, 3) copy of a vector field
+    (..., 3, n), for a reduction over the grid that must add in the order
+    of that layout: a sum over the grid and the components together, or
+    over the grid alone column by column (each added point by point)."""
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
 
 
 def mean_inner(a, b):
-    """Discrete ∫ a·b ds (trapezoid = mean on the periodic grid)."""
-    return float(np.mean(np.sum(a * b, axis=-1) if a.ndim == 2 else a * b))
+    """Discrete ∫ a·b ds (trapezoid = mean on the periodic grid) of two
+    scalar fields (n,) or vector fields (3, n)."""
+    return float(np.mean(np.sum(a * b, axis=0) if a.ndim == 2 else a * b))
 
 
 def check_grid_size(n):
@@ -149,18 +179,20 @@ def check_grid_size(n):
 class PeriodicCurve:
     """Closed curve sampled on a power-of-two periodic grid.
 
-    Its coefficients, X_s, X_ss, dealiased tangent (the copy of X_s used
-    in every projection product), speed |X_s| and inext_residual
-    max||X_s| - 1| are plain attributes, made with it by
-    curves_from_samples: a curve alone is the batch of one.  Instances
-    are treated as immutable, and their arrays are read-only.
+    Its samples (n, 3), coefficients (3, n/2+1), X_s, X_ss, dealiased
+    tangent (the copy of X_s used in every projection product), each
+    (3, n), speed |X_s| and inext_residual max||X_s| - 1| are plain
+    attributes, made with it by curves_from_samples: a curve alone is the
+    batch of one.  samples is a view of the component-first samples the
+    curve stores.  Instances are treated as immutable, and their arrays
+    are read-only.
     """
 
     def __init__(self, samples):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ValueError(f"curve samples must have shape (n, 3), got {samples.shape}")
-        (curve,) = curves_from_samples(samples[None])
+        (curve,) = curves_from_samples(samples.T[None])
         vars(self).update(vars(curve))
 
     @classmethod
@@ -197,22 +229,22 @@ class PeriodicCurve:
 
 
 def curves_from_samples(samples):
-    """A PeriodicCurve for each member of samples (m, n, 3), the one place
+    """A PeriodicCurve for each member of samples (m, 3, n), the one place
     that computes a curve's fields: one rfft and one irfft call (the
     factors of grid.stack_factor) and one array expression per quantity
     for all members.  Raises check_grid_size's ValueError, and
     GeometryError on non-finite samples or fields that overflow (a speed
     that is not finite)."""
-    samples = np.array(samples, dtype=float)
-    n = check_grid_size(samples.shape[1])
+    samples = np.array(samples, dtype=float, order="C")
+    n = check_grid_size(samples.shape[-1])
     if not np.all(np.isfinite(samples)):
         raise GeometryError("curve samples must be finite")
     grid = Grid.of_size(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        coeffs = to_coeffs(samples, axis=-2)
-        stacks = from_coeffs(grid.stack_factor[:, :, None] * coeffs[:, :, None, :], n, axis=-3)
-        stacks = np.ascontiguousarray(stacks.swapaxes(-2, -3))
-        speeds = np.sqrt(np.sum(stacks[:, 0] ** 2, axis=-1))
+        coeffs = to_coeffs(samples, axis=-1)
+        # (m, 3 factors, 3 components, n): X_s, X_ss, tangent of each member
+        stacks = from_coeffs(grid.stack_factor[:, None] * coeffs[:, None], n, axis=-1)
+        speeds = np.sqrt(np.sum(stacks[:, 0] ** 2, axis=-2))
     if not np.all(np.isfinite(speeds)):
         raise GeometryError("curve fields overflow: a speed is not finite")
     residuals = np.max(np.abs(speeds - 1.0), axis=-1).tolist()
@@ -221,7 +253,7 @@ def curves_from_samples(samples):
     curves = []
     for j, residual in enumerate(residuals):
         curve = object.__new__(PeriodicCurve)
-        curve.n, curve.grid, curve.samples, curve.coeffs = n, grid, samples[j], coeffs[j]
+        curve.n, curve.grid, curve.samples, curve.coeffs = n, grid, samples[j].T, coeffs[j]
         curve.xs, curve.xss, curve.tangent = stacks[j]
         curve.speed, curve.inext_residual = speeds[j], residual
         curves.append(curve)
@@ -230,7 +262,7 @@ def curves_from_samples(samples):
 
 class CurveBatch:
     """Curves on one grid with a member axis first: coefficients
-    (m, n/2+1, 3) and dealiased tangents (m, n, 3).  project_tangent, the
+    (m, 3, n/2+1) and dealiased tangents (m, 3, n).  project_tangent, the
     force maps and the tension operator take a batch wherever they take a
     PeriodicCurve; indexing gives the batch of the selected members."""
 
@@ -261,11 +293,11 @@ def project_tangent(curve, coeffs):
     n = curve.n
     band = curve.grid.band
     tangent = curve.tangent
-    f = from_coeffs(band[:, None] * coeffs, n, axis=-2)
-    q = to_coeffs(np.einsum("...ij,...ij->...i", tangent, f), axis=-1)
+    f = from_coeffs(band * coeffs, n, axis=-1)
+    q = to_coeffs(pointwise_dot(tangent, f), axis=-1)
     q[..., curve.grid.above_band] = 0.0
-    p = to_coeffs(tangent * from_coeffs(q, n, axis=-1)[..., None], axis=-2)
-    p[..., curve.grid.above_band, :] = 0.0
+    p = to_coeffs(tangent * from_coeffs(q, n, axis=-1)[..., None, :], axis=-1)
+    p[..., curve.grid.above_band] = 0.0
     return p
 
 
@@ -279,9 +311,9 @@ def apply_L_eps(curve, table, coeffs, pt=None):
         raise ValueError("multiplier table shorter than the resolved spectrum")
     if pt is None:
         pt = project_tangent(curve, coeffs)
-    a = table.mt[..., :size, None] * pt
-    b = table.mn[..., :size, None] * (coeffs - pt)
-    b[..., -1, :] = 0.0
+    a = table.mt[..., None, :size] * pt
+    b = table.mn[..., None, :size] * (coeffs - pt)
+    b[..., -1] = 0.0
     return b + project_tangent(curve, a - b)
 
 
@@ -358,21 +390,20 @@ def reparameterize_each(curves):
             term *= x / order
         orders.setdefault(order, []).append(j)
     for order, rows in orders.items():
-        # d^m/ds^m of g and X at the nodes, orders on the axis after the
-        # grid's.  The Nyquist mode stays the cosine of the trigonometric
+        # d^m/ds^m of g (m, orders, n) and X (m, orders, 3, n) at the
+        # nodes.  The Nyquist mode stays the cosine of the trigonometric
         # interpolant: irfft keeps its real (even-order) part and drops
         # the odd orders.
-        factor = (TWO_PI * 1j * grid.k[:, None]) ** np.arange(order + 1)
-        gd = from_coeffs(ghat[rows][:, :, None] * factor, n, axis=-2)
+        factor = (TWO_PI * 1j * grid.k) ** np.arange(order + 1)[:, None]
+        gd = from_coeffs(ghat[rows][:, None] * factor, n, axis=-1)
         coeffs = np.array([curves[j].coeffs for j in rows])
-        xd = from_coeffs(coeffs[:, :, None, :] * factor[:, :, None], n, axis=-3)
+        xd = from_coeffs(coeffs[:, None] * factor[:, None], n, axis=-1)
         length = total[rows][:, None]
         # preimage j is node/n + r with L r + g(node/n + r) = target, and
         # target = g(0) - L (node - j)/n; gm holds the derivative samples
         # of g at the nodes.  The last pass only moves the offsets of the
         # final update.
-        r, gm, target, node = delta[rows], gd, gd[:, :1, 0], np.arange(n)
-        member = np.arange(len(rows))[:, None]
+        r, gm, target, node = delta[rows], gd, gd[:, 0, :1], np.arange(n)
         tol = 1e-14 * np.maximum(total[rows], 1.0)
         going = np.ones(len(rows), dtype=bool)
         for i in range(_NEWTON_MAXITER + 1):
@@ -380,12 +411,12 @@ def reparameterize_each(curves):
                 moves = np.rint(r * n)
                 node = node + moves.astype(int)
                 r = r - moves / n
-                gm = gd[member, node % n]
-                target = gd[:, :1, 0] - length * ((node - np.arange(n)) / n)
+                gm = np.take_along_axis(gd, node[:, None] % n, axis=-1)
+                target = gd[:, 0, :1] - length * ((node - np.arange(n)) / n)
             if i == _NEWTON_MAXITER or not going.any():
                 break
             f = length * r + _taylor_shift(gm, r) - target
-            fp = length + _taylor_shift(gm[..., 1:], r)
+            fp = length + _taylor_shift(gm[:, 1:], r)
             r = np.where(going[:, None], r - f / fp, r)
             residual = np.max(np.abs(f), axis=-1)
             going &= ~(residual < tol)
@@ -393,20 +424,20 @@ def reparameterize_each(curves):
             raise GeometryError(
                 f"arclength Newton did not converge in {_NEWTON_MAXITER} iterations "
                 f"(max |f| = {residual[going][0]:.3e})")
-        xm = xd if gm is gd else xd[member, node % n]
+        xm = xd if gm is gd else np.take_along_axis(xd, node[:, None, None] % n, axis=-1)
         for j, curve in zip(rows, curves_from_samples(_taylor_shift(xm, r) / length[:, :, None])):
             out[j] = curve
     return out
 
 
 def _taylor_shift(derivs, delta):
-    """sum_m delta^m/m! times the m-th derivative by Horner's rule; the
-    orders are on the axis of derivs after those of delta."""
-    head = (slice(None),) * delta.ndim
-    d = delta.reshape(delta.shape + (1,) * (derivs.ndim - 1 - delta.ndim))
-    acc = derivs[head + (-1,)]
-    for m in range(derivs.shape[delta.ndim] - 1, 0, -1):
-        acc = derivs[head + (m - 1,)] + (d / m) * acc
+    """sum_m delta^m/m! times the m-th derivative by Horner's rule, for
+    shifts delta (m, n): derivs holds the orders on axis 1, after the
+    members, and the grid last."""
+    d = delta.reshape(delta.shape[:1] + (1,) * (derivs.ndim - 3) + delta.shape[1:])
+    acc = derivs[:, -1]
+    for m in range(derivs.shape[1] - 1, 0, -1):
+        acc = derivs[:, m - 1] + (d / m) * acc
     return acc
 
 

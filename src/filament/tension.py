@@ -19,19 +19,24 @@ m_n(k) <|X_ss|^2> (rft: the two constants; the local model's tension
 equation, Tornberg & Shelley 2004); the preconditioner is its inverse.
 
 A problem is a batch: a spectral.CurveBatch, a multipliers.ForceMapStack
-and a cg_tol per member, tau having shape (m, n); a curve alone is the
-batch of one.  solve_tensions runs CG on all members at once, with
-per-member step lengths and inner products (np.vecdot on contiguous
-member rows, which reproduces np.dot bitwise).  A member that converges
-leaves the batch with its iterate, so it takes exactly the iterations
-it would take alone; the preconditioner's diagonal is built once per
-solve and leaves with the members.  A member that stalls or has a NaN
-residual raises SolverError, its message giving the member's last
-residual, for the whole batch (evolution._batched isolates it).  The
-solve also returns the velocity -(L[X_ssss] - L[(tau X_s)_s]) from its
-own force-map outputs: the right-hand side's L[X_ssss], and (L being
-linear) L[(tau X_s)_s] as the warm start's plus alpha_i L[(p_i X_s)_s]
-of each iteration, as CG tracks A x (Hestenes & Stiefel 1952).
+and a cg_tol per member, tau having shape (m, n) and the vector fields
+the component-first layout of spectral, coefficients (m, 3, n/2+1); a
+curve alone is the batch of one.  solve_tensions runs CG on all members
+at once, with per-member step lengths and inner products (np.vecdot on
+contiguous member rows, which reproduces np.dot bitwise).  The solve
+raises no numpy warning: a right-hand side whose norm is not finite (a
+curve scaled so far that the force map's image of X_ssss overflows)
+raises SolverError before the first iteration, and an r.z or p.Bp that
+is not a positive finite number is a breakdown.  A member that converges
+leaves the batch with its iterate, so it takes exactly the iterations it
+would take alone; the preconditioner's diagonal is built once per solve
+and leaves with the members.  A member that stalls or has a NaN residual
+raises SolverError, its message giving the member's last residual, for
+the whole batch (evolution._batched isolates it).  The solve also
+returns the velocity -(L[X_ssss] - L[(tau X_s)_s]) from its own
+force-map outputs: the right-hand side's L[X_ssss], and (L being linear)
+L[(tau X_s)_s] as the warm start's plus alpha_i L[(p_i X_s)_s] of each
+iteration, as CG tracks A x (Hestenes & Stiefel 1952).
 """
 
 from dataclasses import dataclass
@@ -40,7 +45,8 @@ import numpy as np
 
 from .config import CG_TOL
 from .multipliers import ForceMapStack, check_model
-from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
+from .spectral import (CurveBatch, PeriodicCurve, dealias, from_coeffs, grid_major,
+                       pointwise_dot, to_coeffs)
 
 
 class SolverError(RuntimeError):
@@ -93,15 +99,15 @@ class TensionProblem:
 
 def lift(curve, tau):
     """rfft coefficients of (tau X_s)_s, with the product dealiased."""
-    product = to_coeffs(curve.tangent * np.asarray(tau)[..., None], axis=-2)
-    return curve.grid.band_ik[:, None] * product
+    product = to_coeffs(curve.tangent * np.asarray(tau)[..., None, :], axis=-1)
+    return curve.grid.band_ik * product
 
 
 def lift_adjoint(curve, coeffs):
     """Exact adjoint of lift on the dealiased band, -band(X_s . band(v_s)),
     from the coefficients of v to samples."""
-    vs = from_coeffs(curve.grid.band_ik[:, None] * coeffs, curve.n, axis=-2)
-    return -dealias(np.einsum("...ij,...ij->...i", curve.tangent, vs), axis=-1)
+    vs = from_coeffs(curve.grid.band_ik * coeffs, curve.n, axis=-1)
+    return -dealias(pointwise_dot(curve.tangent, vs), axis=-1)
 
 
 def apply_B(problem, tau):
@@ -114,7 +120,7 @@ def apply_B(problem, tau):
 def assemble_rhs(problem):
     """Riesz representative of phi -> int L[X_ssss] . (phi X_s)_s ds, and L[X_ssss]."""
     curve = problem.curve
-    l_xssss = problem.force_map.apply(curve, curve.grid.ik_pow[:, 4, None] * curve.coeffs)
+    l_xssss = problem.force_map.apply(curve, curve.grid.ik_pow[4] * curve.coeffs)
     return lift_adjoint(curve, l_xssss), l_xssss
 
 
@@ -124,8 +130,8 @@ def _preconditioner(problem):
     force map) gets 0."""
     grid = problem.curve.grid
     mt, mn = problem.force_map.precond
-    xss = grid.ik_pow[:, 2, None] * problem.curve.coeffs
-    xss_sq = np.sum(grid.weight[:, None] * np.abs(xss) ** 2, axis=(-2, -1))
+    xss = grid.ik_pow[2] * problem.curve.coeffs
+    xss_sq = np.sum(grid_major(grid.weight * np.abs(xss) ** 2), axis=(-2, -1))
     symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq[:, None]
     return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
 
@@ -143,6 +149,7 @@ def solve_tension(problem, initial=None):
     return tension
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each overflow surfaces as a SolverError
 def solve_tensions(problem, initial=None):
     """solve_tension for every member of a batched problem: a list with
     each member's TensionField, and the members' velocities (module
@@ -152,6 +159,9 @@ def solve_tensions(problem, initial=None):
     n, m = problem.curve.n, len(problem.curve)
     rhs, l_rhs = assemble_rhs(problem)
     rhs_norm = np.sqrt(np.vecdot(rhs, rhs))
+    if not np.all(np.isfinite(rhs_norm)):
+        raise SolverError("tension right-hand side is not finite: the curve's fields "
+                          "overflow the force map")
     # a zero right-hand side has the solution 0: it starts cold and its
     # residual reads 0, so it leaves the batch at the first check
     zero = rhs_norm == 0.0
@@ -196,15 +206,15 @@ def solve_tensions(problem, initial=None):
             problem = problem.members(keep)
         z = from_coeffs(to_coeffs(r, axis=-1) * diag, n, axis=-1)
         rz_new = np.vecdot(r, z)
-        ok = [iterations < 10 * n and v > 0.0 for v in rz_new.tolist()]
+        ok = [iterations < 10 * n and 0.0 < v < np.inf for v in rz_new.tolist()]
         if not all(ok):
             raise _stalled(residual, iterations, ok.index(False))
         p = z if p is None else z + (rz_new / rz)[:, None] * p
         rz = rz_new
         bp, lp = apply_B(problem, p)
         pbp = np.vecdot(p, bp)
-        ok = [v > 0.0 for v in pbp.tolist()]
-        if not all(ok):  # p.Bp underflowed: the iterate cannot move
+        ok = [0.0 < v < np.inf for v in pbp.tolist()]
+        if not all(ok):  # p.Bp underflowed or overflowed: the iterate cannot move
             raise _stalled(residual, iterations, ok.index(False))
         alpha = (rz / pbp)[:, None]
         x = x + alpha * p

@@ -74,7 +74,8 @@ class TestAgainstSolo:
     def test_force_maps(self, n):
         pairs = members(n)
         # unfiltered noise reaches the modes above the cutoff and Nyquist
-        coeffs = to_coeffs(np.random.default_rng(n).standard_normal((len(pairs), n, 3)), axis=-2)
+        noise = np.random.default_rng(n).standard_normal((len(pairs), n, 3))
+        coeffs = to_coeffs(noise.swapaxes(-1, -2), axis=-1)
         problem = batched(pairs)
         got = problem.force_map.apply(problem.curve, coeffs)
         for member, (curve, force_map), field in zip(got, pairs, coeffs):
@@ -161,11 +162,11 @@ class TestAgainstSolo:
 
     def test_sobolev_norms(self, n):
         rng = np.random.default_rng(n + 3)
-        vector = to_coeffs(rng.standard_normal((4, n, 3)), axis=-2)
+        vector = to_coeffs(rng.standard_normal((4, n, 3)).swapaxes(-1, -2), axis=-1)
         scalar = to_coeffs(rng.standard_normal((4, n)), axis=-1)
         for index in (H2, H_HALF, H_HALF_HOM, SobolevIndex(3.5, homogeneous=True)):
-            for coeffs, axis in ((vector, -2), (scalar, -1)):
-                got = sobolev_norm_coeffs(coeffs, index, axis=axis).tolist()
+            for coeffs in (vector, scalar):
+                got = sobolev_norm_coeffs(coeffs, index, batch=True).tolist()
                 assert got == [sobolev_norm_coeffs(member, index) for member in coeffs]
 
     def test_energies_and_dissipation(self, n):
@@ -205,8 +206,8 @@ def test_curve_alone_is_a_batch_of_one(name, n):
     # fill_derived is the one path to a curve's fields: a curve read alone
     # gets the bits it gets as the middle member of a batch
     curve = initial_curve(name, n)
-    batch = curves_from_samples(np.array([PeriodicCurve.circle(n).samples, curve.samples,
-                                          initial_curve("perturbed-circle(2,0.03)", n).samples]))
+    batch = curves_from_samples(np.array([PeriodicCurve.circle(n).samples.T, curve.samples.T,
+                                          initial_curve("perturbed-circle(2,0.03)", n).samples.T]))
     for field in ("coeffs", "xs", "xss", "tangent", "speed", "inext_residual"):
         alone = PeriodicCurve(curve.samples)  # this field read first
         assert (np.asarray(getattr(alone, field)).tobytes()
@@ -225,7 +226,8 @@ def test_problem_alone_is_a_batch_of_one(model, n):
     alone = TensionProblem(curve, force_map)
     batch = batched([(circle, build_table(1e-2, n // 2)), (curve, force_map),
                      (circle, rft_constants(1e-4))])
-    coeffs = to_coeffs(np.random.default_rng(n).standard_normal((3, n, 3)), axis=-2)
+    coeffs = to_coeffs(np.random.default_rng(n).standard_normal((3, n, 3)).swapaxes(-1, -2),
+                       axis=-1)
     tau = dealias(np.random.default_rng(n + 1).standard_normal((3, n)), axis=-1)
     pairs = [(alone.force_map.apply(alone.curve, coeffs[1:2]),
               batch.force_map.apply(batch.curve, coeffs)),

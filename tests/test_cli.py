@@ -338,6 +338,34 @@ class TestTensionCheck:
                 in capsys.readouterr().err)
         assert not manifest.exists()
 
+    def test_overflowing_leps_solve_exit_2(self, tmp_path, capsys):
+        # the trefoil scaled by 1e25 loads (its speeds are finite), but
+        # the norm of its leps right-hand side overflows: a SolverError
+        # before the first CG iteration, with no numpy warning; the rft
+        # solve of the same curve succeeds
+        from filament.spectral import PeriodicCurve, write_curve_csv
+
+        curve_path = tmp_path / "huge.csv"
+        write_curve_csv(PeriodicCurve(1e25 * PeriodicCurve.trefoil(32).samples), curve_path)
+        argv = ["tension-check", "--curve", str(curve_path), "--epsilon", "1e-3"]
+        assert main([*argv, "--model", "leps", "--out", str(tmp_path / "leps.csv")]) == 2
+        assert ("filament: error: tension right-hand side is not finite"
+                in capsys.readouterr().err)
+        assert main([*argv, "--model", "rft", "--out", str(tmp_path / "rft.csv")]) == 0
+
+    def test_curve_read_through_the_module_name(self, tmp_path, monkeypatch):
+        # the --curve converter looks read_curve_csv up when it runs, so
+        # a rebinding of filament.cli.read_curve_csv (the benchmark's
+        # tracer makes one) sees every curve read
+        import filament.cli
+
+        argv, _ = tiny_call(tmp_path, "tension-check")
+        read, reads = filament.cli.read_curve_csv, []
+        monkeypatch.setattr(filament.cli, "read_curve_csv",
+                            lambda path: reads.append(path) or read(path))
+        assert main(argv) == 0
+        assert reads == [tmp_path / "circle.csv"]
+
 
 class TestLemmaSuiteCommand:
     def test_small_suite(self, tmp_path):

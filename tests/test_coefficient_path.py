@@ -3,8 +3,9 @@ physical-space compositions they replaced.
 
 The reference functions below evaluate every operator in samples, with
 one rfft/irfft round trip per dealiasing, differentiation and multiplier
-(the tangent recomputed the same way).  They are kept here only as the
-reference for the coefficient-resident implementation.
+(the tangent recomputed the same way), on grid-major (n, 3) samples.
+They are kept here only as the reference for the coefficient-resident
+implementation, whose component-first fields are compared transposed.
 """
 
 import functools
@@ -152,14 +153,14 @@ class TestAgainstReference:
                                         for n in (64, 256, 1024)])
     def test_derivative_stack_and_projection(self, name, n):
         curve = fresh(name, n)
-        xsss, xssss = (from_coeffs(curve.grid.ik_pow[:, m, None] * curve.coeffs, n)
+        xsss, xssss = (from_coeffs(curve.grid.ik_pow[m] * curve.coeffs, n, axis=-1)
                        for m in (3, 4))
         for order, values in enumerate((curve.xs, curve.xss, xsss, xssss), 1):
-            assert_close(values, derivative(curve.samples, order))
-        assert_close(curve.tangent, ref_tangent(curve))
+            assert_close(values.T, derivative(curve.samples, order))
+        assert_close(curve.tangent.T, ref_tangent(curve))
         field = np.random.default_rng(n).standard_normal((n, 3))
-        got = from_coeffs(project_tangent(curve, to_coeffs(field)), n)
-        assert_close(got, ref_project_tangent(curve, field))
+        got = from_coeffs(project_tangent(curve, to_coeffs(field.T, axis=-1)), n, axis=-1)
+        assert_close(got.T, ref_project_tangent(curve, field))
 
     @pytest.mark.parametrize("name,n,model", CASES)
     def test_force_map(self, name, n, model):
@@ -168,9 +169,10 @@ class TestAgainstReference:
         apply = apply_L_eps if model == "leps" else apply_L_rft
         # unfiltered noise reaches the modes above the cutoff and Nyquist
         field = np.random.default_rng(n + 1).standard_normal((n, 3))
-        got = from_coeffs(apply(curve, operator, to_coeffs(field)), n)
-        assert_close(got, ref(field))
-        assert_close(from_coeffs(apply(curve, operator, curve.coeffs), n), ref(curve.samples))
+        got = from_coeffs(apply(curve, operator, to_coeffs(field.T, axis=-1)), n, axis=-1)
+        assert_close(got.T, ref(field))
+        assert_close(from_coeffs(apply(curve, operator, curve.coeffs), n, axis=-1).T,
+                     ref(curve.samples))
 
     @pytest.mark.parametrize("name,n,model", CASES)
     def test_tension_operator_and_rhs(self, name, n, model):
@@ -185,8 +187,8 @@ class TestAgainstReference:
         curve = fresh(name, n)
         operator, _ = ref_operator(curve, model)
         (tau,), _, lam, ghat = _forcing([curve], [operator], [1e-10], None)
-        got = from_coeffs(ghat[0], n)
-        assert_close(got, ref_explicit_forcing(curve, model, tau.values, lam[0]))
+        got = from_coeffs(ghat[0], n, axis=-1)
+        assert_close(got.T, ref_explicit_forcing(curve, model, tau.values, lam[0]))
 
 
 class TestFftBudget:

@@ -35,21 +35,22 @@ TWO_PI = 2.0 * np.pi
 
 
 def derivative(curve, order):
-    """The samples of d^order X/ds^order, formed from the curve's
+    """The samples (3, n) of d^order X/ds^order, formed from the curve's
     coefficients as the program forms X_sss and X_ssss."""
-    return from_coeffs(curve.grid.ik_pow[:, order, None] * curve.coeffs, curve.n)
+    return from_coeffs(curve.grid.ik_pow[order] * curve.coeffs, curve.n, axis=-1)
 
 
 def random_field(n, components=3, seed=0, band_limited=True):
+    """Random samples, (components, n) for a vector field."""
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal((n, components)) if components > 1 else rng.standard_normal(n)
-    return dealias(f) if band_limited else f
+    f = rng.standard_normal((n, components)).T if components > 1 else rng.standard_normal(n)
+    return dealias(f, axis=-1) if band_limited else f
 
 
 class TestTransforms:
     def test_round_trip(self):
         f = random_field(128, band_limited=False, seed=3)
-        assert np.max(np.abs(from_coeffs(to_coeffs(f), 128) - f)) < 1e-12
+        assert np.max(np.abs(from_coeffs(to_coeffs(f, axis=-1), 128, axis=-1) - f)) < 1e-12
 
     @pytest.mark.parametrize("n", [32, 256, 1024])
     @pytest.mark.parametrize("axis", [-1, -2], ids=["scalar", "vector"])
@@ -74,12 +75,12 @@ class TestTransforms:
         s = np.arange(128) / 128
         f = np.cos(TWO_PI * s)
         curve = PeriodicCurve(np.column_stack([f, np.sin(3 * TWO_PI * s), np.zeros(128)]))
-        assert np.max(np.abs(curve.xss[:, 0] + TWO_PI**2 * f)) < 1e-10
+        assert np.max(np.abs(curve.xss[0] + TWO_PI**2 * f)) < 1e-10
 
     def test_fourth_derivative_of_circle(self):
         curve = PeriodicCurve.circle(128)
         d4 = derivative(curve, 4)
-        assert np.max(np.abs(d4 - TWO_PI**4 * curve.samples)) < 1e-8 * TWO_PI**4
+        assert np.max(np.abs(d4 - TWO_PI**4 * curve.samples.T)) < 1e-8 * TWO_PI**4
 
 
 class TestDealiasing:
@@ -106,13 +107,13 @@ class TestDealiasing:
 class TestProjections:
     def test_tangent_projects_tangent_to_itself(self):
         curve = PeriodicCurve.circle(128)
-        p = from_coeffs(project_tangent(curve, to_coeffs(curve.xs)), 128)
+        p = from_coeffs(project_tangent(curve, to_coeffs(curve.xs, axis=-1)), 128, axis=-1)
         assert np.max(np.abs(p - curve.xs)) < 1e-10
 
     def test_curvature_is_normal(self):
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
-        xss = to_coeffs(curve.xss)
-        p = from_coeffs(xss - project_tangent(curve, xss), 128)
+        xss = to_coeffs(curve.xss, axis=-1)
+        p = from_coeffs(xss - project_tangent(curve, xss), 128, axis=-1)
         assert np.max(np.abs(p - curve.xss)) < 1e-6 * np.max(np.abs(curve.xss))
 
     def test_idempotence(self):
@@ -123,24 +124,24 @@ class TestProjections:
         curve = PeriodicCurve.circle(n)
         grid = Grid.of_size(n)
         f = random_field(n, seed=5)
-        coeffs = to_coeffs(f)
-        coeffs[grid.k > grid.kcut - 4] = 0.0
+        coeffs = to_coeffs(f, axis=-1)
+        coeffs[:, grid.k > grid.kcut - 4] = 0.0
         once = project_tangent(curve, coeffs)
         twice = project_tangent(curve, once)
-        assert np.max(np.abs(from_coeffs(twice - once, n))) < 1e-10
+        assert np.max(np.abs(from_coeffs(twice - once, n, axis=-1))) < 1e-10
 
 
 def mn_form(f, mn):
     """<f, T_mn f> as a Parseval sum, the Nyquist mode left out."""
-    grid = Grid.of_size(f.shape[0])
+    grid = Grid.of_size(f.shape[-1])
     m = np.array(mn[: grid.k.shape[0]])
     m[-1] = 0.0
-    return float(np.sum(grid.weight * m * np.sum(np.abs(to_coeffs(f)) ** 2, axis=1)))
+    return float(np.sum(grid.weight * m * np.sum(np.abs(to_coeffs(f, axis=-1)) ** 2, axis=0)))
 
 
 def apply_to_samples(apply, curve, operator, f):
-    """A coefficient-space force map applied to samples f."""
-    return from_coeffs(apply(curve, operator, to_coeffs(f)), f.shape[0])
+    """A coefficient-space force map applied to samples f (3, n)."""
+    return from_coeffs(apply(curve, operator, to_coeffs(f, axis=-1)), f.shape[-1], axis=-1)
 
 
 class TestForceToVelocityMaps:
@@ -150,22 +151,22 @@ class TestForceToVelocityMaps:
         n = 128
         table = build_table(1e-3, n // 2)
         curve = PeriodicCurve.circle(n)
-        curve.tangent = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
+        curve.tangent = np.tile(np.array([[0.0], [0.0], [1.0]]), (1, n))
         s = np.arange(n) / n
         for k in (1, 5, 20):
-            f = np.zeros((n, 3))
-            f[:, 2] = np.cos(TWO_PI * k * s)
+            f = np.zeros((3, n))
+            f[2] = np.cos(TWO_PI * k * s)
             out = apply_to_samples(apply_L_eps, curve, table, f)
             assert np.max(np.abs(out - table.mt[k] * f)) < 1e-10 * table.mt[k]
-            g = np.zeros((n, 3))
-            g[:, 0] = np.cos(TWO_PI * k * s)  # normal direction
+            g = np.zeros((3, n))
+            g[0] = np.cos(TWO_PI * k * s)  # normal direction
             out = apply_to_samples(apply_L_eps, curve, table, g)
             assert np.max(np.abs(out - table.mn[k] * g)) < 1e-10 * table.mn[k]
 
     def test_table_must_cover_the_spectrum(self):
         curve = PeriodicCurve.circle(32)
         with pytest.raises(ValueError, match="multiplier table shorter than the resolved spectrum"):
-            apply_L_eps(curve, build_table(1e-3, 8), to_coeffs(curve.xss))
+            apply_L_eps(curve, build_table(1e-3, 8), to_coeffs(curve.xss, axis=-1))
 
     def test_self_adjoint(self):
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
@@ -201,12 +202,12 @@ class TestForceToVelocityMaps:
     def test_rft_directional_factors(self):
         curve = PeriodicCurve.circle(128)
         constants = rft_constants(1e-3)
-        tangential = dealias(curve.xs * dealias(np.sin(TWO_PI * np.arange(128) / 128))[:, None])
+        tangential = dealias(curve.xs * dealias(np.sin(TWO_PI * np.arange(128) / 128)), axis=-1)
         out = apply_to_samples(apply_L_rft, curve, constants, tangential)
         assert np.max(np.abs(out - constants.tangential * tangential)) < 1e-6
         # out-of-plane field is normal to the planar circle
-        normal = np.zeros((128, 3))
-        normal[:, 2] = np.cos(TWO_PI * np.arange(128) / 128)
+        normal = np.zeros((3, 128))
+        normal[2] = np.cos(TWO_PI * np.arange(128) / 128)
         out = apply_to_samples(apply_L_rft, curve, constants, normal)
         assert np.max(np.abs(out - constants.normal * normal)) < 1e-10
 
@@ -232,7 +233,7 @@ class TestSobolevNorms:
         assert val == pytest.approx(math.sqrt(2.0 * 0.25), rel=1e-12)
 
     def test_h2_matches_direct_sum(self):
-        f = random_field(64, seed=11)
+        f = random_field(64, seed=11).T  # grid-major, as sobolev_norm takes it
         grid = Grid.of_size(64)
         coeffs = to_coeffs(f)
         power = np.sum(np.abs(coeffs) ** 2, axis=1)
@@ -240,7 +241,7 @@ class TestSobolevNorms:
         assert sobolev_norm(f, SobolevIndex(2.0)) == pytest.approx(direct, rel=1e-12)
 
     def test_negative_homogeneous_order_finite(self):
-        f = random_field(64, seed=12)
+        f = random_field(64, seed=12).T
         assert np.isfinite(sobolev_norm(f, SobolevIndex(-0.5, homogeneous=True)))
 
 
@@ -291,7 +292,8 @@ class TestCurves:
         good = PeriodicCurve.circle(32).samples
         bad = good.copy()
         bad[3, 1] = np.inf
-        for make in (curves_from_samples, lambda samples: [PeriodicCurve(s) for s in samples]):
+        for make in (lambda samples: curves_from_samples(samples.transpose(0, 2, 1)),
+                     lambda samples: [PeriodicCurve(s) for s in samples]):
             with pytest.raises(GeometryError, match=r"^curve samples must be finite$"):
                 make(np.array([good, bad, good]))
             with pytest.raises(ValueError,
@@ -365,7 +367,7 @@ def _reparameterize_dense(curve):
             break
     else:
         raise AssertionError("dense arclength Newton did not converge")
-    wcoeffs = grid.weight[:, None] * curve.coeffs
+    wcoeffs = grid.weight[:, None] * curve.coeffs.T
     rows = np.max(np.abs(wcoeffs), axis=1) > 1e-17 * np.max(np.abs(wcoeffs))
     phase = np.exp(TWO_PI * 1j * np.outer(s, grid.k[rows]))
     return PeriodicCurve(np.real(phase @ wcoeffs[rows]) / total)

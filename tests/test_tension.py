@@ -70,7 +70,7 @@ def dense_operators(curve, model, epsilon):
     # pointwise dot with the tangent (n x 3n) and its transpose
     dot_t = np.zeros((n, 3 * n))
     for i in range(n):
-        dot_t[i, 3 * i:3 * i + 3] = curve.tangent[i]
+        dot_t[i, 3 * i:3 * i + 3] = curve.tangent[:, i]
     q = dealias_m @ dot_t @ dealias_v
     proj = q.T @ q
 
@@ -94,8 +94,9 @@ def dense_operators(curve, model, epsilon):
 
 
 def xssss(curve):
-    """X_ssss samples, formed from the coefficients as the program forms it."""
-    return from_coeffs(curve.grid.ik_pow[:, 4, None] * curve.coeffs, curve.n)
+    """X_ssss samples, formed from the coefficients as the program forms
+    it, grid-major (n, 3) as the oracle's vectors are."""
+    return from_coeffs(curve.grid.ik_pow[4] * curve.coeffs, curve.n, axis=-1).T
 
 
 def dense_solve(curve, model, epsilon):
@@ -127,13 +128,13 @@ def make_problem(curve, model, epsilon, **kwargs):
 
 def force_density(curve, tension):
     """rfft coefficients of Z_s = (X_sss - tau X_s)_s = X_ssss - (tau X_s)_s."""
-    return curve.grid.ik_pow[:, 4, None] * curve.coeffs - lift(curve, tension.values)
+    return curve.grid.ik_pow[4] * curve.coeffs - lift(curve, tension.values)
 
 
 def velocity(problem, tension):
-    """dX/dt = -L[Z_s], as samples."""
+    """dX/dt = -L[Z_s], as samples (3, n)."""
     zs = force_density(problem.curve, tension)
-    return -from_coeffs(problem.force_map.apply(problem.curve, zs)[0], problem.curve.n)
+    return -from_coeffs(problem.force_map.apply(problem.curve, zs)[0], problem.curve.n, axis=-1)
 
 
 def reference_preconditioner(problem):
@@ -171,9 +172,9 @@ class TestOperatorStructure:
         curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
         rng = np.random.default_rng(5)
         tau = band_noise(64, 3)
-        vec = rng.standard_normal((64, 3))
-        lhs = float(np.mean(np.sum(from_coeffs(lift(curve, tau), 64) * vec, axis=1)))
-        rhs = float(np.mean(tau * lift_adjoint(curve, to_coeffs(vec))))
+        vec = rng.standard_normal((64, 3)).T
+        lhs = float(np.mean(np.sum(from_coeffs(lift(curve, tau), 64, axis=-1) * vec, axis=0)))
+        rhs = float(np.mean(tau * lift_adjoint(curve, to_coeffs(vec, axis=-1))))
         # lift pairs with vec; the adjoint pairs tau with -d/ds terms
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
@@ -269,9 +270,9 @@ class TestConstraintEnforcement:
         problem = make_problem(curve, model, 1e-3)
         tau = solve_tension(problem)
         v = velocity(problem, tau)
-        vs = from_coeffs(curve.grid.band_ik[:, None] * to_coeffs(v), curve.n)
-        constraint = np.einsum("ij,ij->i", curve.tangent, vs)
-        vnorm = sobolev_norm(v, SobolevIndex(1.0))
+        vs = from_coeffs(curve.grid.band_ik * to_coeffs(v, axis=-1), curve.n, axis=-1)
+        constraint = np.einsum("ij,ij->j", curve.tangent, vs)
+        vnorm = sobolev_norm(v.T, SobolevIndex(1.0))
         assert np.max(np.abs(constraint)) < 1e-6 * max(vnorm, 1.0)
 
     def test_random_curves_bounded_tension(self):
@@ -309,6 +310,29 @@ class TestSolverInterface:
         problem = TensionProblem(PeriodicCurve.trefoil(64), build_table(1e-2, 32))
         with pytest.raises(SolverError, match="stalled at relative residual nan "):
             solve_tension(problem, np.full(64, np.nan))
+
+    def test_right_hand_side_overflow_is_refused(self, monkeypatch):
+        # a curve at scale 1e25 has finite fields, but its leps right-hand
+        # side's norm overflows: SolverError before the first iteration,
+        # raised for the whole batch, and no numpy warning on the way
+        from filament import tension
+
+        huge = PeriodicCurve(1e25 * PeriodicCurve.trefoil(32).samples)
+        pairs = [(PeriodicCurve.trefoil(32), build_table(1e-3, 16)), (huge, build_table(1e-3, 16))]
+        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]),
+                                 ForceMapStack([m for _, m in pairs], 17))
+        monkeypatch.setattr(tension, "_preconditioner", lambda problem: pytest.fail("iterated"))
+        for p in (problem, TensionProblem(*pairs[1])):
+            with pytest.raises(SolverError, match="^tension right-hand side is not finite"):
+                solve_tensions(p)
+
+    def test_inner_product_overflow_is_a_stall(self):
+        # at scale 1e22 the right-hand side is finite but p.Bp overflows:
+        # a breakdown at the first iteration, with no numpy warning, not
+        # 320 iterations that cannot move the iterate
+        huge = PeriodicCurve(1e22 * PeriodicCurve.trefoil(32).samples)
+        with pytest.raises(SolverError, match="at relative residual 1.000e[+]00 after 0 "):
+            solve_tension(TensionProblem(huge, build_table(1e-3, 16)))
 
     def test_problem_validation(self):
         curve = PeriodicCurve.circle(32)
