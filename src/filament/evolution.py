@@ -53,6 +53,7 @@ H_HALF_HOM = SobolevIndex(0.5, homogeneous=True)
 POLICY_EVERY = 25    # steps between re-evaluations of a policy-timed dt
 RESAMPLE_EVERY = 20  # steps between arclength resamplings of a group
 HORIZON_PARTS = 50   # a policy-timed dt is at most horizon / HORIZON_PARTS
+DT_GRID = 256        # a policy dt is rounded down to 2^(j / DT_GRID), j an integer
 TIME_RTOL = 1e-12    # times this close, relative to the later one, count as equal
 
 
@@ -118,10 +119,13 @@ def implicit_symbol(grid, force_map):
 
 
 def choose_dt(curve, force_map, cg_tol=CG_TOL, rescaled=False):
-    """Default step size: dt ||G||_H2 <= 1e-2 ||X||_H2 at the initial state.
+    """Default step size: dt ||G||_H2 <= 1e-2 ||X||_H2 at the initial state,
+    rounded down to the grid 2^(j / DT_GRID), j an integer.
 
     With rescaled=True the bound is applied to the |log eps|-rescaled
-    forcing, giving a step in rescaled time units.
+    forcing, giving a step in rescaled time units (rounded in those).
+    G's tension is solved only to cg_tol, so roundoff in the curve moves
+    the bound ~1e8 times as much; the grid keeps it from reaching dt.
     """
     (dt,) = _policy_dts([curve], [force_map], [cg_tol], [rescaled])
     return dt
@@ -144,8 +148,10 @@ def _policy_dts(curves, force_maps, cg_tols, rescaled):
     _, problem, _, ghat = _forcing(curves, force_maps, cg_tols, None)
     dts = (1e-2 * sobolev_norm_coeffs(problem.curve.coeffs, H2, batch=True)
            / sobolev_norm_coeffs(ghat, H2, batch=True))
-    return [float(dt * force_map.log_eps if scaled else dt)
-            for dt, force_map, scaled in zip(dts.tolist(), force_maps, rescaled)]
+    dts *= [m.log_eps if scaled else 1.0 for m, scaled in zip(force_maps, rescaled)]
+    j = np.floor(DT_GRID * np.log2(dts))
+    grid = np.exp2(j / DT_GRID)
+    return np.where(grid > dts, np.exp2((j - 1) / DT_GRID), grid).tolist()
 
 
 @dataclass(frozen=True)
@@ -253,8 +259,9 @@ class Group:
     the members) at t = 0 and again every POLICY_EVERY steps, at most
     doubling dt each time and capped at horizon / HORIZON_PARTS.  A step
     with an energy flag halves dt: for good when given, else a later
-    re-evaluation may double it again.  `lockstep` advances the progress
-    fields and sets failure when the group ends early."""
+    re-evaluation may double it again.  Halving and doubling keep a policy
+    dt on choose_dt's grid.  `lockstep` advances the progress fields and
+    sets failure when the group ends early."""
 
     states: list
     force_maps: tuple

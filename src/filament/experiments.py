@@ -40,7 +40,6 @@ from .spectral import (
     apply_L_eps,
     dealias,
     from_coeffs,
-    grid_major,
     mean_inner,
     project_tangent,
     sobolev_norm_coeffs,
@@ -110,8 +109,8 @@ def _discrepancy_row(cx, cy, table):
     pt = project_tangent(cx, wssss)
     power = table.mt[:size] * np.abs(pt) ** 2 + table.mn[:size] * np.abs(wssss - pt) ** 2
     return (sobolev_norm_coeffs(w_hat, H2), sobolev_norm_coeffs(w_hat, H72_HOM),
-            mean_inner(wss, wss), float(np.sum(grid_major(grid.weight * power))),
-            float(np.sum(np.mean(grid_major(cx.samples.T - cy.samples.T), axis=0) ** 2)))
+            mean_inner(wss, wss), float(np.sum(grid.weight * power)),
+            float(np.sum(np.mean(cx.samples.T - cy.samples.T, axis=-1) ** 2)))
 
 
 def _discrepancy_record(table, n, times, rows):

@@ -22,10 +22,8 @@ Layout: vector fields are stored component-first, the grid last: a
 curve's coefficients are (3, n/2+1) and its X_s, X_ss and tangent
 (3, n), so every FFT of the package runs along a C-contiguous last
 axis (a scalar field is (n,)).  Only PeriodicCurve.samples is grid-major,
-(n, 3), a transposed view of the stored samples.  The per-point product
-over the components is pointwise_dot; sums over the components alone
-add them in order 0, 1, 2 (np.sum along the component axis), and sums
-over the components and the grid together go through grid_major.
+(n, 3), a transposed view of the stored samples.  Every sum over the
+components, alone or with the grid, is a plain sum along their axis.
 
 Member axis: several curves on one grid step as one array program.  A
 CurveBatch holds their coefficients (m, 3, n/2+1) and tangents (m, 3, n),
@@ -142,24 +140,6 @@ def sobolev_norm_coeffs(coeffs, index, batch=False):
         w = (1.0 + grid.k ** 2) ** index.order
     norm = np.sqrt(np.sum(grid.weight * w * power, axis=-1))
     return norm if batch else float(norm)
-
-
-def pointwise_dot(a, b):
-    """a . b at each grid point of vector fields (..., 3, n), summed as
-    (a0 b0 + a2 b2) + a1 b1: the order in which
-    np.einsum("...ij,...ij->...i") sums C-contiguous grid-major
-    (..., n, 3) fields, which the projections keep so their bits match
-    that form."""
-    return ((a[..., 0, :] * b[..., 0, :] + a[..., 2, :] * b[..., 2, :])
-            + a[..., 1, :] * b[..., 1, :])
-
-
-def grid_major(values):
-    """A C-contiguous grid-major (..., n, 3) copy of a vector field
-    (..., 3, n), for a reduction over the grid that must add in the order
-    of that layout: a sum over the grid and the components together, or
-    over the grid alone column by column (each added point by point)."""
-    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
 
 
 def mean_inner(a, b):
@@ -294,7 +274,7 @@ def project_tangent(curve, coeffs):
     band = curve.grid.band
     tangent = curve.tangent
     f = from_coeffs(band * coeffs, n, axis=-1)
-    q = to_coeffs(pointwise_dot(tangent, f), axis=-1)
+    q = to_coeffs(np.sum(tangent * f, axis=-2), axis=-1)
     q[..., curve.grid.above_band] = 0.0
     p = to_coeffs(tangent * from_coeffs(q, n, axis=-1)[..., None, :], axis=-1)
     p[..., curve.grid.above_band] = 0.0
@@ -487,36 +467,39 @@ def read_curve_csv(path):
     float() makes of it, and a cell it refuses is reported with its line.
     Row j of n must have s = j/n to within 1e-9, so rows out of order or
     missing are rejected."""
-    rows, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file has no header
         if [h.strip() for h in header] != ["s", "x", "y", "z"]:
             raise ValueError(f"unexpected curve CSV header: {header}")
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            if len(row) != 4:
-                raise ValueError(f"line {reader.line_num}: expected 4 columns s,x,y,z, "
-                                 f"got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
+        rows = [row for row in reader if row]  # blank lines skipped
+    if set(map(len, rows)) - {4}:
+        j = next(j for j, row in enumerate(rows) if len(row) != 4)
+        raise ValueError(f"line {_line_of(path, j)}: expected 4 columns s,x,y,z, "
+                         f"got {len(rows[j])}")
     # each cell goes through float(), in one C-level pass for the file
     try:
         table = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
                             count=4 * len(rows)).reshape(-1, 4)
     except ValueError:  # name the line of the first cell that is not a number
-        for row, line in zip(rows, lines):
+        for j, row in enumerate(rows):
             try:
                 list(map(float, row))
             except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
+                raise ValueError(f"line {_line_of(path, j)}: {exc}") from None
         raise
     n = len(table)
     off = np.flatnonzero(~(np.abs(table[:, 0] - np.arange(n) / n) <= 1e-9)).tolist()
     if off:
         j = off[0]
-        raise ValueError(f"line {lines[j]}: s = {float(table[j, 0])!r}, "
+        raise ValueError(f"line {_line_of(path, j)}: s = {float(table[j, 0])!r}, "
                          f"expected j/n = {j}/{n} = {j / n!r}")
     return PeriodicCurve(table[:, 1:])
 
+
+def _line_of(path, j):
+    """The line of data row j of a curve CSV, read again: only a refused row needs it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        lines = (reader.line_num for row in itertools.islice(reader, 1, None) if row)
+        return next(itertools.islice(lines, j, None))

@@ -27,10 +27,11 @@ contiguous member rows, which reproduces np.dot bitwise).  The solve
 raises no numpy warning: a right-hand side whose norm is not finite (a
 curve scaled so far that the force map's image of X_ssss overflows)
 raises SolverError before the first iteration, and an r.z or p.Bp that
-is not a positive finite number is a breakdown.  A member that converges
-leaves the batch with its iterate, so it takes exactly the iterations it
-would take alone; the preconditioner's diagonal is built once per solve
-and leaves with the members.  A member that stalls or has a NaN residual
+is not a positive finite number is a breakdown, named an overflow when
+infinite.  A member that converges leaves the batch with its iterate, so
+it takes exactly the iterations it would take alone; the
+preconditioner's diagonal is built once per solve and leaves with the
+members.  A member that stalls or has a NaN residual
 raises SolverError, its message giving the member's last residual, for
 the whole batch (evolution._batched isolates it).  The solve also
 returns the velocity -(L[X_ssss] - L[(tau X_s)_s]) from its own
@@ -45,8 +46,7 @@ import numpy as np
 
 from .config import CG_TOL
 from .multipliers import ForceMapStack, check_model
-from .spectral import (CurveBatch, PeriodicCurve, dealias, from_coeffs, grid_major,
-                       pointwise_dot, to_coeffs)
+from .spectral import CurveBatch, PeriodicCurve, dealias, from_coeffs, to_coeffs
 
 
 class SolverError(RuntimeError):
@@ -107,7 +107,7 @@ def lift_adjoint(curve, coeffs):
     """Exact adjoint of lift on the dealiased band, -band(X_s . band(v_s)),
     from the coefficients of v to samples."""
     vs = from_coeffs(curve.grid.band_ik * coeffs, curve.n, axis=-1)
-    return -dealias(pointwise_dot(curve.tangent, vs), axis=-1)
+    return -dealias(np.sum(curve.tangent * vs, axis=-2), axis=-1)
 
 
 def apply_B(problem, tau):
@@ -131,7 +131,7 @@ def _preconditioner(problem):
     grid = problem.curve.grid
     mt, mn = problem.force_map.precond
     xss = grid.ik_pow[2] * problem.curve.coeffs
-    xss_sq = np.sum(grid_major(grid.weight * np.abs(xss) ** 2), axis=(-2, -1))
+    xss_sq = np.sum(grid.weight * np.abs(xss) ** 2, axis=(-2, -1))
     symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq[:, None]
     return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
 
@@ -208,14 +208,14 @@ def solve_tensions(problem, initial=None):
         rz_new = np.vecdot(r, z)
         ok = [iterations < 10 * n and 0.0 < v < np.inf for v in rz_new.tolist()]
         if not all(ok):
-            raise _stalled(residual, iterations, ok.index(False))
+            raise _stalled(residual, iterations, ok.index(False), "r.z", rz_new)
         p = z if p is None else z + (rz_new / rz)[:, None] * p
         rz = rz_new
         bp, lp = apply_B(problem, p)
         pbp = np.vecdot(p, bp)
         ok = [0.0 < v < np.inf for v in pbp.tolist()]
         if not all(ok):  # p.Bp underflowed or overflowed: the iterate cannot move
-            raise _stalled(residual, iterations, ok.index(False))
+            raise _stalled(residual, iterations, ok.index(False), "p.Bp", pbp)
         alpha = (rz / pbp)[:, None]
         x = x + alpha * p
         lx = lx + alpha[..., None] * lp
@@ -225,7 +225,10 @@ def solve_tensions(problem, initial=None):
     return tensions, velocity
 
 
-def _stalled(residual, iterations, row):
-    """The SolverError of the given row of the batch's residuals."""
-    return SolverError(f"tension CG stalled at relative residual {float(residual[row]):.3e} "
+def _stalled(residual, iterations, row, name, products):
+    """The SolverError of a row whose inner product `name` broke down:
+    an overflow if products[row] is infinite, else a stall."""
+    value = float(products[row])
+    what = f"overflowed ({name} = {value})" if np.isinf(value) else "stalled"
+    return SolverError(f"tension CG {what} at relative residual {float(residual[row]):.3e} "
                        f"after {iterations} iterations")

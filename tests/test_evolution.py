@@ -7,6 +7,7 @@ import pytest
 
 from filament.config import RunConfig
 from filament.evolution import (
+    DT_GRID,
     DiagnosticsRecord,
     EvolutionState,
     Trajectory,
@@ -172,11 +173,35 @@ class TestDtPolicy:
         assert dt1 == dt2 > 0.0
 
     def test_rescaled_policy_scales_by_log_eps(self):
+        # each dt is rounded down to the grid on its own, in its own time
+        # units: the ratio is |log eps| to within one grid step
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
         table = build_table(1e-3, 64)
-        assert choose_dt(curve, table, rescaled=True) == pytest.approx(
-            choose_dt(curve, table) * abs(math.log(1e-3)), rel=1e-12
-        )
+        ratio = (choose_dt(curve, table, rescaled=True)
+                 / (choose_dt(curve, table) * abs(math.log(1e-3))))
+        assert 2.0 ** (-1 / DT_GRID) <= ratio <= 2.0 ** (1 / DT_GRID)
+
+    @pytest.mark.parametrize("model,rescaled", [("leps", False), ("leps", True), ("rft", True)])
+    def test_policy_dt_on_the_grid(self, model, rescaled):
+        for curve in (PeriodicCurve.perturbed_circle(64, 3, 0.05), PeriodicCurve.trefoil(64)):
+            problem = make_problem(curve, model, 1e-3)
+            dt = choose_dt(curve, problem.force_map.maps[0], rescaled=rescaled)
+            j = round(DT_GRID * math.log2(dt))
+            assert dt == np.exp2(j / DT_GRID)
+
+    def test_roundoff_of_the_curve_stays_off_dt(self):
+        # the policy's bound comes from a tension solved to cg_tol, so
+        # 3e-16 noise on the samples moves it ~1e8 times as much; on the
+        # grid every dt stays the same and the energies move at roundoff
+        curve = PeriodicCurve.perturbed_circle(64, 3, 0.05)
+        noise = 3e-16 * np.random.default_rng(0).standard_normal(curve.samples.shape)
+        config = RunConfig(model="leps", epsilon=1e-3, n=64, horizon=1e-3)
+        runs = [run(config, c) for c in (curve, PeriodicCurve(curve.samples + noise))]
+        dts = [[r.dt for r in traj.diagnostics] for traj in runs]
+        assert len(dts[0]) > 100
+        assert dts[0] == dts[1]
+        energies = np.array([[r.energy for r in traj.diagnostics] for traj in runs])
+        assert np.max(np.abs(energies[0] - energies[1])) <= 1e-10 * np.max(energies)
 
 
 class TestInitialCurveParsing:

@@ -2,10 +2,13 @@
 for bit, and a guard that every FFT of a step runs along a C-contiguous
 last axis.
 
-The reference below is written per member on grid-major (n, 3) arrays,
-with np.einsum("...ij,...ij->...i") for the products with the tangent:
-the layout and the component order the package's kernels must
-reproduce.  Every comparison is np.array_equal.
+The reference below is written per member on grid-major (n, 3) arrays:
+a curve's fields and one arclength resampling pass, whose one sum over
+the components (the speed) adds them in order 0, 1, 2 in either layout.
+Every comparison is np.array_equal.  The projections, force maps and
+tension operator are not compared here: their sums over the components
+and the grid may add in another order, so tests/test_coefficient_path.py
+checks them against a physical-space reference to a tolerance.
 """
 
 import numpy as np
@@ -17,26 +20,19 @@ from filament.spectral import (
     TWO_PI,
     Grid,
     PeriodicCurve,
-    apply_L_eps,
-    apply_L_rft,
     curves_from_samples,
-    dealias,
     from_coeffs,
-    project_tangent,
     reparameterize_each,
     to_coeffs,
 )
-from filament.tension import lift, lift_adjoint
-from test_batch import NS, batched, members
+from test_batch import NS, members
 
 # ------------------------------------------------------------- reference
 
 
 def ref_fields(samples):
     """Coefficients (K, 3), X_s, X_ss, tangent (n, 3), speed and
-    inextensibility residual of grid-major samples (n, 3), every array
-    C-contiguous: np.einsum's order of summation depends on the memory
-    order of its operands."""
+    inextensibility residual of grid-major samples (n, 3)."""
     n = samples.shape[0]
     grid = Grid.of_size(n)
     coeffs = to_coeffs(np.ascontiguousarray(samples))
@@ -45,39 +41,6 @@ def ref_fields(samples):
     speed = np.sqrt(np.sum(xs ** 2, axis=-1))
     return dict(coeffs=coeffs, xs=xs, xss=xss, tangent=tangent, speed=speed,
                 inext_residual=float(np.max(np.abs(speed - 1.0))))
-
-
-def ref_project_tangent(tangent, coeffs):
-    n = tangent.shape[0]
-    grid = Grid.of_size(n)
-    f = from_coeffs(grid.band[:, None] * coeffs, n)
-    q = to_coeffs(np.einsum("...ij,...ij->...i", tangent, f))
-    q[grid.above_band] = 0.0
-    p = to_coeffs(tangent * from_coeffs(q, n)[:, None])
-    p[grid.above_band] = 0.0
-    return p
-
-
-def ref_apply_L(tangent, force_map, coeffs):
-    size = coeffs.shape[0]
-    pt = ref_project_tangent(tangent, coeffs)
-    if force_map.model == "rft":
-        return force_map.normal * (coeffs + pt)
-    a = force_map.mt[:size, None] * pt
-    b = force_map.mn[:size, None] * (coeffs - pt)
-    b[-1] = 0.0
-    return b + ref_project_tangent(tangent, a - b)
-
-
-def ref_lift(tangent, tau):
-    grid = Grid.of_size(tangent.shape[0])
-    return grid.band_ik[:, None] * to_coeffs(tangent * tau[:, None])
-
-
-def ref_lift_adjoint(tangent, coeffs):
-    n = tangent.shape[0]
-    vs = from_coeffs(Grid.of_size(n).band_ik[:, None] * coeffs, n)
-    return -dealias(np.einsum("...ij,...ij->...i", tangent, vs))
 
 
 def ref_taylor_shift(derivs, delta):
@@ -144,33 +107,6 @@ class TestAgainstGridMajorReference:
                 assert np.array_equal(getattr(got, name), want[name].T), name
             assert np.array_equal(got.speed, want["speed"])
             assert got.inext_residual == want["inext_residual"]
-
-    def test_projection_force_maps_and_lift(self, n):
-        pairs = members(n)
-        problem = batched(pairs)
-        curve, stack, split = problem.curve, problem.force_map, problem.force_map.split
-        rng = np.random.default_rng(n + 5)
-        # unfiltered noise reaches the modes above the cutoff and Nyquist
-        noise = to_coeffs(rng.standard_normal((len(pairs), n, 3)), axis=-2)
-        tau = dealias(rng.standard_normal((len(pairs), n)), axis=-1)
-        coeffs = np.ascontiguousarray(noise.swapaxes(-1, -2))
-        got = {
-            "project_tangent": project_tangent(curve, coeffs),
-            "force_map": np.concatenate((apply_L_eps(curve[:split], stack, coeffs[:split]),
-                                         apply_L_rft(curve[split:], stack, coeffs[split:]))),
-            "lift": lift(curve, tau),
-            "lift_adjoint": lift_adjoint(curve, coeffs),
-        }
-        for j, (c, force_map) in enumerate(pairs):
-            tangent = ref_fields(c.samples)["tangent"]
-            want = {
-                "project_tangent": ref_project_tangent(tangent, noise[j]).T,
-                "force_map": ref_apply_L(tangent, force_map, noise[j]).T,
-                "lift": ref_lift(tangent, tau[j]).T,
-                "lift_adjoint": ref_lift_adjoint(tangent, noise[j]),
-            }
-            for name, values in got.items():
-                assert np.array_equal(values[j], want[name]), (name, j)
 
     def test_one_resampling_pass(self, n):
         s = np.arange(n) / n

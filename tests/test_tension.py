@@ -328,10 +328,11 @@ class TestSolverInterface:
 
     def test_inner_product_overflow_is_a_stall(self):
         # at scale 1e22 the right-hand side is finite but p.Bp overflows:
-        # a breakdown at the first iteration, with no numpy warning, not
-        # 320 iterations that cannot move the iterate
+        # a breakdown at the first iteration, named as an overflow, with no
+        # numpy warning, not 320 iterations that cannot move the iterate
         huge = PeriodicCurve(1e22 * PeriodicCurve.trefoil(32).samples)
-        with pytest.raises(SolverError, match="at relative residual 1.000e[+]00 after 0 "):
+        with pytest.raises(SolverError, match=r"^tension CG overflowed \(p\.Bp = inf\) at relative "
+                                              r"residual 1\.000e\+00 after 0 iterations$"):
             solve_tension(TensionProblem(huge, build_table(1e-3, 16)))
 
     def test_problem_validation(self):

@@ -1,5 +1,5 @@
-"""Write every output file of the benchmark's CLI calls, for a byte-for-byte
-comparison of two source checkouts.
+"""Write every output file of the benchmark's CLI calls, to compare two
+source checkouts.
 
     python3 tools/replay_outputs.py ROOT OUT
 
@@ -25,9 +25,25 @@ must exit with its code in EXIT_CODES (0 if it has none); the script
 exits 1 if any does not.  Each replay runs in a fresh interpreter with
 BLAS and OpenMP pinned to one thread, as in the benchmark.  The
 wall_time_s of each directory manifest (manifest.json) is dropped, so
-two replays compare whole, manifests included, with
+two replays compare whole, manifests included.
+
+A change that alters no arithmetic replays byte for byte:
 
     diff -r OUT_A OUT_B
+
+is empty.  A change that moves roundoff replays with the same file set
+and identical step, time and dt columns (the dt policy rounds to a fixed
+grid, so roundoff does not reach dt), and every other number within a
+scaled difference that the change states, read from
+
+    python3 tools/compare_outputs.py OUT_A OUT_B
+
+Exempt from that tolerance, because they read roundoff itself: the
+cg_iterations, cg_residual and inext_residual columns of
+diagnostics.csv, the mean_sq trace of a sweep (the squared mean of
+W = X - Y, ~1e-36), and in the manifests mean_cg_iterations and the
+iteration count and residual of a stall (the cg_tol = 1e-30 run stops at
+its 10 n iteration cap).
 """
 
 import json
