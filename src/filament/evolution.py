@@ -90,16 +90,14 @@ def _energies(xss):
     return 0.5 * np.mean(np.sum(xss * xss, axis=-2), axis=-1)
 
 
-def dissipation(curve, tau):
-    """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s, from tau
-    samples; a list with one per member for a batch."""
-    grid = curve.grid
-    xsss = grid.ik_pow[3] * curve.coeffs
-    product = to_coeffs(curve.tangent * tau[..., None, :], axis=-1)
+def dissipation(curves, tau):
+    """D = |Z|^2 in homogeneous H^{1/2}, Z = X_sss - tau X_s, of each
+    member of the CurveBatch curves from its tau samples (m, n): a list."""
+    grid = curves.grid
+    product = to_coeffs(curves.tangent * tau[:, None], axis=-1)
     product[..., grid.above_band] = 0.0
-    batch = xsss.ndim == 3
-    norm = sobolev_norm_coeffs(xsss - product, H_HALF_HOM, batch=batch)
-    return [v ** 2 for v in norm.tolist()] if batch else norm ** 2
+    norms = sobolev_norm_coeffs(grid.ik_pow[3] * curves.coeffs - product, H_HALF_HOM)
+    return [v ** 2 for v in norms.tolist()]
 
 
 def dissipation_rate(problem, tension):
@@ -146,8 +144,7 @@ def _forcing(curves, force_maps, cg_tols, warm):
 def _policy_dts(curves, force_maps, cg_tols, rescaled):
     """choose_dt for every member (leps members first) as one batch."""
     _, problem, _, ghat = _forcing(curves, force_maps, cg_tols, None)
-    dts = (1e-2 * sobolev_norm_coeffs(problem.curve.coeffs, H2, batch=True)
-           / sobolev_norm_coeffs(ghat, H2, batch=True))
+    dts = 1e-2 * sobolev_norm_coeffs(problem.curve.coeffs, H2) / sobolev_norm_coeffs(ghat, H2)
     dts *= [m.log_eps if scaled else 1.0 for m, scaled in zip(force_maps, rescaled)]
     j = np.floor(DT_GRID * np.log2(dts))
     grid = np.exp2(j / DT_GRID)
@@ -187,7 +184,7 @@ def _advance(states, force_maps, dts, options):
     # diagnostics, one array expression per quantity for all members
     tau = np.array([t.values for t in tensions])
     dissipations = dissipation(CurveBatch.of(curves), tau)
-    h12 = sobolev_norm_coeffs(to_coeffs(tau, axis=-1), H_HALF, batch=True).tolist()
+    h12 = sobolev_norm_coeffs(to_coeffs(tau[:, None], axis=-1), H_HALF).tolist()
     energies = _energies(np.array([c.xss for c in curves])).tolist()
     new_states = []
     for j, (state, curve, e_new) in enumerate(zip(states, curves, energies)):

@@ -31,13 +31,12 @@ from .config import ENERGY_TOL, strictly_decreasing
 from .evolution import (H2, HORIZON_PARTS, TIME_RTOL, EvolutionState, Group, StepOptions,
                         energy, initial_curve, lockstep)
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
-from .multipliers import (abs_log, build_table, eval_mn, eval_mt, low_band,
+from .multipliers import (ForceMapStack, abs_log, build_table, eval_mn, eval_mt, low_band,
                           lowk_rft_difference, rft_constants)
 from .spectral import (
     GeometryError,
     PeriodicCurve,
     SobolevIndex,
-    apply_L_eps,
     dealias,
     from_coeffs,
     mean_inner,
@@ -339,19 +338,16 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
 
     Fields are band-limited Gaussian samples on the unit circle,
     normalized in H^{-1/2}; the operator frame is the circle tangent.
+    The fields are the members of one batch, through the table's stack.
     """
     curve = PeriodicCurve.circle(grid_n)
     if table is None:
         table = build_table(eps, grid_n // 2)
-    log_eps = abs_log(eps)
-    rng = np.random.default_rng(seed)
-    ratios = np.empty(n_fields)
-    for i in range(n_fields):
-        f = dealias(np.ascontiguousarray(rng.standard_normal((grid_n, 3)).T), axis=-1)
-        f /= sobolev_norm_coeffs(to_coeffs(f, axis=-1), H_MINUS_HALF)
-        lf = from_coeffs(apply_L_eps(curve, table, to_coeffs(f, axis=-1)), grid_n, axis=-1)
-        ratios[i] = mean_inner(f, lf) / log_eps
-    return ratios
+    draws = np.random.default_rng(seed).standard_normal((n_fields, grid_n, 3))
+    f = dealias(np.ascontiguousarray(draws.swapaxes(-1, -2)), axis=-1)
+    f /= sobolev_norm_coeffs(to_coeffs(f, axis=-1), H_MINUS_HALF)[:, None, None]
+    lf = ForceMapStack([table], grid_n // 2 + 1).apply(curve, to_coeffs(f, axis=-1))
+    return np.mean(np.sum(f * from_coeffs(lf, grid_n, axis=-1), axis=-2), axis=-1) / abs_log(eps)
 
 
 def lemma_suite(epsilons=(1e-2, 1e-3, 1e-4, 1e-5), kmax=4096):

@@ -171,13 +171,17 @@ def build_table(epsilon, kmax):
 class ForceMapStack:
     """The force maps of a batch's members as one force map with a member
     axis: m_t, m_n rows for the leps members, which come first, and
-    normal constants for the rft members.  `apply` takes coefficients
-    (m, 3, size), components first, and makes the first tangent
-    projection once for all members and L_eps's second one for the leps
-    members only; a row of m_t or m_n broadcasts over a member's three
-    component rows.  The implicit principal part's symbol is m_n (rft:
-    the tangential constant), (m, size); the tension preconditioner's is
-    the rows m_t, m_n (rft: both constants), (2, m, size)."""
+    normal constants for the rft members.  The constructor is the one
+    home of the check that each table covers the resolved spectrum.
+    `apply` takes coefficients (m, 3, size), components first, and is the
+    one caller of spectral.apply_L_eps and apply_L_rft, which read only
+    the stack's rows; it makes the first tangent projection once for all
+    members and L_eps's second one for the leps members only.  A row of
+    m_t or m_n broadcasts over a member's three component rows, and a
+    stack of one map over any number of fields.  The implicit principal
+    part's symbol is m_n (rft: the tangential constant), (m, size); the
+    tension preconditioner's is the rows m_t, m_n (rft: both constants),
+    (2, m, size)."""
 
     def __init__(self, maps, size):
         self.maps = tuple(maps)

@@ -118,19 +118,16 @@ class SobolevIndex:
 def sobolev_norm(values, index):
     """Spectral Sobolev norm of samples on grid axis 0, a scalar (n,) or a
     grid-major vector field (n, 3); homogeneous indices drop the k = 0 mode."""
-    return sobolev_norm_coeffs(to_coeffs(values).T, index)
+    return sobolev_norm_coeffs(np.atleast_2d(to_coeffs(values).T), index)
 
 
-def sobolev_norm_coeffs(coeffs, index, batch=False):
+def sobolev_norm_coeffs(coeffs, index):
     """sobolev_norm of the field with rfft-layout coefficients coeffs on
-    the last axis, the components of a vector field on the axis before it.
-    With batch, the first axis holds members and the result is an array
-    of norms, each with the bits of the member's solo norm (one pairwise
-    sum per row)."""
+    the last axis, its components (one for a scalar) on the axis before:
+    a float, or with member axes before those an array of norms, each
+    with the bits of the member's norm alone (one pairwise sum per row)."""
     grid = Grid.of_size(2 * (coeffs.shape[-1] - 1))
-    power = np.abs(coeffs) ** 2
-    if power.ndim > 1 + batch:
-        power = power.sum(axis=-2)
+    power = np.sum(np.abs(coeffs) ** 2, axis=-2)
     if index.homogeneous:
         k = grid.k.copy()
         k[0] = 1.0  # placeholder; the k = 0 weight is zeroed below
@@ -139,13 +136,13 @@ def sobolev_norm_coeffs(coeffs, index, batch=False):
     else:
         w = (1.0 + grid.k ** 2) ** index.order
     norm = np.sqrt(np.sum(grid.weight * w * power, axis=-1))
-    return norm if batch else float(norm)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def mean_inner(a, b):
     """Discrete ∫ a·b ds (trapezoid = mean on the periodic grid) of two
-    scalar fields (n,) or vector fields (3, n)."""
-    return float(np.mean(np.sum(a * b, axis=0) if a.ndim == 2 else a * b))
+    vector fields (3, n)."""
+    return float(np.mean(np.sum(a * b, axis=0)))
 
 
 def check_grid_size(n):
@@ -281,28 +278,21 @@ def project_tangent(curve, coeffs):
     return p
 
 
-def apply_L_eps(curve, table, coeffs, pt=None):
+def apply_L_eps(curve, stack, coeffs, pt):
     """Force-to-velocity map P T_mt P + (I - P) T_mn (I - P) on rfft
-    coefficients, evaluated as b + P(a - b) with a = T_mt P f and
-    b = T_mn (I - P) f: two projections, the first skipped when pt holds
-    P f already."""
-    size = curve.grid.k.shape[0]
-    if table.mt.shape[-1] < size:
-        raise ValueError("multiplier table shorter than the resolved spectrum")
-    if pt is None:
-        pt = project_tangent(curve, coeffs)
-    a = table.mt[..., None, :size] * pt
-    b = table.mn[..., None, :size] * (coeffs - pt)
+    coefficients, with the m_t, m_n rows of a multipliers.ForceMapStack
+    (its `apply` is the caller), evaluated as b + P(a - b) with
+    a = T_mt P f and b = T_mn (I - P) f, where pt holds P f."""
+    a = stack.mt[:, None] * pt
+    b = stack.mn[:, None] * (coeffs - pt)
     b[..., -1] = 0.0
     return b + project_tangent(curve, a - b)
 
 
-def apply_L_rft(curve, constants, coeffs, pt=None):
+def apply_L_rft(curve, stack, coeffs, pt):
     """Local RFT operator (|log eps|/4 pi)(I + X_s tensor X_s) on rfft
-    coefficients; pt, when given, is P f."""
-    if pt is None:
-        pt = project_tangent(curve, coeffs)
-    return constants.normal * (coeffs + pt)
+    coefficients, with the normal constants of a ForceMapStack; pt holds P f."""
+    return stack.normal * (coeffs + pt)
 
 
 def reparameterize_arclength(curve, passes=1):
@@ -339,9 +329,11 @@ def reparameterize_each(curves):
     by a Taylor shift from the derivative samples at node m_j, O(n log n),
     gathered only after a move: a curve near arclength never moves, and
     one far from it (such as the raw trefoil) needs no other path.  The
-    curves are one batch: those with the same Taylor order share their FFT
-    calls and Newton iterations, and a member that converges keeps its
-    preimages while the others iterate.
+    curves are one batch, which shares its FFT calls and Newton
+    iterations, at the largest Taylor order of its members: a member's
+    derivative rows above its own order are zero, so Horner's rule starts
+    at its own order and each member keeps the bits of its pass alone.  A
+    member that converges keeps its preimages while the others iterate.
     """
     if not curves:
         return []
@@ -360,54 +352,51 @@ def reparameterize_each(curves):
     # pi/2 from the nearest node; the Taylor terms decay at least like
     # x^m/m!, and orders 0..M with x^M/M! < 1e-17 put the truncation error
     # below double-precision resolution.
-    out = [None] * len(curves)
-    orders = {}
-    phases = np.minimum(np.pi * n * np.max(np.abs(delta), axis=-1), np.pi / 2)
-    for j, x in enumerate(phases.tolist()):
+    orders = []
+    for x in np.minimum(np.pi * n * np.max(np.abs(delta), axis=-1), np.pi / 2).tolist():
         order, term = 0, 1.0
         while term >= 1e-17:
             order += 1
             term *= x / order
-        orders.setdefault(order, []).append(j)
-    for order, rows in orders.items():
-        # d^m/ds^m of g (m, orders, n) and X (m, orders, 3, n) at the
-        # nodes.  The Nyquist mode stays the cosine of the trigonometric
-        # interpolant: irfft keeps its real (even-order) part and drops
-        # the odd orders.
-        factor = (TWO_PI * 1j * grid.k) ** np.arange(order + 1)[:, None]
-        gd = from_coeffs(ghat[rows][:, None] * factor, n, axis=-1)
-        coeffs = np.array([curves[j].coeffs for j in rows])
-        xd = from_coeffs(coeffs[:, None] * factor[:, None], n, axis=-1)
-        length = total[rows][:, None]
-        # preimage j is node/n + r with L r + g(node/n + r) = target, and
-        # target = g(0) - L (node - j)/n; gm holds the derivative samples
-        # of g at the nodes.  The last pass only moves the offsets of the
-        # final update.
-        r, gm, target, node = delta[rows], gd, gd[:, 0, :1], np.arange(n)
-        tol = 1e-14 * np.maximum(total[rows], 1.0)
-        going = np.ones(len(rows), dtype=bool)
-        for i in range(_NEWTON_MAXITER + 1):
-            if np.max(np.abs(r)) * n > 0.5:
-                moves = np.rint(r * n)
-                node = node + moves.astype(int)
-                r = r - moves / n
-                gm = np.take_along_axis(gd, node[:, None] % n, axis=-1)
-                target = gd[:, 0, :1] - length * ((node - np.arange(n)) / n)
-            if i == _NEWTON_MAXITER or not going.any():
-                break
-            f = length * r + _taylor_shift(gm, r) - target
-            fp = length + _taylor_shift(gm[:, 1:], r)
-            r = np.where(going[:, None], r - f / fp, r)
-            residual = np.max(np.abs(f), axis=-1)
-            going &= ~(residual < tol)
-        if going.any():
-            raise GeometryError(
-                f"arclength Newton did not converge in {_NEWTON_MAXITER} iterations "
-                f"(max |f| = {residual[going][0]:.3e})")
-        xm = xd if gm is gd else np.take_along_axis(xd, node[:, None, None] % n, axis=-1)
-        for j, curve in zip(rows, curves_from_samples(_taylor_shift(xm, r) / length[:, :, None])):
-            out[j] = curve
-    return out
+        orders.append(order)
+    # d^m/ds^m of g (members, orders, n) and X (members, orders, 3, n) at
+    # the nodes, zero above each member's order.  The Nyquist mode stays
+    # the cosine of the trigonometric interpolant: irfft keeps its real
+    # (even-order) part and drops the odd orders.
+    powers = np.arange(max(orders) + 1)[:, None]
+    factor = np.where(powers <= np.array(orders)[:, None, None],
+                      (TWO_PI * 1j * grid.k) ** powers, 0.0)
+    gd = from_coeffs(ghat[:, None] * factor, n, axis=-1)
+    coeffs = np.array([c.coeffs for c in curves])
+    xd = from_coeffs(coeffs[:, None] * factor[:, :, None], n, axis=-1)
+    length = total[:, None]
+    # preimage j is node/n + r with L r + g(node/n + r) = target, and
+    # target = g(0) - L (node - j)/n; gm holds the derivative samples of g
+    # at the nodes.  The last pass only moves the offsets of the final
+    # update.
+    r, gm, target, node = delta, gd, gd[:, 0, :1], np.arange(n)
+    tol = 1e-14 * np.maximum(total, 1.0)
+    going = np.ones(len(curves), dtype=bool)
+    for i in range(_NEWTON_MAXITER + 1):
+        if np.max(np.abs(r)) * n > 0.5:
+            moves = np.rint(r * n)
+            node = node + moves.astype(int)
+            r = r - moves / n
+            gm = np.take_along_axis(gd, node[:, None] % n, axis=-1)
+            target = gd[:, 0, :1] - length * ((node - np.arange(n)) / n)
+        if i == _NEWTON_MAXITER or not going.any():
+            break
+        f = length * r + _taylor_shift(gm, r) - target
+        fp = length + _taylor_shift(gm[:, 1:], r)
+        r = np.where(going[:, None], r - f / fp, r)
+        residual = np.max(np.abs(f), axis=-1)
+        going &= ~(residual < tol)
+    if going.any():
+        raise GeometryError(
+            f"arclength Newton did not converge in {_NEWTON_MAXITER} iterations "
+            f"(max |f| = {residual[going][0]:.3e})")
+    xm = xd if gm is gd else np.take_along_axis(xd, node[:, None, None] % n, axis=-1)
+    return curves_from_samples(_taylor_shift(xm, r) / length[:, :, None])
 
 
 def _taylor_shift(derivs, delta):

@@ -33,8 +33,6 @@ from filament.spectral import (
     GeometryError,
     PeriodicCurve,
     SobolevIndex,
-    apply_L_eps,
-    apply_L_rft,
     curves_from_samples,
     dealias,
     mean_inner,
@@ -64,9 +62,10 @@ def batched(pairs, **kwargs):
 
 
 def apply_L(curve, force_map, coeffs):
-    """The unbatched force map of one curve, bypassing ForceMapStack."""
-    apply = apply_L_eps if force_map.model == "leps" else apply_L_rft
-    return apply(curve, force_map, coeffs)
+    """The force map of one curve alone, the stack of one: its single-model
+    branch, against which the mixed stack's is compared."""
+    stack = ForceMapStack([force_map], curve.grid.k.shape[0])
+    return stack.apply(CurveBatch.of([curve]), coeffs[None])[0]
 
 
 @pytest.mark.parametrize("n", NS)
@@ -163,10 +162,10 @@ class TestAgainstSolo:
     def test_sobolev_norms(self, n):
         rng = np.random.default_rng(n + 3)
         vector = to_coeffs(rng.standard_normal((4, n, 3)).swapaxes(-1, -2), axis=-1)
-        scalar = to_coeffs(rng.standard_normal((4, n)), axis=-1)
+        scalar = to_coeffs(rng.standard_normal((4, 1, n)), axis=-1)  # one component
         for index in (H2, H_HALF, H_HALF_HOM, SobolevIndex(3.5, homogeneous=True)):
             for coeffs in (vector, scalar):
-                got = sobolev_norm_coeffs(coeffs, index, batch=True).tolist()
+                got = sobolev_norm_coeffs(coeffs, index).tolist()
                 assert got == [sobolev_norm_coeffs(member, index) for member in coeffs]
 
     def test_energies_and_dissipation(self, n):
@@ -176,7 +175,7 @@ class TestAgainstSolo:
         assert got == [0.5 * mean_inner(c.xss, c.xss) for c in curves]
         tau = np.random.default_rng(n + 4).standard_normal((len(curves), n))
         assert dissipation(CurveBatch.of(curves), tau) == [
-            dissipation(c, t) for c, t in zip(curves, tau)]
+            dissipation(CurveBatch.of([c]), t[None])[0] for c, t in zip(curves, tau)]
 
     def test_resampler(self, n):
         s = np.arange(n) / n

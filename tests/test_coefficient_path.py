@@ -19,14 +19,13 @@ from filament.multipliers import ForceMapStack, build_table, rft_constants
 from filament.spectral import (
     Grid,
     PeriodicCurve,
-    apply_L_eps,
-    apply_L_rft,
     dealias,
     from_coeffs,
     project_tangent,
     to_coeffs,
 )
 from filament.tension import TensionProblem, apply_B, assemble_rhs
+from test_batch import apply_L
 
 EPS = 1e-3
 RTOL = 1e-12
@@ -166,13 +165,12 @@ class TestAgainstReference:
     def test_force_map(self, name, n, model):
         curve = fresh(name, n)
         operator, ref = ref_operator(curve, model)
-        apply = apply_L_eps if model == "leps" else apply_L_rft
+        apply = functools.partial(apply_L, curve, operator)  # the stack of one
         # unfiltered noise reaches the modes above the cutoff and Nyquist
         field = np.random.default_rng(n + 1).standard_normal((n, 3))
-        got = from_coeffs(apply(curve, operator, to_coeffs(field.T, axis=-1)), n, axis=-1)
+        got = from_coeffs(apply(to_coeffs(field.T, axis=-1)), n, axis=-1)
         assert_close(got.T, ref(field))
-        assert_close(from_coeffs(apply(curve, operator, curve.coeffs), n, axis=-1).T,
-                     ref(curve.samples))
+        assert_close(from_coeffs(apply(curve.coeffs), n, axis=-1).T, ref(curve.samples))
 
     @pytest.mark.parametrize("name,n,model", CASES)
     def test_tension_operator_and_rhs(self, name, n, model):

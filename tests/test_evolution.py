@@ -23,7 +23,7 @@ from filament.evolution import (
     write_diagnostics_csv,
 )
 from filament.multipliers import ForceMapStack, build_table, rft_constants
-from filament.spectral import Grid, PeriodicCurve, SobolevIndex, sobolev_norm
+from filament.spectral import CurveBatch, Grid, PeriodicCurve, SobolevIndex, sobolev_norm
 from filament.tension import TensionProblem, solve_tension
 from test_batch import folded
 from test_tension import velocity
@@ -51,14 +51,14 @@ class TestEnergyFunctionals:
         curve = PeriodicCurve.circle(128)
         problem = make_problem(curve, "leps", 1e-3)
         tau = solve_tension(problem)
-        assert dissipation(curve, tau.values) < 1e-12
+        assert dissipation(CurveBatch.of([curve]), tau.values[None])[0] < 1e-12
         assert np.max(np.abs(velocity(problem, tau))) < 1e-6
 
     def test_dissipation_positive_off_equilibrium(self):
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
         problem = make_problem(curve, "leps", 1e-3)
         tau = solve_tension(problem)
-        assert dissipation(curve, tau.values) > 1e-3
+        assert dissipation(CurveBatch.of([curve]), tau.values[None])[0] > 1e-3
         assert dissipation_rate(problem, tau) > 0.0
 
 

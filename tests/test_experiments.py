@@ -22,8 +22,10 @@ from filament.experiments import (
     write_summary_csv,
     write_traces_csv,
 )
-from filament.multipliers import MultiplierTable, build_table, rft_constants
-from filament.spectral import PeriodicCurve, write_json
+from filament.multipliers import (ForceMapStack, MultiplierTable, abs_log, build_table,
+                                  rft_constants)
+from filament.spectral import (PeriodicCurve, SobolevIndex, dealias, from_coeffs, mean_inner,
+                               sobolev_norm_coeffs, to_coeffs, write_json)
 
 
 def run_pair(eps, n, horizon, initial_name, *, dt, table=None):
@@ -87,6 +89,25 @@ class TestCoercivity:
         a = coercivity_ratios(1e-3, grid_n=64, n_fields=5, seed=3)
         b = coercivity_ratios(1e-3, grid_n=64, n_fields=5, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-5])
+    def test_batch_has_the_bits_of_the_loop_over_fields(self, eps, seed):
+        # the fields are the members of one batch; here each goes alone
+        # through the stack of one, whose member axis [0] drops: without
+        # it the ratios come out three times too small, and criterion 2
+        # still passes
+        grid_n, n_fields = 256, 50
+        curve = PeriodicCurve.circle(grid_n)
+        stack = ForceMapStack([build_table(eps, grid_n // 2)], grid_n // 2 + 1)
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(n_fields):
+            f = dealias(np.ascontiguousarray(rng.standard_normal((grid_n, 3)).T), axis=-1)
+            f /= sobolev_norm_coeffs(to_coeffs(f, axis=-1), SobolevIndex(-0.5))
+            lf = stack.apply(curve, to_coeffs(f, axis=-1))[0]
+            want.append(mean_inner(f, from_coeffs(lf, grid_n, axis=-1)) / abs_log(eps))
+        assert np.array_equal(coercivity_ratios(eps, grid_n, n_fields, seed), want)
 
     def test_corrupted_multiplier_detected(self):
         # flipping the sign of one multiplier entry breaks positivity,

@@ -15,8 +15,6 @@ from filament.spectral import (
     Grid,
     PeriodicCurve,
     SobolevIndex,
-    apply_L_eps,
-    apply_L_rft,
     curves_from_samples,
     dealias,
     from_coeffs,
@@ -30,6 +28,7 @@ from filament.spectral import (
     write_curve_csv,
     write_json,
 )
+from test_batch import apply_L
 
 TWO_PI = 2.0 * np.pi
 
@@ -139,9 +138,9 @@ def mn_form(f, mn):
     return float(np.sum(grid.weight * m * np.sum(np.abs(to_coeffs(f, axis=-1)) ** 2, axis=0)))
 
 
-def apply_to_samples(apply, curve, operator, f):
-    """A coefficient-space force map applied to samples f (3, n)."""
-    return from_coeffs(apply(curve, operator, to_coeffs(f, axis=-1)), f.shape[-1], axis=-1)
+def apply_to_samples(curve, force_map, f):
+    """The force map of curve alone (the stack of one) applied to samples f (3, n)."""
+    return from_coeffs(apply_L(curve, force_map, to_coeffs(f, axis=-1)), f.shape[-1], axis=-1)
 
 
 class TestForceToVelocityMaps:
@@ -156,24 +155,19 @@ class TestForceToVelocityMaps:
         for k in (1, 5, 20):
             f = np.zeros((3, n))
             f[2] = np.cos(TWO_PI * k * s)
-            out = apply_to_samples(apply_L_eps, curve, table, f)
+            out = apply_to_samples(curve, table, f)
             assert np.max(np.abs(out - table.mt[k] * f)) < 1e-10 * table.mt[k]
             g = np.zeros((3, n))
             g[0] = np.cos(TWO_PI * k * s)  # normal direction
-            out = apply_to_samples(apply_L_eps, curve, table, g)
+            out = apply_to_samples(curve, table, g)
             assert np.max(np.abs(out - table.mn[k] * g)) < 1e-10 * table.mn[k]
-
-    def test_table_must_cover_the_spectrum(self):
-        curve = PeriodicCurve.circle(32)
-        with pytest.raises(ValueError, match="multiplier table shorter than the resolved spectrum"):
-            apply_L_eps(curve, build_table(1e-3, 8), to_coeffs(curve.xss, axis=-1))
 
     def test_self_adjoint(self):
         curve = PeriodicCurve.perturbed_circle(128, 3, 0.05)
         table = build_table(1e-3, 64)
         f, g = random_field(128, seed=8), random_field(128, seed=9)
-        lhs = mean_inner(g, apply_to_samples(apply_L_eps, curve, table, f))
-        rhs = mean_inner(f, apply_to_samples(apply_L_eps, curve, table, g))
+        lhs = mean_inner(g, apply_to_samples(curve, table, f))
+        rhs = mean_inner(f, apply_to_samples(curve, table, g))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_positivity_50_trials(self):
@@ -182,7 +176,7 @@ class TestForceToVelocityMaps:
             table = build_table(eps, 64)
             for trial in range(50):
                 f = random_field(128, seed=100 + trial)
-                assert mean_inner(f, apply_to_samples(apply_L_eps, curve, table, f)) > 0.0
+                assert mean_inner(f, apply_to_samples(curve, table, f)) > 0.0
 
     def test_quadratic_form_comparable_to_mn_sum(self):
         # m_t comparable to m_n makes the form comparable to the plain
@@ -192,7 +186,7 @@ class TestForceToVelocityMaps:
         los, his = [], []
         for trial in range(20):
             f = random_field(128, seed=300 + trial)
-            form = mean_inner(f, apply_to_samples(apply_L_eps, curve, table, f))
+            form = mean_inner(f, apply_to_samples(curve, table, f))
             ref = mn_form(f, table.mn)
             los.append(form / ref)
             his.append(form / ref)
@@ -203,12 +197,12 @@ class TestForceToVelocityMaps:
         curve = PeriodicCurve.circle(128)
         constants = rft_constants(1e-3)
         tangential = dealias(curve.xs * dealias(np.sin(TWO_PI * np.arange(128) / 128)), axis=-1)
-        out = apply_to_samples(apply_L_rft, curve, constants, tangential)
+        out = apply_to_samples(curve, constants, tangential)
         assert np.max(np.abs(out - constants.tangential * tangential)) < 1e-6
         # out-of-plane field is normal to the planar circle
         normal = np.zeros((3, 128))
         normal[2] = np.cos(TWO_PI * np.arange(128) / 128)
-        out = apply_to_samples(apply_L_rft, curve, constants, normal)
+        out = apply_to_samples(curve, constants, normal)
         assert np.max(np.abs(out - constants.normal * normal)) < 1e-10
 
     def test_rft_pointwise_eigenvalue_range(self):
@@ -216,7 +210,7 @@ class TestForceToVelocityMaps:
         constants = rft_constants(1e-3)
         for trial in range(10):
             f = random_field(128, seed=400 + trial)
-            form = mean_inner(f, apply_to_samples(apply_L_rft, curve, constants, f))
+            form = mean_inner(f, apply_to_samples(curve, constants, f))
             norm2 = mean_inner(f, f)
             assert constants.normal * norm2 * 0.99 <= form <= 2.01 * constants.normal * norm2
 

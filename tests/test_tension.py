@@ -296,6 +296,22 @@ class TestSolverInterface:
         assert float(residual) > 0.0
         assert int(iterations) >= 1
 
+    def test_cap_leaves_room_past_the_band_dimension(self):
+        # in floating point CG may need more iterations than the band's
+        # 2 floor(n/3) + 1 dimensions: on a curve far from arclength
+        # (speed 0.28 to 3.0) the leps solve converges after more than n,
+        # where a cap of n iterations would make it a stall
+        n = 64
+        modes = 0.1 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 2, 3))
+        phase = TWO_PI * np.arange(n) / n
+        samples = PeriodicCurve.circle(n).samples.copy()
+        for k, (a, b) in enumerate(modes, start=1):
+            samples += (np.cos(k * phase)[:, None] * a + np.sin(k * phase)[:, None] * b) / k
+        problem = make_problem(PeriodicCurve(samples), "leps", 1e-3)
+        tau = solve_tension(problem)
+        assert tau.iterations > n
+        assert tau.residual <= problem.cg_tol[0]
+
     def test_step_length_breakdown_is_a_stall(self):
         # far past convergence p.Bp underflows to 0: a stall, not a
         # division by zero
