@@ -58,12 +58,9 @@ def _setup_logging():
 
 
 def _versions():
-    import scipy
-
     return {
         "filament": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .bessel import bessel_k_scaled
+from .bessel import k0_k1
 
 EPSILON_MIN = 1e-70  # the smallest eps taken (module docstring)
 
@@ -46,34 +46,35 @@ def check_epsilon(epsilon, cap=None):
     return epsilon
 
 
-def _mt_nonzero(x):
-    k0 = bessel_k_scaled(0, x)
-    k1 = bessel_k_scaled(1, x)
-    num = 2.0 * k0 * k1 + x * (k0 * k0 - k1 * k1)
-    return num / (4.0 * np.pi * x * k1 * k1)
-
-
-def _mn_nonzero(x):
-    k0 = bessel_k_scaled(0, x)
-    k1 = bessel_k_scaled(1, x)
-    k2 = bessel_k_scaled(2, x)
+def _nonzero(x):
+    """m_t and m_n at a 1-D array x = 2 pi eps |k| > 0: K0 and K1
+    evaluated once for both, K2 from the recurrence K0 + 2 K1 / x."""
+    k0, k1 = k0_k1(x, scaled=True)
+    k2 = k0 + 2.0 * k1 / x
+    mt = (2.0 * k0 * k1 + x * (k0 * k0 - k1 * k1)) / (4.0 * np.pi * x * k1 * k1)
     num = 2.0 * k0 * k1 * k2 + x * (k1 * k1 * (k0 + k2) - 2.0 * k0 * k0 * k2)
     den = 2.0 * np.pi * x * (4.0 * k1 * k1 * k2 + x * k1 * (k1 * k1 - k0 * k2))
-    return num / den
+    return mt, num / den
 
 
-# direction: its multiplier at k != 0, and d of its RFT coefficient and zero mode |log eps|/(d pi)
-_DIRECTIONS = {"tangential": (_mt_nonzero, 2.0), "normal": (_mn_nonzero, 4.0)}
+# direction: its row, and d of its RFT coefficient and zero mode |log eps|/(d pi)
+_DIRECTIONS = {"tangential": (0, 2.0), "normal": (1, 4.0)}
+_ZERO_MODES = np.array([[1.0 / (d * np.pi)] for _, d in _DIRECTIONS.values()])
+
+
+def _multipliers(epsilon, k):
+    """m_t and m_n at a checked eps and an array k, stacked (2,) + k.shape."""
+    ka = np.abs(np.asarray(k, dtype=float))
+    out = np.empty((2,) + ka.shape)
+    nz = ka > 0
+    out[:, nz] = _nonzero(2.0 * np.pi * epsilon * ka[nz])
+    out[:, ~nz] = _ZERO_MODES * abs_log(epsilon)
+    return out
 
 
 def _eval(epsilon, k, direction):
     """The multiplier of direction at a checked eps."""
-    nonzero, d = _DIRECTIONS[direction]
-    ka = np.abs(np.asarray(k, dtype=float))
-    out = np.empty_like(ka)
-    nz = ka > 0
-    out[nz] = nonzero(2.0 * np.pi * epsilon * ka[nz])
-    out[~nz] = 1.0 / (d * np.pi) * abs_log(epsilon)
+    out = _multipliers(epsilon, k)[_DIRECTIONS[direction][0]]
     return out if np.ndim(k) else float(out)
 
 
@@ -164,8 +165,7 @@ def build_table(epsilon, kmax):
     epsilon = check_epsilon(epsilon)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax!r}")
-    k = np.arange(kmax + 1)
-    return MultiplierTable(epsilon, int(kmax), *(_eval(epsilon, k, d) for d in _DIRECTIONS))
+    return MultiplierTable(epsilon, int(kmax), *_multipliers(epsilon, np.arange(kmax + 1)))
 
 
 class ForceMapStack:

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from filament import multipliers
 from filament.multipliers import (
@@ -242,6 +243,27 @@ class TestTable:
         large = build_table(1e-3, 128)
         assert np.array_equal(small.mt, large.mt[:65])
         assert np.array_equal(small.mn, large.mn[:65])
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-8, 1e-30, 1e-70])
+    def test_table_matches_the_scipy_formulas(self, eps):
+        # the module's formulas with scipy's k0e, k1e and kve(2, .) for K
+        kmax = 4096
+        k = np.arange(1, kmax + 1)
+        x = 2.0 * math.pi * eps * k
+        k0, k1, k2 = special.k0e(x), special.k1e(x), special.kve(2, x)
+        mt = (2.0 * k0 * k1 + x * (k0 * k0 - k1 * k1)) / (4.0 * np.pi * x * k1 * k1)
+        num = 2.0 * k0 * k1 * k2 + x * (k1 * k1 * (k0 + k2) - 2.0 * k0 * k0 * k2)
+        den = 2.0 * np.pi * x * (4.0 * k1 * k1 * k2 + x * k1 * (k1 * k1 - k0 * k2))
+        table = build_table(eps, kmax)
+        # 1e-14 up to x = 1.  Past it k0^2 - k1^2 and k1^2 - k0 k2 are
+        # ~K^2/x, so the formulas scale a rounding of either side's K by
+        # ~x: at x = 2,500 each side is ~1e-12 from 50-digit mpmath.
+        bound = 5e-15 * (1.0 + x)
+        assert np.all(np.abs(table.mt[1:] / mt - 1.0) <= bound)
+        assert np.all(np.abs(table.mn[1:] / (num / den) - 1.0) <= bound)
+        # one evaluation of K0 and K1 for both rows changes no value
+        assert np.array_equal(table.mt, eval_mt(eps, np.arange(kmax + 1)))
+        assert np.array_equal(table.mn, eval_mn(eps, np.arange(kmax + 1)))
 
     def test_table_immutable(self):
         t = build_table(1e-3, 16)

@@ -2,6 +2,7 @@
 re-exports nothing, so each name is imported from its module, and the
 declared dependencies cover what the code calls."""
 
+import json
 import os
 import pkgutil
 import re
@@ -44,3 +45,19 @@ def test_numpy_floor_covers_numpy_2_calls():
     (numpy,) = [d for d in dependencies if re.match(r"numpy\b", d)]
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", numpy.replace(" ", ""))
     assert floor and tuple(map(int, floor.groups())) >= (2, 0), numpy
+
+
+def test_runtime_needs_numpy_only():
+    # a run imports the CLI and writes the manifests' versions block;
+    # scipy serves only the tests (test_bessel's quadrature oracle)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import json, sys\nfrom filament import cli\nversions = cli._versions()\n"
+            "print(json.dumps([sorted(versions), 'scipy' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [["filament", "numpy", "python"], False]
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert not [d for d in project["dependencies"] if re.match(r"scipy\b", d)]
+    assert [d for d in project["optional-dependencies"]["test"] if re.match(r"scipy\b", d)]
