@@ -29,10 +29,10 @@ import numpy as np
 from . import __version__
 from .config import (aspect_ratio, aspect_ratios, config_as_dict, count, parse_config,
                      parse_sweep_config)
-from .evolution import initial_curve
-from .multipliers import check_model
+from .evolution import initial_curve, run, write_diagnostics_csv
+from .multipliers import build_table, check_model, force_map_for, low_band, rft_constants
 from .spectral import GeometryError, read_curve_csv, write_csv, write_curve_csv, write_json
-from .tension import SolverError
+from .tension import SolverError, TensionProblem, solve_tension
 
 log = logging.getLogger("filament")
 
@@ -121,8 +121,6 @@ def _run(args):
 # failure message or None.
 
 def _cmd_simulate(args):
-    from .evolution import run, write_diagnostics_csv
-
     config, (curve,) = args.config
     log.info("simulate: model=%s eps=%g n=%d horizon=%g",
              config.model, config.epsilon, config.n, config.horizon)
@@ -145,6 +143,7 @@ def _eps_tag(eps):
 
 
 def _cmd_sweep(args):
+    # lazy: the one module import filament.cli does not load; it pulls in concurrent.futures
     from .experiments import (
         ROW_KEYS,
         compensated_band,
@@ -174,23 +173,17 @@ def _cmd_sweep(args):
 
 
 def _cmd_multiplier_dump(args):
-    from .multipliers import eval_mn, eval_mt, low_band, lowk_rft_difference
-
+    table, rft = build_table(args.epsilon, args.kmax), rft_constants(args.epsilon)
     k = np.arange(args.kmax + 1)
-    mt, mn = eval_mt(args.epsilon, k), eval_mn(args.epsilon, k)
-    low = low_band(args.epsilon, k)  # where the low-k differences are defined
-    diffs = np.full((2, k.size), np.nan)
-    for diff, direction in zip(diffs, ("tangential", "normal")):
-        diff[low] = lowk_rft_difference(args.epsilon, k[low], direction)
+    mt, mn = table.mt, table.mn
+    # the low-k differences, defined on the low band only
+    diffs = np.where(low_band(args.epsilon, k), [mt - rft.tangential, mn - rft.normal], np.nan)
     write_csv(args.out, ["k", "mt", "mn", "inv_mt", "inv_mn", "lowk_diff_t", "lowk_diff_n"],
               zip(k, mt, mn, 1.0 / mt, 1.0 / mn, *diffs))
     return {"epsilon": args.epsilon, "kmax": args.kmax}, {}, None
 
 
 def _cmd_tension_check(args):
-    from .multipliers import force_map_for
-    from .tension import TensionProblem, solve_tension
-
     curve = args.curve
     tau = solve_tension(TensionProblem(curve, force_map_for(args.model, args.epsilon, curve.n)))
     write_csv(args.out, ["s", "tau"], zip(np.arange(curve.n) / curve.n, tau.values))

@@ -31,8 +31,7 @@ from .config import ENERGY_TOL, strictly_decreasing
 from .evolution import (H2, HORIZON_PARTS, TIME_RTOL, EvolutionState, Group, StepOptions,
                         energy, initial_curve, lockstep)
 from .evolution import _named, _step  # noqa: F401  (_step: perfbench/test_smoke.py looks it up)
-from .multipliers import (ForceMapStack, abs_log, build_table, eval_mn, eval_mt, low_band,
-                          lowk_rft_difference, rft_constants)
+from .multipliers import ForceMapStack, abs_log, build_table, low_band, rft_constants
 from .spectral import (
     GeometryError,
     PeriodicCurve,
@@ -289,7 +288,7 @@ def write_traces_csv(record, path):
 # Multiplier bound suites (fitted-constant protocol)
 # ---------------------------------------------------------------------------
 
-MULTIPLIERS = {"mt": eval_mt, "mn": eval_mn}
+MULTIPLIERS = ("mt", "mn")  # the table rows, in report order
 # The upper-bound families of each multiplier, in report order.  Each is
 # the maximum of a positive ratio over the wavenumbers, 0 where its range
 # is empty (the high wavenumbers at fine eps, when the low band reaches
@@ -298,7 +297,9 @@ UPPER_FAMILIES = ("low_over_log", "inv_low_norm", "high_times_epsk", "inv_high_o
 
 
 def _bound_suite_one_eps(eps, kmax):
-    """Raw extremal ratios for the bound families at one eps."""
+    """Raw extremal ratios for the bound families at one eps, read from
+    one table and the RFT coefficients, its zero modes."""
+    table, rft = build_table(eps, kmax), rft_constants(eps)
     k = np.arange(1, kmax + 1)
     log_eps = abs_log(eps)
     low = low_band(eps, k)
@@ -309,12 +310,14 @@ def _bound_suite_one_eps(eps, kmax):
     # multiplier is O(1).
     lowk_scale = 1.0 + np.abs(np.log(eps * k[low]))
     out = {}
-    for name, evaluate in MULTIPLIERS.items():
-        m = evaluate(eps, k)
+    diff_ratios = []
+    for name, coefficient in zip(MULTIPLIERS, (rft.tangential, rft.normal)):
+        row = getattr(table, name)
+        m = row[1:]
         epsk_m = m[high] * eps * k[high]
         # In UPPER_FAMILIES order.  The first includes the zero mode: it
         # attains the sharp low-k constant.
-        ratios = (np.concatenate(([evaluate(eps, 0)], m[low])) / log_eps,
+        ratios = (np.concatenate((row[:1], m[low])) / log_eps,
                   lowk_scale / m[low], epsk_m, 1.0 / epsk_m)
         out.update((f"{name}_{family}", float(np.max(r, initial=0.0)))
                    for family, r in zip(UPPER_FAMILIES, ratios))
@@ -323,13 +326,10 @@ def _bound_suite_one_eps(eps, kmax):
         inv = 1.0 / m
         out[f"{name}_sandwich_lo"] = float(np.max(inv / (eps * k + 1.0)))
         out[f"{name}_sandwich_hi"] = float(np.min(inv / (eps * k)))
-    # Low-wavenumber RFT differences, both directions under one constant.
-    klow = k[low]
-    ratios = []
-    for direction in ("tangential", "normal"):
-        diff = lowk_rft_difference(eps, klow, direction)
-        ratios.append(np.abs(diff) / (1.0 + np.abs(np.log(klow))))
-    out["lowk_diff_ratio"] = float(max(np.max(r) for r in ratios))
+        # Low-wavenumber RFT difference, |m - coefficient| over 1 + |log k|
+        diff_ratios.append(np.abs(m[low] - coefficient) / (1.0 + np.abs(np.log(k[low]))))
+    # Both directions under one constant.
+    out["lowk_diff_ratio"] = float(max(np.max(r) for r in diff_ratios))
     return out
 
 

@@ -6,8 +6,12 @@ For wavenumber k != 0 and x = 2*pi*eps*|k|,
     mn = [2 K0 K1 K2 + x (K1^2 (K0 + K2) - 2 K0^2 K2)]
          / (2 pi x [4 K1^2 K2 + x K1 (K1^2 - K0 K2)])
 
-with K_j = K_j(x).  The zero modes are |log eps|/(2 pi) and
-|log eps|/(4 pi).  Both ratios are homogeneous in the K's (degree 2
+with K_j = K_j(x).  The zero modes are the RFT drag coefficients
+|log eps|/(2 pi) and |log eps|/(4 pi), written once for both, so a
+table's zero modes equal rft_constants(eps) bit for bit.  build_table
+is the one evaluation of m_t and m_n: every caller reads a table's
+rows, and the low-k RFT differences are rows minus the coefficients on
+the low band (low_band).  Both ratios are homogeneous in the K's (degree 2
 over degree 2, and 3 over 3), so evaluating with the exponentially
 scaled functions e^x K_j(x) cancels the e^{-x} decay exactly: for large
 x the formulas stay well conditioned far past the underflow of the raw
@@ -57,55 +61,17 @@ def _nonzero(x):
     return mt, num / den
 
 
-# direction: its row, and d of its RFT coefficient and zero mode |log eps|/(d pi)
-_DIRECTIONS = {"tangential": (0, 2.0), "normal": (1, 4.0)}
-_ZERO_MODES = np.array([[1.0 / (d * np.pi)] for _, d in _DIRECTIONS.values()])
-
-
-def _multipliers(epsilon, k):
-    """m_t and m_n at a checked eps and an array k, stacked (2,) + k.shape."""
-    ka = np.abs(np.asarray(k, dtype=float))
-    out = np.empty((2,) + ka.shape)
-    nz = ka > 0
-    out[:, nz] = _nonzero(2.0 * np.pi * epsilon * ka[nz])
-    out[:, ~nz] = _ZERO_MODES * abs_log(epsilon)
-    return out
-
-
-def _eval(epsilon, k, direction):
-    """The multiplier of direction at a checked eps."""
-    out = _multipliers(epsilon, k)[_DIRECTIONS[direction][0]]
-    return out if np.ndim(k) else float(out)
-
-
-def eval_mt(epsilon, k):
-    """Tangential multiplier m_t(k); depends on |k| only."""
-    return _eval(check_epsilon(epsilon), k, "tangential")
-
-
-def eval_mn(epsilon, k):
-    """Normal multiplier m_n(k); depends on |k| only."""
-    return _eval(check_epsilon(epsilon), k, "normal")
-
-
 def low_band(epsilon, k):
     """Whether each k is a low wavenumber, |k| < 1/(2 pi eps): there
     eps|k| < 1/(2 pi), and past it the multipliers decay like 1/(eps|k|)."""
     return np.abs(np.asarray(k, dtype=float)) < 1.0 / (2.0 * np.pi * check_epsilon(epsilon))
 
 
-def lowk_rft_difference(epsilon, k, direction):
-    """m(k) minus the matching RFT drag coefficient, low wavenumbers only.
-
-    Valid on the low band (`low_band`); the difference grows only like
-    log|k|, uniformly in eps.  k = 0 gives exactly 0.
-    """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be 'tangential' or 'normal', got {direction!r}")
-    if not np.all(low_band(epsilon, k)):  # checks eps
-        raise ValueError("lowk_rft_difference requires |k| < 1/(2*pi*eps)")
-    epsilon = float(epsilon)
-    return _eval(epsilon, k, direction) - abs_log(epsilon) / (_DIRECTIONS[direction][1] * np.pi)
+def _rft_coefficients(epsilon):
+    """|log eps|/(2 pi) and |log eps|/(4 pi) at a checked eps: the RFT
+    drag coefficients and the zero modes of m_t and m_n."""
+    log_eps = abs_log(epsilon)
+    return log_eps / (2.0 * np.pi), log_eps / (4.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -125,8 +91,7 @@ class RftConstants:
 
 def rft_constants(epsilon):
     epsilon = check_epsilon(epsilon)
-    log_eps = abs_log(epsilon)
-    return RftConstants(epsilon, *(log_eps / (d * np.pi) for _, d in _DIRECTIONS.values()))
+    return RftConstants(epsilon, *_rft_coefficients(epsilon))
 
 
 @dataclass(frozen=True)
@@ -162,10 +127,15 @@ class MultiplierTable:
 
 
 def build_table(epsilon, kmax):
+    """The MultiplierTable of |k| = 0..kmax at eps: the one evaluation
+    of m_t and m_n, whose zero modes are the RFT coefficients."""
     epsilon = check_epsilon(epsilon)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax!r}")
-    return MultiplierTable(epsilon, int(kmax), *_multipliers(epsilon, np.arange(kmax + 1)))
+    zero = np.array(_rft_coefficients(epsilon))[:, None]
+    k = np.arange(1.0, kmax + 1)
+    mt, mn = np.concatenate((zero, _nonzero(2.0 * np.pi * epsilon * k)), axis=1)
+    return MultiplierTable(epsilon, int(kmax), mt, mn)
 
 
 class ForceMapStack:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from filament.cli import main
-from filament.multipliers import eval_mn, eval_mt, low_band, lowk_rft_difference
+from filament.multipliers import build_table, low_band, rft_constants
 
 
 def read_csv(path):
@@ -75,10 +75,11 @@ class TestMultiplierDump:
                            "lowk_diff_t", "lowk_diff_n"]
         assert len(rows) == 34  # header + k = 0..32
         # k verbatim, every other column read back as the same double
-        # as the scalar evaluation at that k
+        # as the table at that k, the differences less the RFT coefficients
+        table, c = build_table(1e-2, 32), rft_constants(1e-2)
         for k, row in enumerate(rows[1:]):
-            mt, mn = eval_mt(1e-2, k), eval_mn(1e-2, k)
-            diffs = ([lowk_rft_difference(1e-2, k, d) for d in ("tangential", "normal")]
+            mt, mn = table.mt[k], table.mn[k]
+            diffs = ([mt - c.tangential, mn - c.normal]
                      if k < 1 / (2 * math.pi * 1e-2) else [math.nan] * 2)
             assert row[0] == str(k)
             np.testing.assert_array_equal([float(v) for v in row[1:]],
@@ -100,6 +101,14 @@ class TestMultiplierDump:
         assert main(args) == 1
         assert "--force" in capsys.readouterr().err
         assert main(args + ["--force"]) == 0
+
+    def test_lowk_columns_zero_at_k0(self, tmp_path):
+        # at 5e-3 the zero modes once differed from the RFT coefficients
+        # in the last bit
+        out = tmp_path / "mult.csv"
+        assert main(["multiplier-dump", "--epsilon", "5e-3", "--kmax", "4",
+                     "--out", str(out)]) == 0
+        assert read_csv(out)[1][5:] == ["0", "0"]
 
     def test_bad_epsilon_exit_1(self, tmp_path):
         assert main(["multiplier-dump", "--epsilon", "2.0", "--kmax", "4",
@@ -693,7 +702,7 @@ class TestParserReuse:
 
 class TestRunner:
     @pytest.mark.parametrize("command,module,name", [
-        ("simulate", "evolution", "run"),
+        ("simulate", "cli", "run"),
         ("sweep", "experiments", "convergence_study"),
         ("lemma-suite", "experiments", "lemma_suite"),
     ])
@@ -729,12 +738,12 @@ class TestRunner:
 class TestProgrammingErrors:
     def test_type_error_propagates(self, tmp_path, monkeypatch):
         # only solver, input and file failures become exit codes
-        from filament import evolution
+        import filament.cli
 
         def broken_run(config, initial):
             raise TypeError("broken run")
 
-        monkeypatch.setattr(evolution, "run", broken_run)
+        monkeypatch.setattr(filament.cli, "run", broken_run)
         config = write_config(tmp_path, GOOD_CONFIG)
         with pytest.raises(TypeError, match="broken run"):
             main(["simulate", "--config", config, "--out", str(tmp_path / "run")])
@@ -742,24 +751,24 @@ class TestProgrammingErrors:
     def test_value_error_propagates(self, tmp_path, monkeypatch):
         # input errors exit 1 while the arguments are parsed, so a
         # ValueError during the work is a bug, not an exit code
-        from filament import evolution
+        import filament.cli
 
         def broken_run(config, initial):
             raise ValueError("bug")
 
-        monkeypatch.setattr(evolution, "run", broken_run)
+        monkeypatch.setattr(filament.cli, "run", broken_run)
         config = write_config(tmp_path, GOOD_CONFIG)
         with pytest.raises(ValueError, match="^bug$"):
             main(["simulate", "--config", config, "--out", str(tmp_path / "run")])
 
     def test_geometry_error_exit_2(self, tmp_path, monkeypatch, capsys):
-        from filament import evolution
+        import filament.cli
         from filament.spectral import GeometryError
 
         def folded_run(config, initial):
             raise GeometryError("fold-over")
 
-        monkeypatch.setattr(evolution, "run", folded_run)
+        monkeypatch.setattr(filament.cli, "run", folded_run)
         config = write_config(tmp_path, GOOD_CONFIG)
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 2
         assert "filament: error: fold-over" in capsys.readouterr().err

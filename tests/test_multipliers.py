@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 from scipy import special
 
-from filament import multipliers
+from filament import experiments, multipliers
+from filament.cli import main
 from filament.multipliers import (
     EPSILON_MIN,
     ForceMapStack,
     MultiplierTable,
     build_table,
     check_epsilon,
-    eval_mn,
-    eval_mt,
     force_map_for,
     low_band,
-    lowk_rft_difference,
     rft_constants,
 )
 
@@ -62,39 +60,49 @@ def mpmath_mn(eps, k, dps=50):
         return float(num / den)
 
 
+def rows(eps, kmax):
+    """The rows m_t, m_n of the table of eps up to kmax."""
+    table = build_table(eps, kmax)
+    return table.mt, table.mn
+
+
+def rft_differences(eps, kmax):
+    """The table rows of eps up to kmax minus the RFT coefficients, on the
+    low band only (NaN off it), and the low band."""
+    low = low_band(eps, np.arange(kmax + 1))
+    c = rft_constants(eps)
+    return [np.where(low, m - coefficient, np.nan)
+            for m, coefficient in zip(rows(eps, kmax), (c.tangential, c.normal))], low
+
+
 class TestZeroModeAndSymmetry:
     @pytest.mark.parametrize("eps", EPS_SWEEP)
     def test_zero_modes(self, eps):
         log_eps = abs(math.log(eps))
-        assert eval_mt(eps, 0) == log_eps / (2 * math.pi)
-        assert eval_mn(eps, 0) == log_eps / (4 * math.pi)
-
-    def test_evenness(self):
-        for k in (1, 3, 17, 4096):
-            assert eval_mt(1e-3, k) == eval_mt(1e-3, -k)
-            assert eval_mn(1e-3, k) == eval_mn(1e-3, -k)
+        mt, mn = rows(eps, 1)
+        assert mt[0] == log_eps / (2 * math.pi)
+        assert mn[0] == log_eps / (4 * math.pi)
 
     def test_determinism(self):
-        a = eval_mn(1e-4, np.arange(1, 100))
-        b = eval_mn(1e-4, np.arange(1, 100))
-        assert np.array_equal(a, b)
+        assert np.array_equal(build_table(1e-4, 99).mn, build_table(1e-4, 99).mn)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1, 1e-80, 9.99e-71, np.nan, np.inf])
     def test_epsilon_domain(self, bad):
         with pytest.raises(ValueError):
-            eval_mt(bad, 1)
+            build_table(bad, 1)
         with pytest.raises(ValueError):
-            eval_mn(bad, 1)
+            rft_constants(bad)
 
     def test_epsilon_domain_edges(self):
         # [EPSILON_MIN, 1): finite and positive at the lower edge, where
         # m_n would overflow a few decades further down
         assert EPSILON_MIN == 1e-70
         k = np.array([0, 1, 1000, 4096])
-        for m in (eval_mt(1e-70, k), eval_mn(1e-70, k)):
+        mt, mn = rows(1e-70, 4096)
+        for m in (mt[k], mn[k]):
             assert np.all(np.isfinite(m)) and np.all(m > 0.0)
-        assert eval_mt(1e-70, 1) == pytest.approx(mpmath_mt(1e-70, 1), rel=1e-15)
-        assert eval_mn(1e-70, 1) == pytest.approx(mpmath_mn(1e-70, 1), rel=1e-15)
+        assert mt[1] == pytest.approx(mpmath_mt(1e-70, 1), rel=1e-15)
+        assert mn[1] == pytest.approx(mpmath_mn(1e-70, 1), rel=1e-15)
         with pytest.raises(ValueError, match=r"^epsilon must lie in \[1e-70, 1\), got 1.0$"):
             rft_constants(1.0)
         with pytest.raises(ValueError, match=r"^epsilon must lie in \[1e-70, 0.1\], got 0.2$"):
@@ -102,13 +110,11 @@ class TestZeroModeAndSymmetry:
         assert check_epsilon(0.1, cap=0.1) == 0.1
 
     @pytest.mark.parametrize("entry", [
-        lambda eps: eval_mt(eps, np.arange(9)), lambda eps: eval_mn(eps, np.arange(9)),
-        lambda eps: low_band(eps, np.arange(9)),
-        lambda eps: lowk_rft_difference(eps, np.arange(9), "normal"), rft_constants,
+        lambda eps: low_band(eps, np.arange(9)), rft_constants,
         lambda eps: build_table(eps, 8), lambda eps: force_map_for("leps", eps, 32),
         lambda eps: force_map_for("rft", eps, 32),
-    ], ids=["eval_mt", "eval_mn", "low_band", "lowk_rft_difference", "rft_constants",
-            "build_table", "force_map_for-leps", "force_map_for-rft"])
+    ], ids=["low_band", "rft_constants", "build_table", "force_map_for-leps",
+            "force_map_for-rft"])
     def test_each_entry_checks_epsilon_once(self, monkeypatch, entry):
         calls = []
         check = multipliers.check_epsilon
@@ -118,16 +124,45 @@ class TestZeroModeAndSymmetry:
         assert calls == [(1e-3,)]
 
 
+class TestZeroModesAreTheRftCoefficients:
+    def test_bit_for_bit(self):
+        # 1,000 eps over the whole domain, and two where the zero modes
+        # once differed from the coefficients in the last bit
+        for eps in np.append(np.geomspace(1e-70, 0.1, 1000), (5e-3, 3e-7)):
+            table, c = build_table(eps, 1), rft_constants(eps)
+            assert table.mt[0] == c.tangential, eps
+            assert table.mn[0] == c.normal, eps
+
+
+class TestOneEvaluation:
+    """Every caller reads one table per eps: one K0, K1 evaluation each."""
+
+    @pytest.mark.parametrize("call,evaluations", [
+        (lambda tmp_path: experiments._bound_suite_one_eps(1e-3, 4096), 1),
+        (lambda tmp_path: main(["multiplier-dump", "--epsilon", "1e-3", "--kmax", "4096",
+                                "--out", str(tmp_path / "mult.csv")]), 1),
+        # a bound-suite table and a coercivity table per eps
+        (lambda tmp_path: experiments.lemma_suite((1e-2, 1e-3), kmax=256), 4),
+    ], ids=["bound-suite", "multiplier-dump", "lemma-suite"])
+    def test_bessel_evaluations(self, tmp_path, monkeypatch, call, evaluations):
+        calls = []
+        k0_k1 = multipliers.k0_k1
+        monkeypatch.setattr(multipliers, "k0_k1",
+                            lambda *a, **kw: calls.append(a) or k0_k1(*a, **kw))
+        call(tmp_path)
+        assert len(calls) == evaluations
+
+
 class TestExtendedPrecisionOracle:
     @pytest.mark.parametrize("eps,k", [(1e-2, 1), (1e-2, 100), (1e-3, 5),
                                        (1e-4, 4096), (1e-5, 17)])
     def test_mt_matches_mpmath(self, eps, k):
-        assert eval_mt(eps, k) == pytest.approx(mpmath_mt(eps, k), rel=1e-12)
+        assert build_table(eps, k).mt[k] == pytest.approx(mpmath_mt(eps, k), rel=1e-12)
 
     @pytest.mark.parametrize("eps,k", [(1e-2, 1), (1e-2, 100), (1e-3, 5),
                                        (1e-4, 4096), (1e-5, 17)])
     def test_mn_matches_mpmath(self, eps, k):
-        assert eval_mn(eps, k) == pytest.approx(mpmath_mn(eps, k), rel=1e-12)
+        assert build_table(eps, k).mn[k] == pytest.approx(mpmath_mn(eps, k), rel=1e-12)
 
     def test_near_underflow_regime(self):
         # x = 2 pi eps k around 600 and far beyond: the scaled-Bessel
@@ -135,29 +170,30 @@ class TestExtendedPrecisionOracle:
         # on the asymptotic trend 1/m ~ c eps k.
         eps = 1e-2
         k600 = int(round(600 / (2 * math.pi * eps)))
-        assert eval_mt(eps, k600) == pytest.approx(mpmath_mt(eps, k600, dps=300), rel=1e-10)
-        assert eval_mn(eps, k600) == pytest.approx(mpmath_mn(eps, k600, dps=300), rel=1e-10)
         k_huge = 10 * k600  # raw Bessel values underflow to 0 here
-        assert 1.0 / eval_mt(eps, k_huge) == pytest.approx(8 * math.pi**2 * eps * k_huge, rel=1e-4)
-        assert 1.0 / eval_mn(eps, k_huge) == pytest.approx(6 * math.pi**2 * eps * k_huge, rel=1e-4)
+        mt, mn = rows(eps, k_huge)
+        assert mt[k600] == pytest.approx(mpmath_mt(eps, k600, dps=300), rel=1e-10)
+        assert mn[k600] == pytest.approx(mpmath_mn(eps, k600, dps=300), rel=1e-10)
+        assert 1.0 / mt[k_huge] == pytest.approx(8 * math.pi**2 * eps * k_huge, rel=1e-4)
+        assert 1.0 / mn[k_huge] == pytest.approx(6 * math.pi**2 * eps * k_huge, rel=1e-4)
 
 
 class TestLowWavenumberExpansion:
     @pytest.mark.parametrize("eps,k", [(1e-4, 1), (1e-5, 3), (1e-6, 1)])
     def test_mt_expansion(self, eps, k):
         envelope = 6.0 * (eps * k * math.log(eps * k)) ** 2
-        assert abs(eval_mt(eps, k) - lowk_reference_mt(eps, k)) < envelope
+        assert abs(build_table(eps, k).mt[k] - lowk_reference_mt(eps, k)) < envelope
 
     @pytest.mark.parametrize("eps,k", [(1e-4, 1), (1e-5, 3), (1e-6, 1)])
     def test_mn_expansion(self, eps, k):
         envelope = 6.0 * (eps * k * math.log(eps * k)) ** 2
-        assert abs(eval_mn(eps, k) - lowk_reference_mn(eps, k)) < envelope
+        assert abs(build_table(eps, k).mn[k] - lowk_reference_mn(eps, k)) < envelope
 
     def test_expansion_structure_small_k(self):
         # tangential difference reproduces the -2 log|k| structure at eps=1e-6
         eps = 1e-6
-        d1 = lowk_rft_difference(eps, 1, "tangential")
-        d2 = lowk_rft_difference(eps, 2, "tangential")
+        (dt, _), _ = rft_differences(eps, 2)
+        d1, d2 = dt[1], dt[2]
         expected = (d1 - 2.0 * math.log(2.0) / (4 * math.pi))
         assert d2 == pytest.approx(expected, abs=1e-6)
         # and the k=1 value is the eps-independent expansion constant
@@ -167,46 +203,27 @@ class TestLowWavenumberExpansion:
 
 class TestRftDifference:
     def test_zero_at_k0(self):
-        assert lowk_rft_difference(1e-3, 0, "tangential") == 0.0
-        assert lowk_rft_difference(1e-3, 0, "normal") == 0.0
-
-    def test_domain_error_beyond_crossover(self):
-        eps = 1e-3
-        k_bad = int(1.0 / (2 * math.pi * eps)) + 1
-        with pytest.raises(ValueError):
-            lowk_rft_difference(eps, k_bad, "tangential")
-        with pytest.raises(ValueError):
-            lowk_rft_difference(eps, -k_bad, "normal")
-
-    def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            lowk_rft_difference(1e-3, 1, "sideways")
+        diffs, _ = rft_differences(1e-3, 1)
+        assert [d[0] for d in diffs] == [0.0, 0.0]
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1 / (2 * math.pi * 40)])
     def test_rejects_exactly_off_the_low_band(self, eps):
+        # low_band keeps exactly |k| < 1/(2 pi eps), and the differences
+        # are finite there
         k = np.arange(-300, 301)
         low = low_band(eps, k)
         assert np.array_equal(low, np.abs(k) < 1.0 / (2.0 * math.pi * eps))
         assert np.array_equal(low, low[::-1]) and 0 < low.sum() < k.size
-        for kk, inside in zip(k.tolist(), low.tolist()):
-            for direction in ("tangential", "normal"):
-                if inside:
-                    assert np.isfinite(lowk_rft_difference(eps, kk, direction))
-                else:
-                    with pytest.raises(ValueError, match=r"requires \|k\|"):
-                        lowk_rft_difference(eps, kk, direction)
-        # an array with one k past the band is rejected whole
-        with pytest.raises(ValueError):
-            lowk_rft_difference(eps, k[low].tolist() + [int(k[~low][-1])], "normal")
+        diffs, low = rft_differences(eps, 300)
+        for d in diffs:
+            assert np.all(np.isfinite(d[low]))
 
     def test_eps_stability_at_fixed_k(self):
         # the difference at fixed k is eps-independent up to the
         # O((eps k log eps k)^2) envelopes
-        for direction in ("tangential", "normal"):
-            a = lowk_rft_difference(1e-3, 4, direction)
-            b = lowk_rft_difference(1e-5, 4, direction)
+        for a, b in zip(rft_differences(1e-3, 4)[0], rft_differences(1e-5, 4)[0]):
             envelope = 6.0 * (1e-3 * 4 * math.log(1e-3 * 4)) ** 2
-            assert abs(a - b) < 2.0 * envelope
+            assert abs(a[4] - b[4]) < 2.0 * envelope
 
 
 class TestPositivityAndComparability:
@@ -219,9 +236,7 @@ class TestPositivityAndComparability:
     def test_comparability_sandwich(self):
         # m_n <= m_t <= 2 m_n holds pointwise for all tested eps, k
         for eps in EPS_SWEEP:
-            k = np.arange(0, 4097)
-            mt = eval_mt(eps, k)
-            mn = eval_mn(eps, k)
+            mt, mn = rows(eps, 4096)
             assert np.all(mt <= 2.0 * mn * (1.0 + 1e-12))
             assert np.all(mt >= mn * 0.999 * (3.0 / 4.0))
 
@@ -261,9 +276,6 @@ class TestTable:
         bound = 5e-15 * (1.0 + x)
         assert np.all(np.abs(table.mt[1:] / mt - 1.0) <= bound)
         assert np.all(np.abs(table.mn[1:] / (num / den) - 1.0) <= bound)
-        # one evaluation of K0 and K1 for both rows changes no value
-        assert np.array_equal(table.mt, eval_mt(eps, np.arange(kmax + 1)))
-        assert np.array_equal(table.mn, eval_mn(eps, np.arange(kmax + 1)))
 
     def test_table_immutable(self):
         t = build_table(1e-3, 16)

@@ -27,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 from filament.cli import main
 from filament.config import CG_TOL, RunConfig, SweepConfig, aspect_ratio
 from filament.evolution import EvolutionState, StepOptions, _advance, _step
-from filament.multipliers import ForceMapStack, eval_mn, eval_mt, force_map_for
+from filament.multipliers import ForceMapStack, build_table, force_map_for
 from filament.spectral import (CurveBatch, GeometryError, PeriodicCurve, _cell_format,
                                read_curve_csv, write_csv, write_curve_csv)
 from filament.tension import SolverError, TensionField, TensionProblem, solve_tensions
@@ -51,8 +51,8 @@ def test_accepted_epsilon_gives_finite_positive_multipliers(eps):
         eps = aspect_ratio(repr(eps))
     except ValueError:
         return
-    k = np.arange(4097)
-    for m in (eval_mt(eps, k), eval_mn(eps, k)):
+    table = build_table(eps, 4096)
+    for m in (table.mt, table.mn):
         assert np.all(np.isfinite(m)) and np.all(m > 0.0)
 
 
