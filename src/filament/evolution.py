@@ -2,12 +2,12 @@
 
 Both models evolve dX/dt = -L[(X_sss - tau X_s)_s], tau and this
 velocity from the tension solve, which makes all of a step's force-map
-applications.  The stiff linear principal part is treated implicitly:
-for the nonlocal model this is T_mn d_s^4 (the Fourier-diagonal
-principal part of L[d_s^4 X]); for RFT the larger tangential
-coefficient (|log eps|/2 pi) d_s^4 is taken.  Everything else is
-explicit, and tau is lagged (solved once per step from the
-beginning-of-step curve).
+applications.  The stiff linear principal part is treated implicitly,
+its symbol (implicit_symbol) read off the force-map stack's rows: for
+the nonlocal model T_mn d_s^4 (the Fourier-diagonal principal part of
+L[d_s^4 X]); for RFT the larger tangential coefficient
+(|log eps|/2 pi) d_s^4.  Everything else is explicit, and tau is lagged
+(solved once per step from the beginning-of-step curve).
 
 A model enters only as its force map (see multipliers).  One loop,
 `lockstep`, steps groups of members: a run is a group of one, a sweep
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import CG_TOL, INEXT_TOL, curve_spec
-from .multipliers import ForceMapStack, MultiplierTable, RftConstants, force_map_for
+from .multipliers import MultiplierTable, RftConstants, force_map_for
 from .spectral import (
     CurveBatch,
     GeometryError,
@@ -110,8 +110,9 @@ def dissipation_rate(problem, tension):
 
 
 def implicit_symbol(grid, force_map):
-    """Fourier symbol of the implicit principal part, indexed by |k|."""
-    lam = force_map.principal * (TWO_PI * grid.k) ** 4
+    """Fourier symbol of the implicit principal part, indexed by |k|: m_n (rft: m_t)."""
+    split = force_map.split
+    lam = np.concatenate((force_map.mn[:split], force_map.mt[split:])) * (TWO_PI * grid.k) ** 4
     lam[..., -1] = 0.0
     return lam
 
@@ -134,8 +135,7 @@ def _forcing(curves, force_maps, cg_tols, warm):
     (leps members first): each member's TensionField, and the batched
     problem, implicit symbol and coefficients of G = dX/dt + T_lam X."""
     grid = curves[0].grid
-    problem = TensionProblem(CurveBatch.of(curves), ForceMapStack(force_maps, grid.k.shape[0]),
-                             cg_tol=cg_tols)
+    problem = TensionProblem(CurveBatch.of(curves), force_maps, cg_tol=cg_tols)
     tensions, velocity = solve_tensions(problem, warm)
     lam = implicit_symbol(grid, problem.force_map)
     return tensions, problem, lam, lam[:, None] * problem.curve.coeffs + velocity

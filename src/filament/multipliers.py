@@ -23,7 +23,8 @@ check_epsilon; at 1e-70 m_t and m_n agree with 50-digit mpmath to 3e-16.
 The table and the RFT constants are the data of the two models, with
 |log eps| and the model name.  ForceMapStack is the one force map: the
 maps of a batch of curves (see spectral.CurveBatch), member axis first,
-with the operator and the symbols; a map alone is the stack of one.
+as the rows m_t and m_n of every member, with the operator; a map alone
+is the stack of one.
 """
 
 from dataclasses import dataclass
@@ -140,18 +141,16 @@ def build_table(epsilon, kmax):
 
 class ForceMapStack:
     """The force maps of a batch's members as one force map with a member
-    axis: m_t, m_n rows for the leps members, which come first, and
-    normal constants for the rft members.  The constructor is the one
-    home of the check that each table covers the resolved spectrum.
-    `apply` takes coefficients (m, 3, size), components first, and is the
-    one caller of spectral.apply_L_eps and apply_L_rft, which read only
-    the stack's rows; it makes the first tangent projection once for all
+    axis: the leps members first, each member's rows m_t, m_n (m, size),
+    a table's being its first `size` multipliers and an rft map's its
+    tangential and normal constants.  The constructor is the one home of
+    the check that each table covers the resolved spectrum.  `apply`
+    takes coefficients (m, 3, size), components first, and is the one
+    caller of spectral.apply_L_eps and apply_L_rft, which read only the
+    stack's rows; it makes the first tangent projection once for all
     members and L_eps's second one for the leps members only.  A row of
     m_t or m_n broadcasts over a member's three component rows, and a
-    stack of one map over any number of fields.  The implicit principal
-    part's symbol is m_n (rft: the tangential constant), (m, size); the
-    tension preconditioner's is the rows m_t, m_n (rft: both constants),
-    (2, m, size)."""
+    stack of one map over any number of fields."""
 
     def __init__(self, maps, size):
         self.maps = tuple(maps)
@@ -161,13 +160,10 @@ class ForceMapStack:
             raise ValueError("the leps members of a force-map stack come first")
         if any(t.kmax + 1 < size for t in tables):
             raise ValueError("multiplier table shorter than the resolved spectrum")
-        self.mt = np.array([t.mt[:size] for t in tables]).reshape(-1, size)
-        self.mn = np.array([t.mn[:size] for t in tables]).reshape(-1, size)
-        constants = np.array([(c.tangential, c.normal) for c in rfts]).reshape(-1, 2)
-        rft_t, rft_n = np.repeat(constants.T[..., None], size, axis=2)
-        self.normal = rft_n[:, :1, None]
-        self.principal = np.concatenate((self.mn, rft_t))
-        self.precond = np.concatenate(([self.mt, self.mn], [rft_t, rft_n]), axis=1)
+        self.mt, self.mn = np.empty((2, len(self.maps), size))
+        for j, m in enumerate(self.maps):
+            rows = (m.mt[:size], m.mn[:size]) if j < self.split else (m.tangential, m.normal)
+            self.mt[j], self.mn[j] = rows
 
     def apply(self, curve, coeffs):
         pt = spectral.project_tangent(curve, coeffs)
@@ -175,10 +171,10 @@ class ForceMapStack:
         if split == len(self.maps):
             return spectral.apply_L_eps(curve, self, coeffs, pt)
         if split == 0:
-            return spectral.apply_L_rft(curve, self, coeffs, pt)
+            return spectral.apply_L_rft(self, coeffs, pt)
         out = np.empty_like(coeffs)
         out[:split] = spectral.apply_L_eps(curve[:split], self, coeffs[:split], pt[:split])
-        out[split:] = spectral.apply_L_rft(curve[split:], self, coeffs[split:], pt[split:])
+        out[split:] = spectral.apply_L_rft(self, coeffs[split:], pt[split:])
         return out
 
 

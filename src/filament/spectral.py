@@ -280,19 +280,19 @@ def project_tangent(curve, coeffs):
 
 def apply_L_eps(curve, stack, coeffs, pt):
     """Force-to-velocity map P T_mt P + (I - P) T_mn (I - P) on rfft
-    coefficients, with the m_t, m_n rows of a multipliers.ForceMapStack
-    (its `apply` is the caller), evaluated as b + P(a - b) with
+    coefficients, with the m_t, m_n rows of a multipliers.ForceMapStack's
+    leps members (its `apply` is the caller), evaluated as b + P(a - b) with
     a = T_mt P f and b = T_mn (I - P) f, where pt holds P f."""
-    a = stack.mt[:, None] * pt
-    b = stack.mn[:, None] * (coeffs - pt)
+    a = stack.mt[:stack.split, None] * pt
+    b = stack.mn[:stack.split, None] * (coeffs - pt)
     b[..., -1] = 0.0
     return b + project_tangent(curve, a - b)
 
 
-def apply_L_rft(curve, stack, coeffs, pt):
+def apply_L_rft(stack, coeffs, pt):
     """Local RFT operator (|log eps|/4 pi)(I + X_s tensor X_s) on rfft
-    coefficients, with the normal constants of a ForceMapStack; pt holds P f."""
-    return stack.normal * (coeffs + pt)
+    coefficients, with a ForceMapStack's rft rows m_n; pt holds P f."""
+    return stack.mn[stack.split:, None] * (coeffs + pt)
 
 
 def reparameterize_arclength(curve, passes=1):

@@ -18,26 +18,27 @@ frozen-coefficient symbol on a tension mode k is m_t(k) (2 pi k)^2 +
 m_n(k) <|X_ss|^2> (rft: the two constants; the local model's tension
 equation, Tornberg & Shelley 2004); the preconditioner is its inverse.
 
-A problem is a batch: a spectral.CurveBatch, a multipliers.ForceMapStack
-and a cg_tol per member, tau having shape (m, n) and the vector fields
-the component-first layout of spectral, coefficients (m, 3, n/2+1); a
-curve alone is the batch of one.  solve_tensions runs CG on all members
-at once, with per-member step lengths and inner products (np.vecdot on
-contiguous member rows, which reproduces np.dot bitwise).  The solve
-raises no numpy warning: a right-hand side whose norm is not finite (a
-curve scaled so far that the force map's image of X_ssss overflows)
-raises SolverError before the first iteration, and an r.z or p.Bp that
-is not a positive finite number is a breakdown, named an overflow when
-infinite.  A member that converges leaves the batch with its iterate, so
-it takes exactly the iterations it would take alone; the
-preconditioner's diagonal is built once per solve and leaves with the
-members.  A member that stalls or has a NaN residual
-raises SolverError, its message giving the member's last residual, for
-the whole batch (evolution._batched isolates it).  The solve also
-returns the velocity -(L[X_ssss] - L[(tau X_s)_s]) from its own
-force-map outputs: the right-hand side's L[X_ssss], and (L being linear)
-L[(tau X_s)_s] as the warm start's plus alpha_i L[(p_i X_s)_s] of each
-iteration, as CG tracks A x (Hestenes & Stiefel 1952).
+A problem is a batch: a spectral.CurveBatch, the multipliers.ForceMapStack
+of its members' force maps and a cg_tol per member, tau having shape
+(m, n) and the vector fields the component-first layout of spectral,
+coefficients (m, 3, n/2+1); a curve alone is the batch of one.
+solve_tensions runs CG on all members at once, with per-member step
+lengths and inner products (np.vecdot on contiguous member rows, which
+reproduces np.dot bitwise).  The solve raises no numpy warning: a
+right-hand side whose norm is not finite (a curve scaled so far that the
+force map's image of X_ssss overflows) raises SolverError before the
+first iteration, and an r.z or p.Bp that is not a positive finite number
+is a breakdown, named an overflow when infinite.  A member that
+converges leaves the batch with its iterate, so it takes exactly the
+iterations it would take alone; the preconditioner's diagonal, from the
+stack's rows m_t and m_n, is built once per solve and leaves with the
+members.  A member that stalls or has a NaN residual raises SolverError,
+its message giving the member's last residual, for the whole batch
+(evolution._batched isolates it).  The solve also returns the velocity
+-(L[X_ssss] - L[(tau X_s)_s]) from its own force-map outputs: the
+right-hand side's L[X_ssss], and (L being linear) L[(tau X_s)_s] as the
+warm start's plus alpha_i L[(p_i X_s)_s] of each iteration, as CG
+tracks A x (Hestenes & Stiefel 1952).
 """
 
 from dataclasses import dataclass
@@ -57,43 +58,42 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class TensionField:
     """Scalar Lagrange multiplier samples on the curve's grid, with the
-    CG iterations and final relative residual of the solve that found them."""
+    CG iterations and final relative residual of the solve that found them.
+    The field keeps a read-only float copy of the samples."""
 
     values: np.ndarray
     iterations: int = 0
     residual: float = 0.0
 
-    @classmethod
-    def from_values(cls, values, iterations=0, residual=0.0):
-        values = np.asarray(values, dtype=float)
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
         values.setflags(write=False)
-        return cls(values, iterations, residual)
+        object.__setattr__(self, "values", values)
 
 
 class TensionProblem:
-    """A CurveBatch with a ForceMapStack for `model`, or a PeriodicCurve
-    with a force map or 'leps' / 'rft' and the map as `table` /
-    `constants`, which become the batch of one in `curve` and `force_map`;
-    cg_tol, one for all or one per member, becomes one per member."""
+    """A CurveBatch with a list of its members' force maps (leps first)
+    as `model`, or a PeriodicCurve with a force map or 'leps' / 'rft' and
+    the map as `table` / `constants`: `curve` becomes the batch (a curve
+    alone, the batch of one) and `force_map` the ForceMapStack of its
+    maps; cg_tol, one for all or one per member, becomes one per member."""
 
     def __init__(self, curve, model, table=None, constants=None, cg_tol=CG_TOL):
-        force_map = model
+        maps = model
         if isinstance(model, str):
-            force_map = table if check_model(model) == "leps" else constants
-            if getattr(force_map, "model", None) != model:
+            maps = table if check_model(model) == "leps" else constants
+            if getattr(maps, "model", None) != model:
                 raise ValueError(f"{model} tension problem needs a {model} force map")
         if isinstance(curve, PeriodicCurve):
-            curve = CurveBatch.of([curve])
-            force_map = ForceMapStack([force_map], curve.grid.k.shape[0])
-        self.curve, self.force_map = curve, force_map
+            curve, maps = CurveBatch.of([curve]), [maps]
+        self.curve, self.force_map = curve, ForceMapStack(maps, curve.grid.k.shape[0])
         self.cg_tol = np.broadcast_to(np.asarray(cg_tol, dtype=float), (len(curve),))
 
     def members(self, index):
         """The batched problem of the selected members (ascending, so the
         leps members stay first), with a new stack of their force maps."""
         maps = self.force_map.maps
-        return TensionProblem(self.curve[index],
-                              ForceMapStack([maps[i] for i in index], self.curve.grid.k.shape[0]),
+        return TensionProblem(self.curve[index], [maps[i] for i in index],
                               cg_tol=self.cg_tol[index])
 
 
@@ -129,7 +129,7 @@ def _preconditioner(problem):
     <|X_ss|^2> by Parseval on the coefficients; a zero symbol (a zero
     force map) gets 0."""
     grid = problem.curve.grid
-    mt, mn = problem.force_map.precond
+    mt, mn = problem.force_map.mt, problem.force_map.mn
     xss = grid.ik_pow[2] * problem.curve.coeffs
     xss_sq = np.sum(grid.weight * np.abs(xss) ** 2, axis=(-2, -1))
     symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq[:, None]
@@ -193,8 +193,7 @@ def solve_tensions(problem, initial=None):
         if not all(going):
             for j, g in enumerate(going):
                 if not g:
-                    tensions[members[j]] = TensionField.from_values(
-                        x[j].copy(), iterations, float(residual[j]))
+                    tensions[members[j]] = TensionField(x[j], iterations, float(residual[j]))
                     velocity[members[j]] = lx[j] - l_rhs[j]
             keep = [j for j, g in enumerate(going) if g]
             if not keep:

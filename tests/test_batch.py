@@ -23,6 +23,7 @@ from filament.evolution import (
     _step,
     dissipation,
     energy,
+    implicit_symbol,
     initial_curve,
     lockstep,
     run,
@@ -41,8 +42,8 @@ from filament.spectral import (
     sobolev_norm_coeffs,
     to_coeffs,
 )
-from filament.tension import (SolverError, TensionProblem, apply_B, assemble_rhs, lift,
-                              lift_adjoint, solve_tension, solve_tensions)
+from filament.tension import (SolverError, TensionProblem, _preconditioner, apply_B,
+                              assemble_rhs, lift, lift_adjoint, solve_tension, solve_tensions)
 
 NS = [64, 256]
 
@@ -57,8 +58,7 @@ def members(n):
 
 def batched(pairs, **kwargs):
     curves, maps = zip(*pairs)
-    return TensionProblem(CurveBatch.of(curves), ForceMapStack(maps, curves[0].grid.k.shape[0]),
-                          **kwargs)
+    return TensionProblem(CurveBatch.of(curves), maps, **kwargs)
 
 
 def apply_L(curve, force_map, coeffs):
@@ -86,13 +86,14 @@ class TestAgainstSolo:
         got = batched(pairs).members(index).force_map
         want = ForceMapStack([pairs[i][1] for i in index], n // 2 + 1)
         assert got.maps == want.maps and got.split == want.split == 1
-        for name in ("mt", "mn", "normal", "principal", "precond"):
+        for name in ("mt", "mn"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        # the preconditioner's rows m_t, m_n: the table's, then the constants
+        # the rows m_t, m_n: the table's, then the constants
         table, rfts = pairs[0][1], [pairs[i][1] for i in index[1:]]
-        assert np.array_equal(got.precond[:, 0], [table.mt[:n // 2 + 1], table.mn[:n // 2 + 1]])
-        for row, constants in zip(got.precond[:, 1:].transpose(1, 0, 2), rfts):
-            assert np.all(row.T == [constants.tangential, constants.normal])
+        assert np.array_equal(got.mt[0], table.mt[:n // 2 + 1])
+        assert np.array_equal(got.mn[0], table.mn[:n // 2 + 1])
+        for mt, mn, constants in zip(got.mt[1:], got.mn[1:], rfts):
+            assert np.all(mt == constants.tangential) and np.all(mn == constants.normal)
 
     def test_apply_B(self, n):
         pairs = members(n)
@@ -237,6 +238,29 @@ def test_problem_alone_is_a_batch_of_one(model, n):
     got, want = solve_tension(alone), solve_tensions(batch)[0][1]
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
+def test_symbols_from_the_rows():
+    # the stepper's implicit symbol and the tension preconditioner, each
+    # derived by its own module from a 6-member stack's rows, against the
+    # formulas written from the tables and constants themselves
+    n = 64
+    names = ("trefoil", "perturbed-circle(3,0.05)", "perturbed-circle(2,0.04)")
+    curves = [initial_curve(name, n) for name in names * 2]
+    maps = ([build_table(eps, n // 2) for eps in (1e-2, 1e-4, 1e-6)]
+            + [rft_constants(eps) for eps in (1e-2, 1e-4, 1e-6)])
+    problem = batched(zip(curves, maps))
+    grid = problem.curve.grid
+    lam, diag = implicit_symbol(grid, problem.force_map), _preconditioner(problem)
+    for j, (curve, m) in enumerate(zip(curves, maps)):
+        leps = m.model == "leps"
+        mt, mn = (m.mt[:n // 2 + 1], m.mn[:n // 2 + 1]) if leps else (m.tangential, m.normal)
+        want = (mn if leps else mt) * (2.0 * np.pi * grid.k) ** 4
+        want[-1] = 0.0
+        assert lam[j].tobytes() == want.tobytes()
+        xss_sq = np.sum(grid.weight * np.abs(grid.ik_pow[2] * curve.coeffs) ** 2)
+        symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq
+        assert diag[j].tobytes() == np.where(grid.band, 1.0 / symbol, 0.0).tobytes()
 
 
 def test_stall_gives_its_own_residual():

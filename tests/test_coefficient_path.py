@@ -109,8 +109,8 @@ def ref_assemble_rhs(curve, model):
 def ref_explicit_forcing(curve, model, tau, lam):
     _, op = ref_operator(curve, model)
     zs = derivative(curve.samples, 4) - ref_lift(curve, tau)
-    principal = from_coeffs(lam[:, None] * to_coeffs(curve.samples), curve.n)
-    return -op(zs) + principal
+    implicit = from_coeffs(lam[:, None] * to_coeffs(curve.samples), curve.n)
+    return -op(zs) + implicit
 
 
 # --------------------------------------------------------------- helpers

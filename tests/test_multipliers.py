@@ -316,6 +316,22 @@ class TestForceMaps:
         assert force_map_for("leps", 1e-3, 32).kmax == 16
         assert force_map_for("rft", 1e-3, 32) == rft_constants(1e-3)
 
+    @pytest.mark.parametrize("size", [1, 3, 6])
+    def test_stack_rows(self, size):
+        # a member's rows m_t, m_n: a table's first 17 multipliers, an
+        # rft map's constants at every k, bit for bit
+        tables = [build_table(eps, 32) for eps in (1e-2, 1e-4, 1e-6)]
+        rfts = [rft_constants(eps) for eps in (1e-2, 1e-4, 1e-70)]
+        maps = tables[:size // 2] + rfts[:size - size // 2]
+        stack = ForceMapStack(maps, 17)
+        assert stack.mt.shape == stack.mn.shape == (size, 17)
+        for mt, mn, m in zip(stack.mt, stack.mn, maps):
+            if m.model == "leps":
+                assert mt.tobytes() == m.mt[:17].tobytes()
+                assert mn.tobytes() == m.mn[:17].tobytes()
+            else:
+                assert np.all(mt == m.tangential) and np.all(mn == m.normal)
+
     def test_stack_takes_the_leps_members_first(self):
         with pytest.raises(ValueError, match="leps members of a force-map stack come first"):
             ForceMapStack([rft_constants(1e-3), build_table(1e-3, 16)], 17)

@@ -27,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 from filament.cli import main
 from filament.config import CG_TOL, RunConfig, SweepConfig, aspect_ratio
 from filament.evolution import EvolutionState, StepOptions, _advance, _step
-from filament.multipliers import ForceMapStack, build_table, force_map_for
+from filament.multipliers import build_table, force_map_for
 from filament.spectral import (CurveBatch, GeometryError, PeriodicCurve, _cell_format,
                                read_curve_csv, write_csv, write_curve_csv)
 from filament.tension import SolverError, TensionField, TensionProblem, solve_tensions
@@ -335,7 +335,7 @@ def member(draw):
 
 def start(curve, warm):
     """The state of curve at t = 0, warm (if not None) its lagged tension."""
-    return EvolutionState(curve, 0.0, None if warm is None else TensionField.from_values(warm))
+    return EvolutionState(curve, 0.0, None if warm is None else TensionField(warm))
 
 
 def outcomes(function, calls):
@@ -358,7 +358,7 @@ def test_batched_tension_solve_equals_solo(members):
     tols = [o.cg_tol for o in options]
     solo = outcomes(solve_tensions, [(TensionProblem(c, m, cg_tol=tol), [w])
                                      for c, m, w, tol in zip(curves, maps, warm, tols)])
-    batch = TensionProblem(CurveBatch.of(curves), ForceMapStack(maps, N // 2 + 1), cg_tol=tols)
+    batch = TensionProblem(CurveBatch.of(curves), maps, cg_tol=tols)
     failures = [str(r) for r in solo if isinstance(r, SolverError)]
     if failures:  # the batch raises a failing member's error
         with pytest.raises(SolverError) as err:

@@ -1,5 +1,6 @@
 """Tests for the spectral core: calculus, projections, operators, curves."""
 
+import inspect
 import json
 import math
 import re
@@ -204,6 +205,11 @@ class TestForceToVelocityMaps:
         normal[2] = np.cos(TWO_PI * np.arange(128) / 128)
         out = apply_to_samples(curve, constants, normal)
         assert np.max(np.abs(out - constants.normal * normal)) < 1e-10
+
+    def test_rft_kernel_needs_no_curve(self):
+        # the local map reads X_s only through the projection pt = P f
+        parameters = inspect.signature(spectral.apply_L_rft).parameters
+        assert list(parameters) == ["stack", "coeffs", "pt"]
 
     def test_rft_pointwise_eigenvalue_range(self):
         curve = PeriodicCurve.circle(128)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from filament.evolution import initial_curve
-from filament.multipliers import ForceMapStack, build_table, force_map_for, rft_constants
+from filament.multipliers import build_table, force_map_for, rft_constants
 from filament.spectral import (
     CurveBatch,
     Grid,
@@ -142,7 +142,7 @@ def reference_preconditioner(problem):
     curvature term and m_n on the gradient term."""
     grid = problem.curve.grid
     log_eps = np.array([m.log_eps for m in problem.force_map.maps])[:, None]
-    diag = 1.0 / (log_eps + (TWO_PI * grid.k) ** 2 * problem.force_map.precond[1])
+    diag = 1.0 / (log_eps + (TWO_PI * grid.k) ** 2 * problem.force_map.mn)
     diag[..., grid.above_band] = 0.0
     return diag
 
@@ -242,8 +242,7 @@ class TestSolveVelocity:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_matches_direct_velocity(self, n, warm):
         pairs = self.members(n)
-        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]),
-                                 ForceMapStack([m for _, m in pairs], n // 2 + 1))
+        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]), [m for _, m in pairs])
         initial = None
         if warm:  # warm starts off the solution, one member cold
             tensions, _ = solve_tensions(problem)
@@ -335,8 +334,7 @@ class TestSolverInterface:
 
         huge = PeriodicCurve(1e25 * PeriodicCurve.trefoil(32).samples)
         pairs = [(PeriodicCurve.trefoil(32), build_table(1e-3, 16)), (huge, build_table(1e-3, 16))]
-        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]),
-                                 ForceMapStack([m for _, m in pairs], 17))
+        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]), [m for _, m in pairs])
         monkeypatch.setattr(tension, "_preconditioner", lambda problem: pytest.fail("iterated"))
         for p in (problem, TensionProblem(*pairs[1])):
             with pytest.raises(SolverError, match="^tension right-hand side is not finite"):
@@ -372,7 +370,7 @@ class TestSolverInterface:
             assert problem.cg_tol.shape == (1,)
 
     def test_field_immutable(self):
-        field = TensionField.from_values(np.arange(4.0))
+        field = TensionField(np.arange(4.0))
         with pytest.raises(ValueError):
             field.values[0] = 7.0
 
@@ -412,8 +410,7 @@ class TestPreconditioner:
         real = tension._preconditioner
         monkeypatch.setattr(tension, "_preconditioner",
                             lambda problem: built.append(len(problem.curve)) or real(problem))
-        batch, _ = tension.solve_tensions(TensionProblem(CurveBatch.of(curves),
-                                                         ForceMapStack(maps, n // 2 + 1)))
+        batch, _ = tension.solve_tensions(TensionProblem(CurveBatch.of(curves), maps))
         assert len({t.iterations for t in batch}) == 3
         assert built == [3]
         for got, want in zip(batch, solo):
