@@ -130,8 +130,9 @@ class SweepConfig:
     confirmation: boolean = False  # extra n=1024 run at eps=1e-4
 
     def rows(self):
-        """The (eps, n) of each row: every eps at n, then the confirmation's."""
-        return [(eps, self.n) for eps in self.epsilons] + [(1e-4, 1024)] * self.confirmation
+        """The (eps, n) of each row: every eps at n, then the confirmation's if new."""
+        rows = [(eps, self.n) for eps in self.epsilons] + [(1e-4, 1024)] * self.confirmation
+        return list(dict.fromkeys(rows))
 
 
 def _parse(text, cls, required):

@@ -13,11 +13,11 @@ A model enters only as its force map (see multipliers).  One loop,
 `lockstep`, steps groups of members: a run is a group of one, a sweep
 row the two models side by side with one dt.  Each step advances every
 member of every group as one array program with a member axis first
-(`_advance`): one batched tension solve, forcing, implicit update and
-diagnostics (from the stacked tau samples) for all of them, each member
-getting the bits of its solo step.  Groups may share a member (a sweep's
-rows share their RFT member): the batch makes its calls once while they
-keep one dt.  A failing member raises for the whole batch, and
+(`_advance`): one batched tension solve, forcing, implicit update,
+diagnostics (from the stacked tau samples) and arclength resampling for
+all of them, each member getting the bits of its solo step.  Groups may
+share a member (a sweep's rows share their RFT member): the batch makes
+its calls once while they keep one dt.  A failing member raises for the whole batch, and
 `_batched` alone isolates it: it makes each distinct call of the batch
 alone, so only the groups with a failing member end.
 """
@@ -163,11 +163,12 @@ class StepOptions:
     time_scale: float = 1.0
 
 
-def _advance(states, force_maps, dts, options):
+def _advance(states, force_maps, dts, options, scheduled=None):
     """One IMEX Euler step of every member (leps members first) as one
     array program: a list with each member's new EvolutionState; raises
     the SolverError or GeometryError of a member whose step fails.
-    options holds a StepOptions per member."""
+    options holds a StepOptions per member; a member whose flag in
+    scheduled is set is resampled at arclength after its record is taken."""
     if not all(dt > 0.0 for dt in dts):
         raise ValueError(f"dt must be positive, got {dts!r}")
     tensions, problem, lam, ghat = _forcing(
@@ -202,6 +203,9 @@ def _advance(states, force_maps, dts, options):
             dt=dts[j],
         )
         new_states.append(EvolutionState(curve, state.time + dts[j], tensions[j], record))
+    due = [j for j, flag in enumerate(scheduled or ()) if flag]
+    for j, curve in zip(due, reparameterize_each([new_states[j].curve for j in due])):
+        new_states[j] = replace(new_states[j], curve=curve)
     return new_states
 
 
@@ -246,15 +250,16 @@ class Group:
     """Members stepped with one shared dt: a run is a group of one, a
     sweep row its two models.  The group runs from t = 0 while
     t < end = horizon (1 - TIME_RTOL), its last step shortened to land on the
-    horizon; after each step lockstep calls on_step(group, dt_step), so a
-    callback reads the group without holding it (no reference cycle).
+    horizon; after each step lockstep calls on_step(group), so a callback
+    reads the group (its records hold the step's dt) without holding it.
     options holds the members' tolerances; lockstep sets each member's
     time_scale, 1/|log eps| of its force map when rescaled, else 1.
 
     The dt rule of every run and sweep row: a group given a dt keeps it;
-    one with dt None takes the dt policy (choose_dt, minimum over
-    the members) at t = 0 and again every POLICY_EVERY steps, at most
-    doubling dt each time and capped at horizon / HORIZON_PARTS.  A step
+    one with dt None takes the dt policy (choose_dt, minimum over the
+    members) before the step it times: at t = 0 and after every
+    POLICY_EVERY steps but the last, at most doubling dt each time and
+    capped at horizon / HORIZON_PARTS.  A step
     with an energy flag halves dt: for good when given, else a later
     re-evaluation may double it again.  Halving and doubling keep a policy
     dt on choose_dt's grid.  `lockstep` advances the progress fields and
@@ -339,40 +344,28 @@ def _apply_policy(groups):
         g.dt = min(min(dts), g.horizon / HORIZON_PARTS, np.inf if g.dt is None else 2.0 * g.dt)
 
 
-def _resampled(states):
-    """The states with their curves resampled at arclength, one batch."""
-    curves = reparameterize_each([s.curve for s in states])
-    return [replace(s, curve=c) for s, c in zip(states, curves)]
-
-
-def _resample(groups):
-    """Resample the states of the groups at arclength, one batch for all;
-    a failure ends the group.  A state that groups share stays shared."""
-    for g, states in _batched(_resampled, groups, lambda g, k: (g.states[k],)).items():
-        g.states = states
-
-
 def lockstep(groups):
     """Step the groups (all on one grid) until each has ended, all members
     of the running groups in one batched step at a time; returns the
     groups.
 
-    Each group follows its own dt by the rule of `Group` and resamples
-    its states at arclength every RESAMPLE_EVERY of its steps.  A solver
-    or geometry failure, or a dt halved until time stands still, ends
-    that group early with its last good states and the reason in
-    `failure`; the other groups go on.  Every step taken goes to on_step,
-    even if the resampling or dt policy after it fails.  Groups that
-    share a state, force map and dt make its step once.
+    Each pass sets the dt of every group by the rule of `Group`, makes one
+    `_advance` call for all of them, which also resamples a group's states
+    at arclength on every RESAMPLE_EVERY-th of its steps, and hands each
+    step taken to on_step.  A solver or geometry failure in the dt policy
+    or the step, or a dt halved until time stands still, ends that group
+    early with its last good states and the reason in `failure`; the
+    other groups go on.  Groups that share a state, force map and dt make
+    its step once, and a state they share stays shared.
     """
     options = {g: [replace(g.options, time_scale=1.0 / m.log_eps if g.rescaled else 1.0)
                    for m in g.force_maps] for g in groups}
     timed = [g for g in groups if g.dt is None]
-    _apply_policy(timed)
-    running = [g for g in groups if g.failure is None and g.t < g.end]
+    running = [g for g in groups if g.t < g.end]
     while running:
+        _apply_policy([g for g in running if g in timed and g.steps % POLICY_EVERY == 0])
         stepping = {}
-        for g in running:
+        for g in [g for g in running if g.failure is None]:  # not ended by the dt policy
             dt_step = min(g.dt, g.horizon - g.t)
             if g.t + dt_step == g.t:  # halved away by energy flags
                 g.failure = f"step size underflow: dt = {dt_step:.3e} at t = {g.t!r}"
@@ -380,18 +373,15 @@ def lockstep(groups):
                 stepping[g] = dt_step
         # a group whose step fails keeps its last good states
         stepped = _batched(_advance, stepping, lambda g, k: (
-            g.states[k], g.force_maps[k], stepping[g], options[g][k]))
+            g.states[k], g.force_maps[k], stepping[g], options[g][k],
+            (g.steps + 1) % RESAMPLE_EVERY == 0))
         for g, states in stepped.items():
             g.states, g.t, g.steps = states, g.t + stepping[g], g.steps + 1
             if any(s.diagnostics.energy_flag for s in states):
                 g.flagged += 1
                 g.dt *= 0.5
-        _resample([g for g in stepped if g.steps % RESAMPLE_EVERY == 0])
-        _apply_policy([g for g in stepped if g in timed and g.failure is None
-                       and g.steps % POLICY_EVERY == 0])
-        for g in stepped:
-            g.on_step(g, stepping[g])
-        running = [g for g in stepped if g.failure is None and g.t < g.end]
+            g.on_step(g)
+        running = [g for g in stepped if g.t < g.end]
     return groups
 
 
@@ -406,9 +396,9 @@ def run(config, initial):
     """Integrate under a RunConfig; returns a Trajectory.
 
     Snapshots are stored every config.snapshot_every steps, and an info
-    line logs step, t and dt every 1,000 steps.  dt follows the rule of
-    `Group`: config.dt kept, else the dt policy re-evaluated.  A run that
-    `lockstep` ends early keeps its partial trajectory.
+    line logs step, t and the step's dt every 1,000 steps.  dt follows the
+    rule of `Group`: config.dt kept, else the dt policy re-evaluated.  A run
+    that `lockstep` ends early keeps its partial trajectory.
     """
     force_map = force_map_for(config.model, config.epsilon, initial.n)
     e0 = energy(initial)
@@ -418,13 +408,13 @@ def run(config, initial):
     )
     traj = Trajectory([state], [])
 
-    def after_step(group, dt_step):
+    def after_step(group):
         (state,) = group.states
         traj.diagnostics.append(state.diagnostics)
         if group.steps % config.snapshot_every == 0:
             traj.states.append(state)
         if group.steps % 1000 == 0:
-            log.info("simulate step %d: t=%g dt=%g", group.steps, state.time, dt_step)
+            log.info("simulate step %d: t=%g dt=%g", group.steps, state.time, state.diagnostics.dt)
 
     (group,) = lockstep([Group(
         [state], (force_map,), config.dt, config.horizon, after_step,

@@ -151,7 +151,7 @@ def _pair(table, start, rft, sweep):
     snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
     cg_iterations = 0  # of the leps member's steps
 
-    def after_step(group, dt_step):
+    def after_step(group):
         nonlocal next_snap, cg_iterations
         x, y = group.states
         cg_iterations += x.diagnostics.cg_iterations
@@ -333,7 +333,7 @@ def _bound_suite_one_eps(eps, kmax):
     return out
 
 
-def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
+def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0):
     """<f, L_eps f> / (|log eps| ||f||_{H^{-1/2}}^2) on random fields.
 
     Fields are band-limited Gaussian samples on the unit circle,
@@ -341,8 +341,7 @@ def coercivity_ratios(eps, grid_n=256, n_fields=50, seed=0, table=None):
     The fields are the members of one batch, through the table's stack.
     """
     curve = PeriodicCurve.circle(grid_n)
-    if table is None:
-        table = build_table(eps, grid_n // 2)
+    table = build_table(eps, grid_n // 2)
     draws = np.random.default_rng(seed).standard_normal((n_fields, grid_n, 3))
     f = dealias(np.ascontiguousarray(draws.swapaxes(-1, -2)), axis=-1)
     f /= sobolev_norm_coeffs(to_coeffs(f, axis=-1), H_MINUS_HALF)[:, None, None]

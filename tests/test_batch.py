@@ -19,7 +19,6 @@ from filament.evolution import (
     StepOptions,
     _advance,
     _energies,
-    _resample,
     _step,
     dissipation,
     energy,
@@ -282,10 +281,10 @@ def folded(n):
                                           0.06 * np.sin(2 * phase)]) / (2 * np.pi))
 
 
-def group(n, dt, cg_tol=1e-10, **kwargs):
+def group(n, dt, cg_tol=1e-10, horizon=4e-6, **kwargs):
     curve = initial_curve("perturbed-circle(3,0.05)", n)
     return Group([EvolutionState(curve, 0.0)] * 2, (build_table(1e-3, n // 2), rft_constants(1e-3)),
-                 dt, 4e-6, lambda group, dt_step: None,
+                 dt, horizon, lambda group: None,
                  StepOptions(cg_tol=cg_tol, **kwargs))
 
 
@@ -340,9 +339,9 @@ class TestGroupFailures:
 
 
 class TestIsolatedCalls:
-    """A failure in one of two groups during the dt policy, a scheduled
-    resampling or a step's inextensibility resampling ends that group as
-    it ends alone, and leaves the other group as it runs alone."""
+    """A failure in one of two groups during the dt policy or a step's
+    inextensibility or scheduled resampling ends that group as it ends
+    alone, and leaves the other group as it runs alone."""
 
     @staticmethod
     def together_and_alone(make_failing, make_other, call):
@@ -367,14 +366,23 @@ class TestIsolatedCalls:
         assert failing.steps == 0 and failing.dt is None
 
     @staticmethod
-    def folded_group():
+    def folded_group(dt=1e-6, **kwargs):
         """A group whose second (rft) member is folded over."""
-        g = group(64, 1e-6)
+        g = group(64, dt, **kwargs)
         g.states = [g.states[0], EvolutionState(folded(64), 0.0)]
         return g
 
     def test_scheduled_resample_fold_over(self):
-        failing = self.together_and_alone(self.folded_group, lambda: group(64, 1e-6), _resample)
+        # with inext_tol = 10 no step resamples the folded member before
+        # the scheduled resampling of step 20 finds the fold-over and
+        # fails that step; the other group takes 25 steps
+        options = dict(horizon=2.5e-7, inext_tol=10.0)
+        failing = self.together_and_alone(lambda: self.folded_group(1e-8, **options),
+                                          lambda: group(64, 1e-8, **options), lockstep)
+        with pytest.raises(GeometryError) as solo:
+            _advance([failing.states[1]], [failing.force_maps[1]], [1e-8], [failing.options],
+                     [True])
+        assert failing.failure == f"GeometryError: {solo.value}" and failing.steps == 19
         assert failing.failure.startswith("GeometryError: fold-over")
 
     def test_step_resample_fold_over(self):
@@ -385,13 +393,14 @@ class TestIsolatedCalls:
         assert failing.failure.startswith("GeometryError: fold-over")
 
 
-def shared_groups(n, rft_state=None):
+def shared_groups(n, rft_state=None, horizon=4e-6):
     """Three groups, one table each, from one start state and one rft
-    member; rft_state, if given, is the rft member's state in all three."""
+    member, stepped at dt 1e-6; rft_state, if given, is the rft member's
+    state in all three."""
     start = EvolutionState(initial_curve("perturbed-circle(3,0.05)", n), 0.0)
     rft = rft_constants(1e-3)
-    return [Group([start, rft_state or start], (build_table(eps, n // 2), rft), 1e-6, 4e-6,
-                  lambda group, dt_step: None, StepOptions())
+    return [Group([start, rft_state or start], (build_table(eps, n // 2), rft), 1e-6, horizon,
+                  lambda group: None, StepOptions())
             for eps in (1e-2, 1e-3, 1e-4)]
 
 
@@ -409,12 +418,14 @@ class TestSharedMember:
                 assert a.diagnostics == b.diagnostics
 
     def test_resample_keeps_shared_states_shared(self):
-        groups = shared_groups(64)
-        (want,) = reparameterize_each([groups[0].states[0].curve])
-        _resample(groups)
-        state = groups[0].states[0]
-        assert all(s is state for g in groups for s in g.states)
-        assert np.array_equal(state.curve.samples, want.samples)
+        # the 20th step ends in the scheduled resampling, after its record
+        together = lockstep(shared_groups(64, horizon=2e-5))
+        (alone,) = lockstep(shared_groups(64, horizon=2e-5)[:1])
+        state = together[0].states[1]
+        assert all(g.steps == 20 and g.states[1] is state for g in together)
+        assert state.curve.inext_residual < state.diagnostics.inext_residual
+        assert np.array_equal(state.curve.samples, alone.states[1].curve.samples)
+        assert state.diagnostics == alone.states[1].diagnostics
 
     def test_failing_shared_member_ends_every_group(self):
         folded_state = EvolutionState(folded(64), 0.0)

@@ -258,8 +258,9 @@ cg_tol = 1e-30
         assert [p.name for p in out.glob("curve_*.csv")] == ["curve_000000.csv"]
 
     def test_step_before_a_failed_resampling_is_written(self, tmp_path):
-        # the resampling after step 20 aborts the run: step 20 is in the
-        # manifest, diagnostics.csv and the last curve file alike
+        # the scheduled resampling of step 20 fails that step and aborts
+        # the run: step 19 is in the manifest, diagnostics.csv and the
+        # last curve file alike
         from filament.spectral import write_curve_csv
         from test_batch import folded
 
@@ -278,12 +279,12 @@ initial_curve = {curve}
         out = tmp_path / "run"
         assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["steps"] == 20
+        assert manifest["steps"] == 19
         assert manifest["aborted"].startswith("GeometryError: fold-over")
         assert [row[0] for row in read_csv(out / "diagnostics.csv")[1:]] == [
-            str(step) for step in range(1, 21)]
+            str(step) for step in range(1, 20)]
         assert sorted(p.name for p in out.glob("curve_*.csv")) == [
-            f"curve_{step:06d}.csv" for step in (0, 7, 14, 20)]
+            f"curve_{step:06d}.csv" for step in (0, 7, 14, 19)]
 
 
 class TestTensionCheck:

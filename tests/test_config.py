@@ -153,6 +153,13 @@ class TestSweepConfig:
         config = parse_sweep_config("epsilons = 1e-2\nconfirmation = true\n")
         assert config.rows() == [(1e-2, 256), (1e-4, 1024)]
 
+    def test_confirmation_row_among_the_rows(self):
+        # at n = 1024 with eps = 1e-4 the confirmation row is already a
+        # row: it is computed and written once
+        config = parse_sweep_config("epsilons = 1e-2, 1e-3, 1e-4\nn = 1024\n"
+                                    "confirmation = true\n")
+        assert config.rows() == [(1e-2, 1024), (1e-3, 1024), (1e-4, 1024)]
+
     def test_as_dict_round_trip(self):
         config = parse_sweep_config("n = 64\nhorizon = 0.25\n")
         assert SweepConfig(**config_as_dict(config)) == config

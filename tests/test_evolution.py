@@ -306,9 +306,23 @@ class TestRunDriver:
         assert traj.states[-1].time == pytest.approx(config.horizon, rel=1e-12)
         assert not any(d.energy_flag for d in traj.diagnostics)
 
+    def test_policy_runs_before_the_steps_it_times(self, monkeypatch):
+        # the policy's cap horizon/50 sets 50 steps: the policy is
+        # evaluated at t = 0 and before step 26, not after the last step
+        from filament import evolution
+
+        calls, real = [], evolution._policy_dts
+        monkeypatch.setattr(evolution, "_policy_dts",
+                            lambda *args: calls.append(args) or real(*args))
+        config = RunConfig(model="rft", epsilon=1e-3, n=32, horizon=1e-6,
+                           initial_curve="perturbed-circle(3,0.05)")
+        traj = run(config, initial_curve(config.initial_curve, config.n))
+        assert traj.aborted is None and len(traj.diagnostics) == 2 * evolution.POLICY_EVERY
+        assert len(calls) == len(traj.diagnostics) // evolution.POLICY_EVERY
+
     def test_given_dt_is_kept(self):
         # the dt given is kept past the re-evaluation a policy-timed run
-        # makes after step 25, though it exceeds the policy's cap
+        # makes before step 26, though it exceeds the policy's cap
         config = RunConfig(model="leps", epsilon=1e-2, n=64, horizon=4.05e-4, dt=1e-5,
                            rescaled_time=True, initial_curve="perturbed-circle(3,0.05)")
         traj = run(config, initial_curve(config.initial_curve, config.n))
@@ -328,15 +342,15 @@ class TestRunDriver:
         assert traj.states[0].curve is curve
 
     def test_step_before_a_failed_resampling_is_reported(self):
-        # the scheduled resampling after step 20 finds the fold-over: the
-        # run aborts with step 20 both its last diagnostics row and its
-        # last state
+        # the scheduled resampling of step 20 finds the fold-over and
+        # fails that step: the run aborts with step 19 both its last
+        # diagnostics row and its last state
         config = RunConfig(model="rft", epsilon=1e-3, n=64, horizon=1e-3, dt=1e-8,
                            inextensibility_tol=10.0, snapshot_every=7)
         traj = run(config, folded(64))
         assert traj.aborted.startswith("GeometryError: fold-over")
-        assert [r.step for r in traj.diagnostics] == list(range(1, 21))
-        assert [s.diagnostics.step for s in traj.states] == [0, 7, 14, 20]
+        assert [r.step for r in traj.diagnostics] == list(range(1, 20))
+        assert [s.diagnostics.step for s in traj.states] == [0, 7, 14, 19]
         assert traj.states[-1].diagnostics is traj.diagnostics[-1]
 
     def test_programming_error_propagates(self, monkeypatch):

@@ -117,11 +117,12 @@ class TestCoercivity:
         mt = table.mt.copy()
         mt[7] *= -1.0
         with pytest.raises(ValueError):
-            bad = dataclasses.replace(table, mt=mt)
-            coercivity_ratios(1e-3, grid_n=64, n_fields=1, table=bad)
+            dataclasses.replace(table, mt=mt)
 
-    def test_deflated_multiplier_lowers_constant(self):
+    def test_deflated_multiplier_lowers_constant(self, monkeypatch):
         # scaling the table down scales the fitted coercivity constant
+        from filament import experiments
+
         table = build_table(1e-3, 32)
         mt = (0.1 * table.mt).copy()
         mn = (0.1 * table.mn).copy()
@@ -129,7 +130,8 @@ class TestCoercivity:
         mn.setflags(write=False)
         bad = dataclasses.replace(table, mt=mt, mn=mn)
         good = coercivity_ratios(1e-3, grid_n=64, n_fields=5)
-        low = coercivity_ratios(1e-3, grid_n=64, n_fields=5, table=bad)
+        monkeypatch.setattr(experiments, "build_table", lambda eps, kmax: bad)
+        low = coercivity_ratios(1e-3, grid_n=64, n_fields=5)
         assert np.max(low) < 0.2 * np.min(good)
 
 
@@ -185,9 +187,9 @@ class TestRunPair:
         group.dt = 5e-5
         counts, on_step = [], group.on_step
 
-        def count(g, dt_step):
+        def count(g):
             counts.append([state.diagnostics.cg_iterations for state in g.states])
-            on_step(g, dt_step)
+            on_step(g)
 
         group.on_step = count
         lockstep([group])
@@ -304,8 +306,8 @@ class TestStudyDriver:
 
         real_advance = evolution._advance
 
-        def flagging_advance(states, force_maps, dts, options):
-            outcomes = real_advance(states, force_maps, dts, options)
+        def flagging_advance(states, force_maps, *args):
+            outcomes = real_advance(states, force_maps, *args)
             for i, (state, force_map) in enumerate(zip(outcomes, force_maps)):
                 if force_map.model == "leps" and force_map.epsilon == 1e-2:
                     flagged = dataclasses.replace(state.diagnostics, energy_flag=True)

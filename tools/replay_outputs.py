@@ -18,9 +18,13 @@ OUT/simulate-leps-n32-dt/, and the same with cg_tol = 1e-30, whose
 first tension solve stalls, into OUT/simulate-leps-n32-stall/.  Then
 a `sweep` at n = 64 with `confirmation = true` (eps = 1e-2, 1e-3, 1e-4
 and the n = 1024 row, a second grid size and a second batch) goes into
-OUT/sweep-confirmation/.  Last, `tension-check` on a curve file written
+OUT/sweep-confirmation/.  Then `tension-check` on a curve file written
 as a person might write it (HAND_CURVE), which covers the reader's edge
-cases, goes into OUT/tension-check-hand/.  A call
+cases, goes into OUT/tension-check-hand/.  Last, a `simulate` of the rft
+model at n = 64 from a folded-over curve (FOLDED_CURVE) with
+inextensibility_tol = 10, whose scheduled resampling of step 20 finds
+the fold-over and fails that step, goes into
+OUT/simulate-rft-n64-foldover/.  A call
 must exit with its code in EXIT_CODES (0 if it has none); the script
 exits 1 if any does not.  Each replay runs in a fresh interpreter with
 BLAS and OpenMP pinned to one thread, as in the benchmark.  The
@@ -61,6 +65,13 @@ HAND_CURVE = "s , x , y , z\n" + "".join(
     f" {j / 32} , {math.cos(math.pi * j / 16) / (2 * math.pi):+.6f} ,"
     f" {math.sin(math.pi * j / 16) / (2 * math.pi):+.6f} , 0\n" + "\n" * (j == 15)
     for j in range(32))
+# A circle traversed at speed 1 + 0.6 cos(2 pi s) on n = 64 points:
+# min |X_s| = 0.4, a fold-over to the resampler.
+FOLDED_CURVE = "s,x,y,z\n" + "".join(
+    f"{j / 64!r},{math.cos(phase) / (2 * math.pi)!r},{math.sin(phase) / (2 * math.pi)!r},"
+    f"{0.06 * math.sin(2 * phase) / (2 * math.pi)!r}\n"
+    for j, phase in ((j, 2 * math.pi * j / 64 + 0.6 * math.sin(2 * math.pi * j / 64))
+                     for j in range(64)))
 # name: (CLI call, {input file: its text})
 EXTRA_CALLS = {
     "lemma-suite": (["lemma-suite", "--out", "out"], {}),
@@ -80,9 +91,15 @@ EXTRA_CALLS = {
                        "confirmation = true\n"}),
     "tension-check-hand": (["tension-check", "--curve", "hand.csv", "--epsilon", "1e-3",
                             "--out", "out/tau.csv"], {"hand.csv": HAND_CURVE}),
+    "simulate-rft-n64-foldover": (["simulate", "--config", "folded.cfg", "--out",
+                                   "out/simulate"], {
+        "folded.cfg": "model = rft\nepsilon = 1e-3\nn = 64\nhorizon = 1e-3\ndt = 1e-8\n"
+                      "inextensibility_tol = 10\nsnapshot_every = 7\n"
+                      "initial_curve = folded.csv\n",
+        "folded.csv": FOLDED_CURVE}),
 }
 # replay name: its declared exit code, for the calls that must fail
-EXIT_CODES = {"simulate-leps-n32-stall": 2}
+EXIT_CODES = {"simulate-leps-n32-stall": 2, "simulate-rft-n64-foldover": 2}
 
 # Run in the child, inside the replay directory: argv[1] is a workload
 # name, argv[2] its seed and argv[3], if given, the --jobs value of its
