@@ -39,6 +39,14 @@ def positive(raw):
     return value
 
 
+def fraction(raw):
+    """A relative tolerance, in (0, 1): a zero solution meets one of 1."""
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {value!r}")
+    return value
+
+
 def count(raw):
     value = int(raw)
     if value < 1:
@@ -113,7 +121,7 @@ class RunConfig:
     rescaled_time: boolean = False
     initial_curve: curve_name = "circle"
     inextensibility_tol: positive = INEXT_TOL
-    cg_tol: positive = CG_TOL
+    cg_tol: fraction = CG_TOL
     energy_tol: positive = ENERGY_TOL
     snapshot_every: count = SNAPSHOT_EVERY
 
@@ -125,7 +133,7 @@ class SweepConfig:
     n: check_grid_size = 256
     initial_curve: curve_name = "perturbed-circle(3,0.05)"
     snapshot_every: count = SNAPSHOT_EVERY
-    cg_tol: positive = CG_TOL
+    cg_tol: fraction = CG_TOL
     inextensibility_tol: positive = INEXT_TOL
     confirmation: boolean = False  # extra n=1024 run at eps=1e-4
 

@@ -145,7 +145,7 @@ class ForceMapStack:
     a table's being its first `size` multipliers and an rft map's its
     tangential and normal constants.  The constructor is the one home of
     the check that each table covers the resolved spectrum.  `apply`
-    takes coefficients (m, 3, size), components first, and is the one
+    takes coefficients (..., m, 3, size), components first, and is the one
     caller of spectral.apply_L_eps and apply_L_rft, which read only the
     stack's rows; it makes the first tangent projection once for all
     members and L_eps's second one for the leps members only.  A row of
@@ -173,8 +173,9 @@ class ForceMapStack:
         if split == 0:
             return spectral.apply_L_rft(self, coeffs, pt)
         out = np.empty_like(coeffs)
-        out[:split] = spectral.apply_L_eps(curve[:split], self, coeffs[:split], pt[:split])
-        out[split:] = spectral.apply_L_rft(self, coeffs[split:], pt[split:])
+        leps, rft = np.s_[..., :split, :, :], np.s_[..., split:, :, :]  # the member axis is -3
+        out[leps] = spectral.apply_L_eps(curve[:split], self, coeffs[leps], pt[leps])
+        out[rft] = spectral.apply_L_rft(self, coeffs[rft], pt[rft])
         return out
 
 

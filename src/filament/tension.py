@@ -12,11 +12,12 @@ positive definite on that band and is solved matrix-free by
 preconditioned conjugate gradients.  The lift maps tau samples to rfft
 coefficients and the adjoint maps coefficients back to samples, so the
 force-to-velocity map between them stays in coefficient space: one
-application of the form costs 12 FFT calls for leps and 8 for rft.  As
-(tau X_s)_s = tau_s X_s + tau X_ss with X_ss normal to X_s, the form's
-frozen-coefficient symbol on a tension mode k is m_t(k) (2 pi k)^2 +
-m_n(k) <|X_ss|^2> (rft: the two constants; the local model's tension
-equation, Tornberg & Shelley 2004); the preconditioner is its inverse.
+application of the form costs 12 FFT calls for leps and 8 for rft.  The
+preconditioner inverts the form's Fourier diagonal on a unit-speed curve,
+where P (tau X_s)_s = tau_s X_s: (2 pi k)^2 sum_j |X_s_j|^2 m_t(|k+j|) +
+sum_j |X_ss_j|^2 m_n(|k+j|), j and k + j on the band (rft: constants), two
+circular convolutions (2 FFT calls per solve; none wraps onto the band, as
+n > 3 floor(n/3)).  A warm start shares the right-hand side's application.
 
 A problem is a batch: a spectral.CurveBatch, the multipliers.ForceMapStack
 of its members' force maps and a cg_tol per member, tau having shape
@@ -32,12 +33,13 @@ is a breakdown, named an overflow when infinite.  A member that
 converges leaves the batch with its iterate, so it takes exactly the
 iterations it would take alone; the preconditioner's diagonal, from the
 stack's rows m_t and m_n, is built once per solve and leaves with the
-members.  A member that stalls or has a NaN residual raises SolverError,
-its message giving the member's last residual, for the whole batch
-(evolution._batched isolates it).  The solve also returns the velocity
--(L[X_ssss] - L[(tau X_s)_s]) from its own force-map outputs: the
-right-hand side's L[X_ssss], and (L being linear) L[(tau X_s)_s] as the
-warm start's plus alpha_i L[(p_i X_s)_s] of each iteration, as CG
+members.  A member that stalls (a NaN residual, or no new least residual
+over the band's 2 floor(n/3) + 1 dimensions, within which exact CG ends)
+raises SolverError, its message giving its last residual, for the whole
+batch (evolution._batched isolates it).  The solve also returns the
+velocity -(L[X_ssss] - L[(tau X_s)_s]) from its own force-map outputs:
+the right-hand side's L[X_ssss], and (L being linear) L[(tau X_s)_s] as
+the warm start's plus alpha_i L[(p_i X_s)_s] of each iteration, as CG
 tracks A x (Hestenes & Stiefel 1952).
 """
 
@@ -117,22 +119,28 @@ def apply_B(problem, tau):
     return lift_adjoint(problem.curve, l_tau), l_tau
 
 
-def assemble_rhs(problem):
-    """Riesz representative of phi -> int L[X_ssss] . (phi X_s)_s ds, and L[X_ssss]."""
+def assemble_rhs(problem, start=None):
+    """Riesz representative of phi -> int L[X_ssss] . (phi X_s)_s ds, and L[X_ssss];
+    given a start tau, each stacked with B tau and L[(tau X_s)_s] (one application)."""
     curve = problem.curve
-    l_xssss = problem.force_map.apply(curve, curve.grid.ik_pow[4] * curve.coeffs)
-    return lift_adjoint(curve, l_xssss), l_xssss
+    fields = curve.grid.ik_pow[4] * curve.coeffs
+    if start is not None:
+        fields = np.stack((fields, lift(curve, start)))
+    l_fields = problem.force_map.apply(curve, fields)
+    return lift_adjoint(curve, l_fields), l_fields
 
 
 def _preconditioner(problem):
-    """The module docstring's diagonal on the rfft coefficients, (m, n/2+1),
-    <|X_ss|^2> by Parseval on the coefficients; a zero symbol (a zero
-    force map) gets 0."""
-    grid = problem.curve.grid
-    mt, mn = problem.force_map.mt, problem.force_map.mn
-    xss = grid.ik_pow[2] * problem.curve.coeffs
-    xss_sq = np.sum(grid.weight * np.abs(xss) ** 2, axis=(-2, -1))
-    symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq[:, None]
+    """The inverse of the module docstring's diagonal, (m, n/2+1), from the
+    even sequences |X_s_j|^2, |X_ss_j|^2, m_t and m_n on the band; 0 where
+    it is not positive (a zero force map)."""
+    grid, stack = problem.curve.grid, problem.force_map
+    xs_xss = grid.band * grid.ik_pow[1:3, None] * problem.curve.coeffs[:, None]
+    rows = np.concatenate((np.sum(np.abs(xs_xss) ** 2, axis=-2),
+                           grid.band * np.stack((stack.mt, stack.mn), axis=1)), axis=1)
+    samples = from_coeffs(rows, grid.n, axis=-1)
+    sums = to_coeffs(samples[:, :2] * samples[:, 2:], axis=-1).real
+    symbol = (2.0 * np.pi * grid.k) ** 2 * sums[:, 0] + sums[:, 1]
     return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
 
 
@@ -141,11 +149,11 @@ def solve_tension(problem, initial=None):
     TensionField.
 
     Raises SolverError if the relative residual does not reach
-    problem.cg_tol within 10 n iterations, or if CG breaks down before: a
-    residual left with only out-of-band roundoff has r.z = 0 and cannot
-    be reduced further.  In floating point CG may need more iterations
-    than the band's 2 floor(n/3) + 1 dimensions: over 100 at n = 64 on a
-    curve far from arclength.
+    problem.cg_tol within 10 n iterations or stops setting new minima, or
+    if CG breaks down before: a residual left with only out-of-band
+    roundoff has r.z = 0 and cannot be reduced further.  In floating point
+    CG may need more iterations than the band's 2 floor(n/3) + 1
+    dimensions: 99 at n = 64 on a curve far from arclength.
     """
     (tension,), _ = solve_tensions(problem, None if initial is None else [initial])
     return tension
@@ -159,37 +167,39 @@ def solve_tensions(problem, initial=None):
     of the first member to stall.  initial is None, or holds a warm start
     per member (None for a cold one)."""
     n, m = problem.curve.n, len(problem.curve)
-    rhs, l_rhs = assemble_rhs(problem)
+    cold = np.array([v is None for v in ([None] * m if initial is None else initial)])
+    if cold.all():
+        (rhs, l_rhs), bx = assemble_rhs(problem), 0.0
+        x, lx = np.zeros((m, n)), np.zeros_like(l_rhs)  # lx = L[(x X_s)_s]
+    else:
+        x = dealias(np.array([np.zeros(n) if v is None else v for v in initial], float), axis=-1)
+        (rhs, bx), (l_rhs, lx) = assemble_rhs(problem, x)
     rhs_norm = np.sqrt(np.vecdot(rhs, rhs))
     if not np.all(np.isfinite(rhs_norm)):
         raise SolverError("tension right-hand side is not finite: the curve's fields "
                           "overflow the force map")
     # a zero right-hand side has the solution 0: it starts cold and its
     # residual reads 0, so it leaves the batch at the first check
-    zero = rhs_norm == 0.0
-    rhs_norm[zero] = 1.0
-    x, lx = np.zeros((m, n)), np.zeros_like(l_rhs)  # lx = L[(x X_s)_s]
-    r = rhs
-    if initial is not None and any(v is not None for v in initial):
-        cold = np.array([v is None for v in initial]) | zero
-        x = dealias(np.array([np.zeros(n) if v is None else v for v in initial], dtype=float),
-                    axis=-1)
-        x[cold] = 0.0
-        bx, lx = apply_B(problem, x)
-        r = rhs - bx
-        r[cold], lx[cold] = rhs[cold], 0.0
+    cold |= rhs_norm == 0.0
+    rhs_norm[rhs_norm == 0.0] = 1.0
+    r = rhs - bx
+    x[cold], r[cold], lx[cold] = 0.0, rhs[cold], 0.0
     tensions, velocity = [None] * m, np.empty_like(l_rhs)
     members = list(range(m))  # member number of each row of the batch
     tols = problem.cg_tol.tolist()
     diag = _preconditioner(problem)
     residual = np.sqrt(np.vecdot(r, r)) / rhs_norm
-    iterations = 0
-    p = rz = None
+    window, best, last = 2 * (n // 3) + 1, [np.inf] * m, [0] * m  # least residual, when
+    iterations, p, rz = 0, None, None
     # The checks read the rows through tolist(), a tenth of the cost of a
     # numpy reduction on so few rows; the rest happens only when one fails.
     while members:
+        values = residual.tolist()
+        for j, v in enumerate(values):
+            if v < best[j]:
+                best[j], last[j] = v, iterations
         # members leave the batch when they converge (a NaN residual stalls below)
-        going = [not v <= t for v, t in zip(residual.tolist(), tols)]
+        going = [not v <= t for v, t in zip(values, tols)]
         if not all(going):
             for j, g in enumerate(going):
                 if not g:
@@ -199,7 +209,7 @@ def solve_tensions(problem, initial=None):
             if not keep:
                 break
             # compact the batch to the members still iterating
-            members, tols = [members[j] for j in keep], [tols[j] for j in keep]
+            members, tols, best, last = ([a[j] for j in keep] for a in (members, tols, best, last))
             rhs_norm, residual, x, r, diag, l_rhs, lx = (
                 a[keep] for a in (rhs_norm, residual, x, r, diag, l_rhs, lx))
             if p is not None:
@@ -207,7 +217,8 @@ def solve_tensions(problem, initial=None):
             problem = problem.members(keep)
         z = from_coeffs(to_coeffs(r, axis=-1) * diag, n, axis=-1)
         rz_new = np.vecdot(r, z)
-        ok = [iterations < 10 * n and 0.0 < v < np.inf for v in rz_new.tolist()]
+        ok = [iterations < 10 * n and iterations - i <= window and 0.0 < v < np.inf
+              for v, i in zip(rz_new.tolist(), last)]
         if not all(ok):
             raise _stalled(residual, iterations, ok.index(False), "r.z", rz_new)
         p = z if p is None else z + (rz_new / rz)[:, None] * p

@@ -55,6 +55,15 @@ def members(n):
             (circle, rft_constants(1e-3)), (trefoil, rft_constants(1e-5))]
 
 
+def six_members(n):
+    """Three leps and three rft members on the corpus curves, leps first."""
+    names = ("trefoil", "perturbed-circle(3,0.05)", "perturbed-circle(2,0.04)")
+    curves = [initial_curve(name, n) for name in names * 2]
+    maps = ([build_table(eps, n // 2) for eps in (1e-2, 1e-4, 1e-6)]
+            + [rft_constants(eps) for eps in (1e-2, 1e-4, 1e-6)])
+    return list(zip(curves, maps))
+
+
 def batched(pairs, **kwargs):
     curves, maps = zip(*pairs)
     return TensionProblem(CurveBatch.of(curves), maps, **kwargs)
@@ -78,6 +87,18 @@ class TestAgainstSolo:
         got = problem.force_map.apply(problem.curve, coeffs)
         for member, (curve, force_map), field in zip(got, pairs, coeffs):
             assert np.array_equal(member, apply_L(curve, force_map, field))
+
+    def test_force_map_of_stacked_fields(self, n):
+        # two fields per member stacked on a leading axis, as a warm start
+        # stacks its lift with X_ssss: each gets the bits of its own
+        # application
+        problem = batched(six_members(n))
+        noise = np.random.default_rng(n + 3).standard_normal((2, 6, 3, n))
+        fields = to_coeffs(noise, axis=-1)
+        got = problem.force_map.apply(problem.curve, fields)
+        assert got.shape == (2, 6, 3, n // 2 + 1)
+        for row, field in zip(got, fields):
+            assert row.tobytes() == problem.force_map.apply(problem.curve, field).tobytes()
 
     def test_members_rebuild_the_stack(self, n):
         pairs = members(n)
@@ -239,27 +260,46 @@ def test_problem_alone_is_a_batch_of_one(model, n):
     assert (got.iterations, got.residual) == (want.iterations, want.residual)
 
 
+def form_diagonal(curve, mt, mn):
+    """The tension form's Fourier diagonal on the band as a direct sum
+    over the modes j of X_s and X_ss with j and k + j on the band:
+    (2 pi k)^2 sum_j |X_s_j|^2 m_t(|k+j|) + sum_j |X_ss_j|^2 m_n(|k+j|)."""
+    grid, kcut = curve.grid, curve.n // 3
+    mt, mn = np.broadcast_to(mt, grid.k.shape), np.broadcast_to(mn, grid.k.shape)
+    power = [np.sum(np.abs(grid.ik_pow[m] * curve.coeffs) ** 2, axis=0) for m in (1, 2)]
+    j = np.arange(-kcut, kcut + 1)
+    diag = np.zeros(kcut + 1)
+    for k in range(kcut + 1):
+        kj = np.abs(k + j)
+        on = kj <= kcut
+        xs, xss = (p[np.abs(j[on])] for p in power)
+        diag[k] = ((2.0 * np.pi * k) ** 2 * np.sum(xs * mt[kj[on]])
+                   + np.sum(xss * mn[kj[on]]))
+    return diag
+
+
 def test_symbols_from_the_rows():
     # the stepper's implicit symbol and the tension preconditioner, each
     # derived by its own module from a 6-member stack's rows, against the
-    # formulas written from the tables and constants themselves
+    # formulas written from the tables and constants themselves: the
+    # symbol bit for bit, the preconditioner (its two sums over j made as
+    # circular convolutions by FFT) to 1e-14 relative on every band mode,
+    # where 5.7e-16 was measured, and 0 above the band
     n = 64
-    names = ("trefoil", "perturbed-circle(3,0.05)", "perturbed-circle(2,0.04)")
-    curves = [initial_curve(name, n) for name in names * 2]
-    maps = ([build_table(eps, n // 2) for eps in (1e-2, 1e-4, 1e-6)]
-            + [rft_constants(eps) for eps in (1e-2, 1e-4, 1e-6)])
-    problem = batched(zip(curves, maps))
+    pairs = six_members(n)
+    problem = batched(pairs)
     grid = problem.curve.grid
     lam, diag = implicit_symbol(grid, problem.force_map), _preconditioner(problem)
-    for j, (curve, m) in enumerate(zip(curves, maps)):
+    for j, (curve, m) in enumerate(pairs):
         leps = m.model == "leps"
         mt, mn = (m.mt[:n // 2 + 1], m.mn[:n // 2 + 1]) if leps else (m.tangential, m.normal)
         want = (mn if leps else mt) * (2.0 * np.pi * grid.k) ** 4
         want[-1] = 0.0
         assert lam[j].tobytes() == want.tobytes()
-        xss_sq = np.sum(grid.weight * np.abs(grid.ik_pow[2] * curve.coeffs) ** 2)
-        symbol = (2.0 * np.pi * grid.k) ** 2 * mt + mn * xss_sq
-        assert diag[j].tobytes() == np.where(grid.band, 1.0 / symbol, 0.0).tobytes()
+        inverse = 1.0 / form_diagonal(curve, mt, mn)
+        band = diag[j][grid.band]
+        assert np.max(np.abs(band - inverse) / inverse) <= 1e-14
+        assert not np.any(diag[j][~grid.band])
 
 
 def test_stall_gives_its_own_residual():
@@ -393,13 +433,13 @@ class TestIsolatedCalls:
         assert failing.failure.startswith("GeometryError: fold-over")
 
 
-def shared_groups(n, rft_state=None, horizon=4e-6):
+def shared_groups(n, rft_state=None, horizon=4e-6, dt=1e-6):
     """Three groups, one table each, from one start state and one rft
-    member, stepped at dt 1e-6; rft_state, if given, is the rft member's
+    member, stepped at dt; rft_state, if given, is the rft member's
     state in all three."""
     start = EvolutionState(initial_curve("perturbed-circle(3,0.05)", n), 0.0)
     rft = rft_constants(1e-3)
-    return [Group([start, rft_state or start], (build_table(eps, n // 2), rft), 1e-6, horizon,
+    return [Group([start, rft_state or start], (build_table(eps, n // 2), rft), dt, horizon,
                   lambda group: None, StepOptions())
             for eps in (1e-2, 1e-3, 1e-4)]
 
@@ -418,12 +458,15 @@ class TestSharedMember:
                 assert a.diagnostics == b.diagnostics
 
     def test_resample_keeps_shared_states_shared(self):
-        # the 20th step ends in the scheduled resampling, after its record
-        together = lockstep(shared_groups(64, horizon=2e-5))
-        (alone,) = lockstep(shared_groups(64, horizon=2e-5)[:1])
+        # the 20th step ends in the scheduled resampling, after its record;
+        # at dt 1e-5 the record's residual, ~1.6e-7, lies far above the
+        # roundoff the resampling leaves
+        together = lockstep(shared_groups(64, horizon=2e-4, dt=1e-5))
+        (alone,) = lockstep(shared_groups(64, horizon=2e-4, dt=1e-5)[:1])
         state = together[0].states[1]
         assert all(g.steps == 20 and g.states[1] is state for g in together)
-        assert state.curve.inext_residual < state.diagnostics.inext_residual
+        assert state.diagnostics.inext_residual > 1e-9
+        assert state.curve.inext_residual < 1e-6 * state.diagnostics.inext_residual
         assert np.array_equal(state.curve.samples, alone.states[1].curve.samples)
         assert state.diagnostics == alone.states[1].diagnostics
 

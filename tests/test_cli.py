@@ -205,6 +205,14 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_cg_tol_of_one_exit_1(self, tmp_path, capsys):
+        # a tolerance of 1 would switch the tension off: refused with the
+        # config, before any run or output
+        config = write_config(tmp_path, GOOD_CONFIG + "cg_tol = 1\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        assert "cg_tol" in capsys.readouterr().err and not out.exists()
+
     def test_aborted_run_exit_2(self, tmp_path):
         config = write_config(tmp_path, GOOD_CONFIG + "cg_tol = 1e-30\n")
         out = tmp_path / "run"

@@ -93,6 +93,16 @@ class TestRunConfig:
             parse_config(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("value", ["1", "1.5", "inf", "0", "nan"])
+    def test_cg_tol_is_a_fraction(self, value):
+        # a relative residual of 1 is met by tau = 0 at iteration 0: at
+        # cg_tol >= 1 the run would step without its constraint
+        for parse, text in ((parse_config, MINIMAL), (parse_sweep_config, "")):
+            with pytest.raises(ConfigError) as err:
+                parse(text + f"cg_tol = {value}\n")
+            assert f"bad value for 'cg_tol': must lie in (0, 1), got {float(value)!r}" in str(err.value)
+        assert parse_config(MINIMAL + "cg_tol = 0.5\n").cg_tol == 0.5
+
     def test_line_without_equals_sign(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "rescaled_time\n")

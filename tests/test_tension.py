@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from filament import evolution, tension
 from filament.evolution import initial_curve
 from filament.multipliers import build_table, force_map_for, rft_constants
 from filament.spectral import (
@@ -137,6 +138,28 @@ def velocity(problem, tension):
     return -from_coeffs(problem.force_map.apply(problem.curve, zs)[0], problem.curve.n, axis=-1)
 
 
+def frozen_preconditioner(problem):
+    """The frozen-coefficient diagonal the form's Fourier diagonal
+    replaced, (m_t(k) (2 pi k)^2 + m_n(k) <|X_ss|^2>)^{-1} on the band,
+    <|X_ss|^2> a Parseval sum."""
+    grid, stack = problem.curve.grid, problem.force_map
+    xss_sq = np.sum(grid.weight * np.abs(grid.ik_pow[2] * problem.curve.coeffs) ** 2, axis=(-2, -1))
+    symbol = (TWO_PI * grid.k) ** 2 * stack.mt + stack.mn * xss_sq[:, None]
+    return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=grid.band & (symbol > 0.0))
+
+
+def brute_force_diagonal(problem):
+    """B(e_k, e_k) of a batch of one on each band mode k, e_k = e^{2 pi i k s}:
+    B(cos, cos) + B(sin, sin) from apply_B, B(tau, phi) = mean(phi B tau)."""
+    n = problem.curve.n
+    s = np.arange(n) / n
+    diag = []
+    for k in range(n // 3 + 1):
+        waves = [np.cos(TWO_PI * k * s)] + [np.sin(TWO_PI * k * s)] * (k > 0)
+        diag.append(sum(float(np.mean(w * apply_B(problem, w)[0][0])) for w in waves))
+    return np.array(diag)
+
+
 def reference_preconditioner(problem):
     """The earlier diagonal (|log eps| + (2 pi k)^2 m_n(k))^{-1}, with no
     curvature term and m_n on the gradient term."""
@@ -260,6 +283,35 @@ class TestSolveVelocity:
             assert np.max(np.abs(got[j] - want)) <= 1e-12 * np.max(np.abs(l_xssss[j])), j
 
 
+class TestWarmStart:
+    def test_one_application_gives_the_bits_of_two(self, monkeypatch):
+        # the warm start's lift stacked into the right-hand side's force-map
+        # application gives the bits of the separate B x0 it replaced:
+        # under the frozen-coefficient diagonal the solve is the one of the
+        # two-application start, byte for byte, to every iterate
+        pairs = TestSolveVelocity.members(64)
+        problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]), [m for _, m in pairs])
+        tensions, _ = solve_tensions(problem)
+        noise = np.random.default_rng(7).standard_normal((len(pairs), 64))
+        initial = [t.values * (1.0 + 1e-3 * e) for t, e in zip(tensions, noise)]
+        initial[4] = None
+        monkeypatch.setattr(tension, "_preconditioner", frozen_preconditioner)
+        one = solve_tensions(problem, initial)
+        rhs = tension.assemble_rhs
+
+        def two_applications(problem, start=None):
+            if start is None:
+                return rhs(problem)
+            return tuple(map(np.stack, zip(rhs(problem), apply_B(problem, start))))
+
+        monkeypatch.setattr(tension, "assemble_rhs", two_applications)
+        two = solve_tensions(problem, initial)
+        assert one[1].tobytes() == two[1].tobytes()
+        for a, b in zip(one[0], two[0]):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.iterations, a.residual) == (b.iterations, b.residual)
+
+
 class TestConstraintEnforcement:
     @pytest.mark.parametrize("model", ["leps", "rft"])
     def test_velocity_preserves_inextensibility(self, model):
@@ -311,6 +363,26 @@ class TestSolverInterface:
         assert tau.iterations > n
         assert tau.residual <= problem.cg_tol[0]
 
+    @pytest.mark.parametrize("n,model", [(32, "leps"), (32, "rft"), (64, "rft")])
+    def test_no_new_minimum_over_the_band_dimension_is_a_stall(self, monkeypatch, n, model):
+        # cg_tol = 1e-30 lies below roundoff: once the residual reaches
+        # ~1e-16 it sets no new minimum, and the member stalls one band
+        # dimension, 2 floor(n/3) + 1 iterations, after its last one.  Under
+        # the frozen-coefficient diagonal, where r.z stays positive, these
+        # solves used to run to the 10 n cap, the rft one at n = 64
+        # diverging to a residual of 0.2
+        monkeypatch.setattr("filament.tension._preconditioner", frozen_preconditioner)
+        problem = make_problem(PeriodicCurve.perturbed_circle(n, 3, 0.05), model, 1e-3,
+                               cg_tol=1e-30)
+        with pytest.raises(SolverError) as err:
+            solve_tension(problem)
+        residual, iterations = re.fullmatch(
+            r"tension CG stalled at relative residual (\S+) after (\d+) iterations",
+            str(err.value)).groups()
+        window = 2 * (n // 3) + 1
+        assert float(residual) < 1e-15
+        assert window < int(iterations) <= 2 * window
+
     def test_step_length_breakdown_is_a_stall(self):
         # far past convergence p.Bp underflows to 0: a stall, not a
         # division by zero
@@ -330,8 +402,6 @@ class TestSolverInterface:
         # a curve at scale 1e25 has finite fields, but its leps right-hand
         # side's norm overflows: SolverError before the first iteration,
         # raised for the whole batch, and no numpy warning on the way
-        from filament import tension
-
         huge = PeriodicCurve(1e25 * PeriodicCurve.trefoil(32).samples)
         pairs = [(PeriodicCurve.trefoil(32), build_table(1e-3, 16)), (huge, build_table(1e-3, 16))]
         problem = TensionProblem(CurveBatch.of([c for c, _ in pairs]), [m for _, m in pairs])
@@ -380,27 +450,97 @@ class TestPreconditioner:
                   for name in ("trefoil", "perturbed-circle(2,0.04)") for n in (256, 1024)
                   for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6) for model in ("leps", "rft")]
 
-    def test_curvature_symbol_pays(self, monkeypatch):
-        # cold solves under the curvature-aware symbol against the
-        # reference diagonal: none slower, 20% fewer in all, same tau
+    PAYS_CASES = COLD_CASES + [("perturbed-circle(3,0.05)", n, eps, model) for n in (256, 1024)
+                               for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+                               for model in ("leps", "rft")]
+
+    @staticmethod
+    def cold_totals(monkeypatch, cases, old_diagonal):
+        """Total CG iterations of the cases' cold solves under the
+        preconditioner and under old_diagonal, after checking that none
+        is slower under it and that both give the same tau."""
         problems = [TensionProblem(initial_curve(name, n), force_map_for(model, eps, n))
-                    for name, n, eps, model in self.COLD_CASES]
+                    for name, n, eps, model in cases]
         new = [solve_tension(p) for p in problems]
-        monkeypatch.setattr("filament.tension._preconditioner", reference_preconditioner)
+        monkeypatch.setattr("filament.tension._preconditioner", old_diagonal)
         old = [solve_tension(p) for p in problems]
-        for case, p, a, b in zip(self.COLD_CASES, problems, new, old):
+        for case, p, a, b in zip(cases, problems, new, old):
             assert a.iterations <= b.iterations, case
             tol = p.cg_tol[0] * np.max(np.abs(b.values))
             assert np.max(np.abs(a.values - b.values)) <= tol, case
-        total_new, total_old = (sum(t.iterations for t in ts) for ts in (new, old))
+        return tuple(sum(t.iterations for t in ts) for ts in (new, old))
+
+    def test_curvature_symbol_pays(self, monkeypatch):
+        # cold solves under the curvature-aware symbol against the
+        # reference diagonal: none slower, 20% fewer in all, same tau
+        total_new, total_old = self.cold_totals(monkeypatch, self.COLD_CASES,
+                                                reference_preconditioner)
         assert total_new <= 0.8 * total_old, (total_new, total_old)
+
+    def test_form_diagonal_pays(self, monkeypatch):
+        # cold solves of the tension-check corpus under the form's Fourier
+        # diagonal against the frozen-coefficient one it replaced: none
+        # slower, fewer in all (325 against 354), same tau
+        total_new, total_old = self.cold_totals(monkeypatch, self.PAYS_CASES,
+                                                frozen_preconditioner)
+        assert total_new < total_old, (total_new, total_old)
+
+    def test_form_diagonal_pays_when_stepping(self, monkeypatch):
+        # a leps/rft pair stepped under the dt policy for 62 steps at
+        # n = 256 (the sweep's batch): 217 batched CG iterations against
+        # 267 under the frozen-coefficient diagonal, at the same steps
+        def stepped():
+            counted, solve = [], evolution.solve_tensions
+
+            def solve_counted(*args):
+                tensions, velocity = solve(*args)
+                counted.append(max(t.iterations for t in tensions))
+                return tensions, velocity
+
+            monkeypatch.setattr(evolution, "solve_tensions", solve_counted)
+            maps = (build_table(1e-3, 128), rft_constants(1e-3))
+            start = evolution.EvolutionState(initial_curve("perturbed-circle(3,0.05)", 256), 0.0)
+            (group,) = evolution.lockstep([evolution.Group(
+                [start] * 2, maps, None, 2e-5, lambda group: None, evolution.StepOptions())])
+            monkeypatch.setattr(evolution, "solve_tensions", solve)
+            assert group.failure is None
+            return group.steps, sum(counted)
+
+        steps, new = stepped()
+        monkeypatch.setattr("filament.tension._preconditioner", frozen_preconditioner)
+        assert stepped()[0] == steps
+        assert new < stepped()[1]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("name", ["circle", "trefoil", "perturbed-circle(3,0.05)",
+                                      "perturbed-circle(2,0.04)"])
+    @pytest.mark.parametrize("model", ["leps", "rft"])
+    def test_is_the_form_diagonal(self, model, name, n):
+        # on a unit-speed curve P (tau X_s)_s = tau_s X_s and
+        # (I - P)(tau X_s)_s = tau X_ss, so the module docstring's sums
+        # are B's diagonal in Fourier but for what the band cuts: the
+        # speed's deviation from 1 and, on mode k, the share of the X_s or
+        # X_ss power at |j| > n/3 - k, whose k + j leaves the band.  Their
+        # sum delta(k) bounds the relative difference from apply_B's
+        # diagonal as 4 delta(k) + 1e-14: measured, at most 3.3 delta
+        # (trefoil, n = 32, k = 9) and 1.2e-15 on the circle below the
+        # band edge
+        curve = initial_curve(name, n)
+        problem = make_problem(curve, model, 1e-3)
+        grid, kcut = curve.grid, n // 3
+        power = grid.weight * np.sum(np.abs(grid.band * grid.ik_pow[1:3, None] * curve.coeffs)
+                                     ** 2, axis=1)
+        tail = np.array([np.max(np.sum(power[:, kcut - k + 1:], axis=-1) / np.sum(power, axis=-1))
+                         for k in range(kcut + 1)])
+        delta = tail + curve.inext_residual
+        want = brute_force_diagonal(problem)
+        got = 1.0 / tension._preconditioner(problem)[0, :kcut + 1]
+        assert np.all(np.abs(got - want) / want <= 4.0 * delta + 1e-14)
 
     def test_built_once_per_solve(self, monkeypatch):
         # the members converge at different iterations and leave the
         # batch one by one, their diagonal rows with them: the diagonal is
         # built once, and each member still gets the bits of its solo solve
-        from filament import tension
-
         n = 64
         curves = [initial_curve(name, n)
                   for name in ("trefoil", "perturbed-circle(2,0.04)", "circle")]

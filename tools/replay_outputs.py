@@ -46,8 +46,8 @@ Exempt from that tolerance, because they read roundoff itself: the
 cg_iterations, cg_residual and inext_residual columns of
 diagnostics.csv, the mean_sq trace of a sweep (the squared mean of
 W = X - Y, ~1e-36), and in the manifests mean_cg_iterations and the
-iteration count and residual of a stall (the cg_tol = 1e-30 run stops at
-its 10 n iteration cap).
+iteration count and residual of a stall (the cg_tol = 1e-30 run stops
+where its CG breaks down or its residual stops setting new minima).
 """
 
 import json
