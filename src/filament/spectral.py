@@ -16,7 +16,12 @@ the tangent costs one irfft/rfft pair and nothing else.  L_eps costs 8
 FFT calls, L_rft 4.  A curve's X_s, X_ss and dealiased tangent come from
 one batched irfft (curves_from_samples); X_sss and X_ssss are never
 sampled, but enter as the products ik_pow[m] * coeffs.  Callers
-holding samples convert at their own boundary with to_coeffs/from_coeffs.
+holding samples convert at their own boundary with to_coeffs/from_coeffs,
+the package's only FFT calls.  They call numpy.fft's pocketfft gufuncs
+with its arguments, byte-identical to norm="forward" but without its
+per-call Python layer (3-5 us of a ~15 us transform); tests/test_spectral.py
+guards this use of the private numpy.fft._pocketfft_umath, and CI runs it
+at the oldest numpy admitted.
 
 Layout: vector fields are stored component-first, the grid last: a
 curve's coefficients are (3, n/2+1) and its X_s, X_ss and tangent
@@ -42,6 +47,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft_n_even
+from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_n_odd
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,6 +85,9 @@ class Grid:
         self.band_ik = np.where(self.band, self.ik, 0.0)
         # factors of a curve's derivative stack X_s, X_ss, tangent, one row each
         self.stack_factor = np.vstack((self.ik_pow[1:3], self.band_ik))
+        # the resampler's Taylor factors (2 pi i k)^m, Nyquist mode kept, to its largest order
+        powers = np.arange(_taylor_order(np.pi / 2) + 1)[:, None]
+        self.taylor_factor = (TWO_PI * 1j * self.k) ** powers
 
     @staticmethod
     def of_size(n):
@@ -91,13 +101,20 @@ def to_coeffs(values, axis=0):
     """Fourier coefficients (rfft layout) of real samples on the given grid
     axis, scaled by pocketfft: a power of two commutes with every rounding,
     so on a power-of-two grid this is bitwise rfft(values) / n."""
-    return np.fft.rfft(values, axis=axis, norm="forward")
+    n = values.shape[axis]
+    shape = list(values.shape)
+    shape[axis] = n // 2 + 1
+    rfft = _rfft_n_odd if n % 2 else _rfft_n_even
+    return rfft(values, 1 / n, axes=[(axis,), (), (axis,)], out=np.empty(shape, complex))
 
 
 def from_coeffs(coeffs, n, axis=0):
     """Real samples from rfft-layout coefficients on the given grid axis,
-    unscaled by pocketfft: on a power-of-two grid bitwise irfft(coeffs * n)."""
-    return np.fft.irfft(coeffs, n=n, axis=axis, norm="forward")
+    unscaled by pocketfft: on a power-of-two grid bitwise irfft(coeffs * n).
+    Coefficient rows shorter or longer than n/2+1 are zero-padded or cut."""
+    shape = list(coeffs.shape)
+    shape[axis] = n
+    return _irfft(coeffs, 1, axes=[(axis,), (), (axis,)], out=np.empty(shape))
 
 
 def dealias(values, axis=0):
@@ -348,27 +365,19 @@ def reparameterize_each(curves):
     ghat[:, 1:] = shat[:, 1:] / (TWO_PI * 1j * grid.k[1:])
     g = from_coeffs(ghat, n, axis=-1)
     delta = -(g - g[:, :1]) / total[:, None]
-    # x is the phase by which the shift moves the Nyquist mode, at most
-    # pi/2 from the nearest node; the Taylor terms decay at least like
-    # x^m/m!, and orders 0..M with x^M/M! < 1e-17 put the truncation error
-    # below double-precision resolution.
-    orders = []
-    for x in np.minimum(np.pi * n * np.max(np.abs(delta), axis=-1), np.pi / 2).tolist():
-        order, term = 0, 1.0
-        while term >= 1e-17:
-            order += 1
-            term *= x / order
-        orders.append(order)
+    orders = [_taylor_order(x) for x in
+              np.minimum(np.pi * n * np.max(np.abs(delta), axis=-1), np.pi / 2).tolist()]
     # d^m/ds^m of g (members, orders, n) and X (members, orders, 3, n) at
-    # the nodes, zero above each member's order.  The Nyquist mode stays
-    # the cosine of the trigonometric interpolant: irfft keeps its real
-    # (even-order) part and drops the odd orders.
+    # the nodes, zero above each member's order, from one irfft of the
+    # stacked rows of g and X.  The Nyquist mode stays the cosine of the
+    # trigonometric interpolant: irfft keeps its real (even-order) part and
+    # drops the odd orders.
     powers = np.arange(max(orders) + 1)[:, None]
     factor = np.where(powers <= np.array(orders)[:, None, None],
-                      (TWO_PI * 1j * grid.k) ** powers, 0.0)
-    gd = from_coeffs(ghat[:, None] * factor, n, axis=-1)
-    coeffs = np.array([c.coeffs for c in curves])
-    xd = from_coeffs(coeffs[:, None] * factor[:, :, None], n, axis=-1)
+                      grid.taylor_factor[:len(powers)], 0.0)
+    rows = np.concatenate((ghat[:, None], [c.coeffs for c in curves]), axis=1)
+    derivs = from_coeffs(rows[:, None] * factor[:, :, None], n, axis=-1)
+    gd, xd = derivs[:, :, 0], derivs[:, :, 1:]
     length = total[:, None]
     # preimage j is node/n + r with L r + g(node/n + r) = target, and
     # target = g(0) - L (node - j)/n; gm holds the derivative samples of g
@@ -397,6 +406,17 @@ def reparameterize_each(curves):
             f"(max |f| = {residual[going][0]:.3e})")
     xm = xd if gm is gd else np.take_along_axis(xd, node[:, None, None] % n, axis=-1)
     return curves_from_samples(_taylor_shift(xm, r) / length[:, :, None])
+
+
+def _taylor_order(x):
+    """The resampler's Taylor order M for a shift by a phase x of the Nyquist
+    mode, at most pi/2 from the nearest node: the terms decay at least like
+    x^m/m!, and x^M/M! < 1e-17 puts the truncation error below double precision."""
+    order, term = 0, 1.0
+    while term >= 1e-17:
+        order += 1
+        term *= x / order
+    return order
 
 
 def _taylor_shift(derivs, delta):

@@ -14,6 +14,7 @@ checks them against a physical-space reference to a tolerance.
 import numpy as np
 import pytest
 
+from filament import spectral
 from filament.evolution import EvolutionState, StepOptions, _advance
 from filament.experiments import _discrepancy_row
 from filament.spectral import (
@@ -127,15 +128,14 @@ class TestAgainstGridMajorReference:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Each np.fft.rfft/irfft call as (runs along the last axis, input is
-    C-contiguous)."""
+    """Each call of the pocketfft gufuncs that to_coeffs and from_coeffs
+    call, as (runs along the last axis, input is C-contiguous)."""
     calls = []
-    for name in ("rfft", "irfft"):
-        def recorded(a, *args, _real=getattr(np.fft, name), axis=-1, **kwargs):
-            a = np.asarray(a)
-            calls.append((axis % a.ndim == a.ndim - 1, a.flags.c_contiguous))
-            return _real(a, *args, axis=axis, **kwargs)
-        monkeypatch.setattr(np.fft, name, recorded)
+    for name in ("_rfft_n_even", "_rfft_n_odd", "_irfft"):
+        def recorded(a, fct, *, axes, _real=getattr(spectral, name), **kwargs):
+            calls.append((axes[0][0] % a.ndim == a.ndim - 1, a.flags.c_contiguous))
+            return _real(a, fct, axes=axes, **kwargs)
+        monkeypatch.setattr(spectral, name, recorded)
     return calls
 
 

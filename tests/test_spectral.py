@@ -65,6 +65,36 @@ class TestTransforms:
         assert (from_coeffs(coeffs, n, axis=axis).tobytes()
                 == np.fft.irfft(coeffs * n, n=n, axis=axis).tobytes())
 
+    @pytest.mark.parametrize("n", [32, 33, 256, 1024])
+    @pytest.mark.parametrize("axis", [0, -1, -2])
+    def test_transforms_match_numpy_fft_bitwise(self, n, axis):
+        # the gufuncs called directly against numpy.fft's norm="forward"
+        # calls, with the grid on `axis` of a (2, 6, 3, n) stack and of its
+        # member slice [..., :3, :, :] (a mixed ForceMapStack.apply's), which
+        # is not contiguous; an odd n takes rfft_n_odd.  The coefficient
+        # rows are also cut to n/3+1 modes and padded to n/2+5, which the
+        # gufunc pads and cuts as numpy.fft does.
+        stack = np.random.default_rng(n).standard_normal((2, 6, 3, n))
+        coeffs = np.fft.rfft(stack, norm="forward")
+        cut = coeffs[..., : n // 3 + 1]
+        padded = np.concatenate((coeffs, np.full((2, 6, 3, 4), 1.5 - 0.5j)), axis=-1)
+        for members in (np.s_[...], np.s_[..., :3, :, :]):
+            values = np.moveaxis(stack[members], -1, axis)
+            assert (to_coeffs(values, axis=axis).tobytes()
+                    == np.fft.rfft(values, axis=axis, norm="forward").tobytes())
+            for rows in (coeffs, cut, padded):
+                rows = np.moveaxis(rows[members], -1, axis)
+                assert (from_coeffs(rows, n, axis=axis).tobytes()
+                        == np.fft.irfft(rows, n=n, axis=axis, norm="forward").tobytes())
+
+    def test_transforms_call_the_gufuncs_of_numpy_fft(self):
+        # a numpy release that moves these gufuncs fails here by name
+        from numpy.fft import _pocketfft
+
+        assert spectral._rfft_n_even is _pocketfft.pfu.rfft_n_even
+        assert spectral._rfft_n_odd is _pocketfft.pfu.rfft_n_odd
+        assert spectral._irfft is _pocketfft.pfu.irfft
+
     def test_derivative_of_constant(self):
         curve = PeriodicCurve(np.ones((64, 3)))
         for values in (curve.xs, curve.xss, derivative(curve, 3), derivative(curve, 4),
