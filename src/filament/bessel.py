@@ -18,12 +18,13 @@ each of fixed cost in x:
   _CHEBYSHEV, are written and checked by tools/bessel_coefficients.py
   (degree, mapping and fit method are stated there).
 
-K2 comes from the recurrence K2 = K0 + 2 K1 / x.  Exponentially scaled
-variants e^x K_j(x) are provided for the multiplier ratios, which stay
-O(1) even where the raw K values underflow.  Against 50-digit mpmath,
-e^x K_j(x), j = 0, 1, 2, is within 2e-15 relative on [1e-70, 3e4]
-(tests/test_bessel.py); an independent quadrature oracle lives in the
-test suite too.
+K2 comes from the recurrence K2 = K0 + 2 K1 / x.  The multipliers read
+the scaled pair e^x K0, e^x K1 from k0_k1(x, scaled=True), as their
+ratios stay O(1) even where the raw K values underflow, and take K2 from
+the recurrence.  Against 50-digit mpmath, e^x K_j(x), j = 0, 1, 2, so
+taken is within 2e-15 relative on [1e-70, 3e4] (tests/test_bessel.py);
+an independent quadrature oracle lives in the test suite too.  bessel_k
+is the unscaled K_j(x) with its input checks.
 """
 
 from fractions import Fraction
@@ -120,7 +121,7 @@ def _chebyshev(x):
 def k0_k1(x, scaled):
     """K0(x) and K1(x), times e^x if scaled, stacked (2, x.size), at a 1-D
     array x of positive finite reals, unchecked: the multipliers' one
-    evaluation, and the core of bessel_k and bessel_k_scaled."""
+    evaluation (scaled), and the core of bessel_k."""
     out = np.empty((2, x.size))
     near = x <= SEAM
     xs, xl = x[near], x[~near]
@@ -131,34 +132,19 @@ def k0_k1(x, scaled):
     return out
 
 
-def _validate(order, x):
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise ValueError("argument must be a positive finite real")
-    return xa
-
-
-def _evaluate(order, x, scaled):
-    xa = _validate(order, x)
-    flat = xa.reshape(-1)
-    with np.errstate(over="ignore"):  # past the overflow threshold K is inf
-        k0, k1 = k0_k1(flat, scaled)
-        out = k0 if order == 0 else k1 if order == 1 else k0 + 2.0 * k1 / flat
-    return out.reshape(xa.shape) if np.ndim(x) else float(out[0])
-
-
 def bessel_k(order, x):
     """K_order(x) for order in {0, 1, 2} and x > 0 (scalar or array).
 
     For x beyond the underflow threshold the true value is below the
     smallest normal double; the returned value is then 0.0.
     """
-    return _evaluate(order, x, scaled=False)
-
-
-def bessel_k_scaled(order, x):
-    """e^x * K_order(x); positive for every x > 0, and finite except
-    where K_order overflows (K1 below x ~ 6e-309, K2 below ~1e-154)."""
-    return _evaluate(order, x, scaled=True)
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    xa = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(xa)) or np.any(xa <= 0.0):
+        raise ValueError("argument must be a positive finite real")
+    flat = xa.reshape(-1)
+    with np.errstate(over="ignore"):  # past the overflow threshold K is inf
+        k0, k1 = k0_k1(flat, scaled=False)
+        out = k0 if order == 0 else k1 if order == 1 else k0 + 2.0 * k1 / flat
+    return out.reshape(xa.shape) if np.ndim(x) else float(out[0])

@@ -8,12 +8,12 @@ failed input check or a refused overwrite (nothing is written), 2 a
 solver, geometry or file error (after the manifest for a failed
 simulate run or sweep row); any other exception propagates.  One
 runner serves every subcommand: it refuses to overwrite an existing
-output without --force before any work, creates the output directory
-(a file output's parent), times the run and writes the JSON manifest
-(command, config echo, versions, wall time for directory outputs,
-results).  The argument parser holds no per-call state, so it is built
-once per process and reused by every call of main.  Logging level comes
-from FILAMENT_LOG (error | info | debug).
+output, or a file output's sidecar manifest, without --force before any
+work, creates the output directory (a file output's parent), times the
+run and writes the JSON manifest (command, config echo, versions, wall
+time for directory outputs, results).  The argument parser holds no
+per-call state, so it is built once per process and reused by every call
+of main.  Logging level comes from FILAMENT_LOG (error | info | debug).
 """
 
 import argparse
@@ -102,9 +102,9 @@ def _run(args):
     a failure the work reports is exit 2, after the manifest."""
     out = args.out
     manifest = out / "manifest.json" if args.directory else out.with_suffix(".manifest.json")
-    guarded = manifest if args.directory else out
-    if guarded.exists() and not args.force:
-        raise CliError(f"{guarded} already exists; pass --force to overwrite", 1)
+    existing = [p for p in ((manifest,) if args.directory else (out, manifest)) if p.exists()]
+    if existing and not args.force:
+        raise CliError(f"{existing[0]} already exists; pass --force to overwrite", 1)
     (out if args.directory else out.parent).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     echo, results, failure = args.func(args)

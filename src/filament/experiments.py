@@ -1,10 +1,11 @@
 """Desk-scale verification studies.
 
-Three families: the multiplier/coercivity bound suites (fitted-constant
+Two families: the multiplier/coercivity bound suites (fitted-constant
 protocol: constants are fitted on the coarsest eps and must bound the
-finer runs with 10% slack), the eps-sweep convergence of the nonlocal
-dynamics to RFT under rescaled time, and the discrepancy energy and
-dissipation traces of the difference W = X - Y.
+finer runs with 10% slack), and the eps-sweep convergence of the
+nonlocal dynamics to RFT under rescaled time, whose rows trace the
+discrepancy energy and dissipation of the difference W = X - Y with
+discrepancy_energy_trace, once per snapshot.
 
 The sweep steps its rows together: every row of one grid size is a
 lockstep group of its two models, and all groups advance as one batch
@@ -85,20 +86,15 @@ class DiscrepancyRecord:
         return 0 if self.times is None else len(self.times)
 
 
-def discrepancy_energy_trace(times, curves_x, curves_y, table):
-    """Traces of the difference W = X - Y on matched snapshots.
+def discrepancy_energy_trace(cx, cy, table):
+    """||W||_H2, ||W||_H72, E_W, D_W and |mean-mode W_0|^2 of the
+    difference W = X - Y of the curves cx and cy at one snapshot.
 
-    E_W = ||W_ss||_L2^2; D_W applies the half-power multipliers to the
-    fourth derivative of W split into tangential/normal parts along X,
-    summed by Parseval on the rfft coefficients.
+    E_W = ||W_ss||_L2^2; D_W applies the half-power multipliers of the
+    MultiplierTable table to the fourth derivative of W split into
+    tangential/normal parts along X, summed by Parseval on the rfft
+    coefficients.
     """
-    return _discrepancy_record(table, curves_x[0].n, times,
-                               [_discrepancy_row(cx, cy, table)
-                                for cx, cy in zip(curves_x, curves_y)])
-
-
-def _discrepancy_row(cx, cy, table):
-    """||W||_H2, ||W||_H72, E_W, D_W and |mean-mode W_0|^2 at one snapshot."""
     grid = cx.grid
     size = grid.k.shape[0]
     w_hat = cx.coeffs - cy.coeffs
@@ -112,7 +108,7 @@ def _discrepancy_row(cx, cy, table):
 
 
 def _discrepancy_record(table, n, times, rows):
-    """The DiscrepancyRecord of the snapshot rows of _discrepancy_row."""
+    """The DiscrepancyRecord of the snapshot rows of discrepancy_energy_trace."""
     times = np.asarray(times, dtype=float)
     h2, h72, ew, dw, mean_sq = (np.array(column, dtype=float) for column in zip(*rows))
     return DiscrepancyRecord(
@@ -146,9 +142,9 @@ def _pair(table, start, rft, sweep):
     # discrepancy actually accumulates, plus at fixed time marks (running
     # sums of the interval) so the quiescent tail is covered too.
     stride, next_snap = sweep.snapshot_every, interval
-    # (time, _discrepancy_row) per snapshot: a row is a few numbers, so
-    # the rows of a batch keep no curves alive
-    snapshots = [(0.0, _discrepancy_row(curve, curve, table))]
+    # (time, discrepancy_energy_trace) per snapshot: a row is a few
+    # numbers, so the rows of a batch keep no curves alive
+    snapshots = [(0.0, discrepancy_energy_trace(curve, curve, table))]
     cg_iterations = 0  # of the leps member's steps
 
     def after_step(group):
@@ -157,7 +153,7 @@ def _pair(table, start, rft, sweep):
         cg_iterations += x.diagnostics.cg_iterations
         t = x.time
         if t >= group.end or group.steps % stride == 0 or t >= next_snap * (1.0 - TIME_RTOL):
-            snapshots.append((t, _discrepancy_row(x.curve, y.curve, table)))
+            snapshots.append((t, discrepancy_energy_trace(x.curve, y.curve, table)))
             while next_snap <= t * (1.0 + TIME_RTOL):
                 next_snap += interval
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from filament.bessel import SEAM, bessel_k, bessel_k_scaled
+from filament.bessel import SEAM, bessel_k, k0_k1
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -43,6 +43,13 @@ class TestOracleAgreement:
         assert np.max(np.abs(vals / oracle - 1.0)) < 1e-10
 
 
+def scaled(order, xs):
+    """e^x K_order(x) at each double in the 1-D array xs as the multipliers
+    take it: k0_k1 scaled, and order 2 from the recurrence K0 + 2 K1 / x."""
+    k0, k1 = k0_k1(xs, scaled=True)
+    return (k0, k1, k0 + 2.0 * k1 / xs)[order]
+
+
 def mpmath_scaled(order, xs, dps=50):
     """e^x K_order(x) at each double in xs, in dps-digit arithmetic."""
     with mpmath.workdps(dps):
@@ -58,7 +65,7 @@ class TestExtendedPrecisionOracle:
     def test_300_points(self, order):
         # every decade of [1e-70, 3e4], and the series' range densely
         xs = np.concatenate((np.geomspace(1e-70, 3e4, 240), np.linspace(0.1, 6.0, 60)))
-        err = np.abs(bessel_k_scaled(order, xs) / mpmath_scaled(order, xs) - 1.0)
+        err = np.abs(scaled(order, xs) / mpmath_scaled(order, xs) - 1.0)
         assert np.max(err) <= self.SCALED_RTOL
 
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -66,7 +73,7 @@ class TestExtendedPrecisionOracle:
         # x = 2 takes the series, the double above it the Chebyshev series
         assert SEAM == 2.0
         xs = np.array([np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])
-        got = bessel_k_scaled(order, xs)
+        got = scaled(order, xs)
         assert np.max(np.abs(got / mpmath_scaled(order, xs) - 1.0)) <= self.SCALED_RTOL
         assert np.max(np.abs(got / got[1] - 1.0)) <= self.SCALED_RTOL
 
@@ -105,18 +112,18 @@ class TestScaledVariants:
         x = np.logspace(-4, 2, 200)
         for order in (0, 1, 2):
             assert np.allclose(
-                bessel_k_scaled(order, x), np.exp(x) * bessel_k(order, x),
+                scaled(order, x), np.exp(x) * bessel_k(order, x),
                 rtol=1e-12,
             )
 
     def test_finite_past_underflow(self):
-        for x in (700.0, 800.0, 5000.0):
-            for order in (0, 1, 2):
-                v = bessel_k_scaled(order, x)
-                assert np.isfinite(v) and v > 0.0
+        x = np.array([700.0, 800.0, 5000.0])
+        for order in (0, 1, 2):
+            v = scaled(order, x)
+            assert np.all(np.isfinite(v)) and np.all(v > 0.0)
         # leading asymptotic behavior sqrt(pi/(2x))
         x = 5000.0
-        assert bessel_k_scaled(0, x) == pytest.approx(np.sqrt(np.pi / (2 * x)), rel=1e-3)
+        assert scaled(0, np.array([x]))[0] == pytest.approx(np.sqrt(np.pi / (2 * x)), rel=1e-3)
 
 
 class TestDomainAndTypes:
@@ -135,12 +142,13 @@ class TestDomainAndTypes:
         for x in (1e-310, 1.5e-323, 5e-324):
             k0 = math.log(2.0) - math.log(x) - EULER_GAMMA
             assert bessel_k(0, x) == pytest.approx(k0, rel=1e-15)
-            assert bessel_k(1, x) == bessel_k(2, x) == bessel_k_scaled(2, x) == math.inf
+            with np.errstate(over="ignore"):  # 1/x overflows, as it should
+                k2_scaled = scaled(2, np.array([x]))[0]
+            assert bessel_k(1, x) == bessel_k(2, x) == k2_scaled == math.inf
 
     def test_scalar_in_float_out_and_shape_kept(self):
-        for f in (bessel_k, bessel_k_scaled):
-            for x in (1.0, 3.0, np.float64(1e-70)):
-                assert type(f(2, x)) is float
-            xs = np.array([[0.5, 2.0], [2.5, 800.0]])
-            assert f(1, xs).shape == (2, 2)
-            assert np.array_equal(f(1, xs).ravel(), f(1, xs.ravel()))
+        for x in (1.0, 3.0, np.float64(1e-70)):
+            assert type(bessel_k(2, x)) is float
+        xs = np.array([[0.5, 2.0], [2.5, 800.0]])
+        assert bessel_k(1, xs).shape == (2, 2)
+        assert np.array_equal(bessel_k(1, xs).ravel(), bessel_k(1, xs.ravel()))

@@ -728,6 +728,18 @@ class TestRunner:
         assert "--force" in capsys.readouterr().err
         assert manifest.read_text() == "{}\n"
 
+    @pytest.mark.parametrize("command", ["multiplier-dump", "tension-check"])
+    def test_file_output_refused_over_its_sidecar(self, tmp_path, capsys, command):
+        # a file output's sidecar manifest is guarded too, with the output absent
+        argv, manifest = tiny_call(tmp_path, command)
+        manifest.write_text('{"keep": "me"}\n')
+        assert main(argv) == 1
+        assert f"{manifest} already exists; pass --force" in capsys.readouterr().err
+        assert manifest.read_text() == '{"keep": "me"}\n'
+        assert not (tmp_path / "out.csv").exists()
+        assert main([*argv, "--force"]) == 0
+        assert json.loads(manifest.read_text())["command"] == command
+
     @pytest.mark.parametrize("command,keys", [
         ("simulate", ["config", "versions", "wall_time_s", "steps", "aborted"]),
         ("sweep", ["config", "versions", "wall_time_s", "fitted_constants", "failed_rows",

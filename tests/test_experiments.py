@@ -12,6 +12,7 @@ from filament.config import SweepConfig
 from filament.evolution import EvolutionState, initial_curve, lockstep
 from filament.experiments import (
     DiscrepancyRecord,
+    _discrepancy_record,
     _pair,
     coercivity_ratios,
     compensated_band,
@@ -139,9 +140,8 @@ class TestDiscrepancyTrace:
     def test_identical_runs_trace_zero(self):
         curve = PeriodicCurve.perturbed_circle(64, 2, 0.03)
         table = build_table(1e-2, 32)
-        record = discrepancy_energy_trace(
-            [0.0, 1.0], [curve, curve], [curve, curve], table
-        )
+        rows = [discrepancy_energy_trace(curve, curve, table)] * 2
+        record = _discrepancy_record(table, curve.n, [0.0, 1.0], rows)
         assert record.sup_h2 == 0.0
         assert record.max_ew == 0.0
         assert record.int_dw == 0.0
@@ -159,7 +159,8 @@ class TestDiscrepancyTrace:
         a = PeriodicCurve.perturbed_circle(64, 2, 0.03)
         b = PeriodicCurve.perturbed_circle(64, 3, 0.02)
         table = build_table(1e-2, 32)
-        record = discrepancy_energy_trace([0.0, 0.5], [a, a], [b, b], table)
+        rows = [discrepancy_energy_trace(a, b, table)] * 2
+        record = _discrepancy_record(table, a.n, [0.0, 0.5], rows)
         assert record.h2.shape == (2,)
         assert record.sup_h2 > 0.0
         assert record.max_ew > 0.0
@@ -268,6 +269,23 @@ class TestStudyDriver:
         assert [float(v) for v in lines[-1].split(",")] == [
             records[0].times[-1], records[0].h2[-1], records[0].ew[-1],
             records[0].dw[-1], records[0].mean_sq[-1]]
+
+    def test_one_trace_evaluation_per_snapshot(self, monkeypatch):
+        # every row evaluates its discrepancy through the module's
+        # discrepancy_energy_trace, once at each of its snapshots
+        from filament import experiments
+
+        calls = []
+
+        def counted(cx, cy, table, _real=experiments.discrepancy_energy_trace):
+            calls.append(table.epsilon)
+            return _real(cx, cy, table)
+
+        monkeypatch.setattr(experiments, "discrepancy_energy_trace", counted)
+        records = convergence_study(self.make_sweep())
+        assert all(r.failed is None and r.snapshots > 1 for r in records)
+        assert len(calls) == sum(r.snapshots for r in records)
+        assert [calls.count(r.eps) for r in records] == [r.snapshots for r in records]
 
     def test_failed_row_reported_not_raised(self):
         sweep = SweepConfig(epsilons=(1e-2, 1e-3), horizon=1e-4, n=64,

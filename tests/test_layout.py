@@ -16,7 +16,7 @@ import pytest
 
 from filament import spectral
 from filament.evolution import EvolutionState, StepOptions, _advance
-from filament.experiments import _discrepancy_row
+from filament.experiments import discrepancy_energy_trace
 from filament.spectral import (
     TWO_PI,
     Grid,
@@ -148,6 +148,6 @@ def test_every_transform_runs_along_a_contiguous_last_axis(transforms, n):
     before = len(transforms)
     (x, *_) = _advance(states, maps, [2e-7] * len(pairs), [StepOptions()] * len(pairs))
     reparameterize_each(curves + [PeriodicCurve(curves[0].samples * 1.01)])
-    _discrepancy_row(x.curve, curves[0], maps[0])
+    discrepancy_energy_trace(x.curve, curves[0], maps[0])
     assert len(transforms) > before
     assert transforms == [(True, True)] * len(transforms)

@@ -1,7 +1,9 @@
 """The package layout: every module imports on its own, the package root
-re-exports nothing, so each name is imported from its module, and the
-declared dependencies cover what the code calls."""
+re-exports nothing, so each name is imported from its module, every
+public name serves the program, and the declared dependencies cover
+what the code calls."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -15,6 +17,8 @@ import pytest
 import filament
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(filament.__path__))
+SRC = Path(filament.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def test_modules_found():
@@ -35,6 +39,25 @@ def test_root_has_no_namespace():
     public = {name for name in vars(filament) if not name.startswith("_")}
     # submodules appear as attributes once imported, and only those
     assert public <= set(MODULES)
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public top-level function or class of src/filament is loaded by the
+    # program (an f-string's fields included: ast.walk reaches them), or it
+    # is an entry point that the frozen acceptance test imports
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    frozen = {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+              if isinstance(node, ast.ImportFrom) and node.module.startswith("filament.")
+              for alias in node.names}
+    public = {(module, node.name) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert {"bessel_k", "step_leps", "PeriodicCurve"} <= frozen
+    assert sorted(f"{module}.{name}" for module, name in public
+                  if name not in loaded and name not in frozen) == []
 
 
 def test_numpy_floor_covers_numpy_2_calls():

@@ -23,8 +23,10 @@ sum |c_m| over m > DEGREE, is below 3e-17 of f_j, under a fifth of an ulp.
 
 --check prints the largest difference of each checked-in coefficient
 from the fresh fit, in units of the fresh coefficient's last place, and
-the largest relative error of bessel_k_scaled(j, x), j = 0, 1, 2, on
-FIT_POINTS log-spaced x in (2, 3e4] against 50-digit mpmath.  It exits
+the largest relative error of e^x K_j(x), j = 0, 1, 2, on FIT_POINTS
+log-spaced x in (2, 3e4] against 50-digit mpmath, as the multipliers
+take it: e^x K0 and e^x K1 from bessel.k0_k1(x, scaled=True), and
+e^x K2 from the recurrence K0 + 2 K1 / x.  It exits
 1 if a coefficient is off by more than COEFF_ULPS ulp, or if that error
 exceeds FIT_RTOL.
 """
@@ -76,10 +78,10 @@ def check(coefficients):
     held = held[..., 0]
     ulps = float(np.max(np.abs(held - coefficients) / np.spacing(np.abs(coefficients))))
     xs = np.geomspace(2.0, 3e4, FIT_POINTS + 1)[1:]
+    k0, k1 = bessel.k0_k1(xs, scaled=True)
     worst = 0.0
     with mpmath.workdps(DPS):
-        for j in (0, 1, 2):
-            got = bessel.bessel_k_scaled(j, xs)
+        for j, got in enumerate((k0, k1, k0 + 2.0 * k1 / xs)):
             want = np.array([float(mpmath.exp(x) * mpmath.besselk(j, x)) for x in xs])
             worst = max(worst, float(np.max(np.abs(got / want - 1.0))))
     print(f"coefficients: largest difference {ulps:g} ulp (tolerance {COEFF_ULPS})")
