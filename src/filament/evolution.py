@@ -14,11 +14,11 @@ A model enters only as its force map (see multipliers).  One loop,
 row the two models side by side with one dt.  Each step advances every
 member of every group as one array program with a member axis first
 (`_advance`): one batched tension solve, forcing, implicit update,
-diagnostics (from the stacked tau samples) and arclength resampling for
-all of them, each member getting the bits of its solo step.  Groups may
-share a member (a sweep's rows share their RFT member): the batch makes
-its calls once while they keep one dt.  A failing member raises for the whole batch, and
-`_batched` alone isolates it: it makes each distinct call of the batch
+arclength resampling and diagnostics of the curves it returns, for all of
+them, each member getting the bits of its solo step.  Groups may share a
+member (a sweep's rows share their RFT member): the batch makes its calls
+once while they keep one dt.  A failing member raises for the whole batch,
+and `_batched` alone isolates it: it makes each distinct call of the batch
 alone, so only the groups with a failing member end.
 """
 
@@ -167,8 +167,9 @@ def _advance(states, force_maps, dts, options, scheduled=None):
     """One IMEX Euler step of every member (leps members first) as one
     array program: a list with each member's new EvolutionState; raises
     the SolverError or GeometryError of a member whose step fails.
-    options holds a StepOptions per member; a member whose flag in
-    scheduled is set is resampled at arclength after its record is taken."""
+    options holds a StepOptions per member.  A member is resampled at
+    arclength once, before its record is taken, when its inextensibility
+    residual exceeds inext_tol / 2 or its flag in scheduled is set."""
     if not all(dt > 0.0 for dt in dts):
         raise ValueError(f"dt must be positive, got {dts!r}")
     tensions, problem, lam, ghat = _forcing(
@@ -178,9 +179,9 @@ def _advance(states, force_maps, dts, options, scheduled=None):
     new_hat = (problem.curve.coeffs + dt_native * ghat) / (1.0 + dt_native * lam[:, None])
     new_hat[..., -1] = 0.0
     curves = curves_from_samples(from_coeffs(new_hat, problem.curve.n, axis=-1))
-    off = [j for j, curve in enumerate(curves)
-           if curve.inext_residual > 0.5 * options[j].inext_tol]
-    for j, curve in zip(off, reparameterize_each([curves[j] for j in off])):
+    due = [j for j, curve in enumerate(curves)
+           if curve.inext_residual > 0.5 * options[j].inext_tol or (scheduled and scheduled[j])]
+    for j, curve in zip(due, reparameterize_each([curves[j] for j in due])):
         curves[j] = curve
     # diagnostics, one array expression per quantity for all members
     tau = np.array([t.values for t in tensions])
@@ -203,9 +204,6 @@ def _advance(states, force_maps, dts, options, scheduled=None):
             dt=dts[j],
         )
         new_states.append(EvolutionState(curve, state.time + dts[j], tensions[j], record))
-    due = [j for j, flag in enumerate(scheduled or ()) if flag]
-    for j, curve in zip(due, reparameterize_each([new_states[j].curve for j in due])):
-        new_states[j] = replace(new_states[j], curve=curve)
     return new_states
 
 
@@ -351,12 +349,13 @@ def lockstep(groups):
 
     Each pass sets the dt of every group by the rule of `Group`, makes one
     `_advance` call for all of them, which also resamples a group's states
-    at arclength on every RESAMPLE_EVERY-th of its steps, and hands each
-    step taken to on_step.  A solver or geometry failure in the dt policy
-    or the step, or a dt halved until time stands still, ends that group
-    early with its last good states and the reason in `failure`; the
-    other groups go on.  Groups that share a state, force map and dt make
-    its step once, and a state they share stays shared.
+    at arclength on every RESAMPLE_EVERY-th of its steps, before their
+    records, and hands each step taken to on_step.  A solver or geometry
+    failure in the dt policy or the step, or a dt halved until time stands
+    still, ends that group early with its last good states and the reason
+    in `failure`; the other groups go on.  Groups that share a state,
+    force map and dt make its step once, and a state they share stays
+    shared.
     """
     options = {g: [replace(g.options, time_scale=1.0 / m.log_eps if g.rescaled else 1.0)
                    for m in g.force_maps] for g in groups}

@@ -458,15 +458,20 @@ class TestSharedMember:
                 assert a.diagnostics == b.diagnostics
 
     def test_resample_keeps_shared_states_shared(self):
-        # the 20th step ends in the scheduled resampling, after its record;
-        # at dt 1e-5 the record's residual, ~1.6e-7, lies far above the
-        # roundoff the resampling leaves
-        together = lockstep(shared_groups(64, horizon=2e-4, dt=1e-5))
+        # the 20th step resamples before its record; at dt 1e-5 step 19's
+        # record reads ~1.6e-7, far above the roundoff the resampling
+        # leaves, which step 20's record and curve both read
+        together = shared_groups(64, horizon=2e-4, dt=1e-5)
+        records = []
+        together[0].on_step = lambda g: records.append(g.states[1].diagnostics)
+        lockstep(together)
         (alone,) = lockstep(shared_groups(64, horizon=2e-4, dt=1e-5)[:1])
         state = together[0].states[1]
         assert all(g.steps == 20 and g.states[1] is state for g in together)
-        assert state.diagnostics.inext_residual > 1e-9
-        assert state.curve.inext_residual < 1e-6 * state.diagnostics.inext_residual
+        assert records[18].step == 19 and records[18].inext_residual > 1e-9
+        assert records[19] is state.diagnostics
+        assert state.diagnostics.inext_residual == state.curve.inext_residual < 1e-12
+        assert state.curve.inext_residual < 1e-6 * records[18].inext_residual
         assert np.array_equal(state.curve.samples, alone.states[1].curve.samples)
         assert state.diagnostics == alone.states[1].diagnostics
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from filament.config import RunConfig
+from filament.config import INEXT_TOL, RunConfig
 from filament.evolution import (
     DT_GRID,
     DiagnosticsRecord,
@@ -148,6 +148,41 @@ class TestSingleSteps:
         e1 = np.max(np.abs(integrate(horizon / 2) - fine))
         e2 = np.max(np.abs(integrate(horizon / 4) - fine))
         assert 1.5 < e1 / e2 < 2.5
+
+
+class TestResampling:
+    @pytest.mark.parametrize("inext_tol, scheduled, passes", [
+        (1e-14, True, 1),      # over inext_tol / 2 and scheduled
+        (INEXT_TOL, True, 1),  # scheduled only
+        (1e-14, False, 1),     # over inext_tol / 2 only
+        (INEXT_TOL, False, 0),
+    ])
+    def test_one_pass_per_member_per_step(self, monkeypatch, inext_tol, scheduled, passes):
+        # a step resamples a member at most once, before its record: this
+        # step leaves a residual of ~1.6e-8, the resampling ~6e-14
+        from filament import evolution
+
+        members, real = [], evolution.reparameterize_each
+        monkeypatch.setattr(evolution, "reparameterize_each",
+                            lambda curves: members.extend(curves) or real(curves))
+        state = fresh_state(initial_curve("perturbed-circle(3,0.05)", 64))
+        (new,) = evolution._advance([state], [rft_constants(1e-3)], [1e-9],
+                                    [evolution.StepOptions(inext_tol=inext_tol)], [scheduled])
+        assert len(members) == passes
+        assert (new.curve.inext_residual < 1e-12) == (passes == 1)
+        assert new.diagnostics.energy == energy(new.curve)
+        assert new.diagnostics.inext_residual == new.curve.inext_residual
+
+    def test_each_record_describes_its_state_curve(self):
+        # every state of this 62-step run is a snapshot; steps 20, 40 and
+        # 60 are scheduled resamplings
+        config = RunConfig(model="rft", epsilon=1e-3, n=32, horizon=2e-5, snapshot_every=1,
+                           initial_curve="perturbed-circle(3,0.05)")
+        traj = run(config, initial_curve(config.initial_curve, config.n))
+        assert traj.aborted is None and len(traj.states) == 63
+        for state in traj.states[1:]:
+            assert state.diagnostics.energy == energy(state.curve)
+            assert state.diagnostics.inext_residual == state.curve.inext_residual
 
 
 class TestRescaledTime:
